@@ -4,8 +4,10 @@ Commands: check, matrix, det, rhs, invariants, random.  Reports are JSON
 documents with canonical key order; identical input and seed produce
 byte-identical output (timings are only included on request).
 
-Exit codes: 0 all identities matched, 2 q-identity mismatch (a finding,
-reported with a full witness), 1 validation or internal error.
+Exit codes: 0 all identities matched (for invariants: every check passed);
+2 q-identity mismatch, a finding reported with a full witness; 1 anything
+else: a usage error, invalid input, a closure past its cap, a failed
+invariant, or an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -27,25 +29,11 @@ from .flagspace import (build_y_matrix, check_basis_of_kernel,
                         expansion_matches_y, pairing, phi)
 from .forms import (IntersectionForm, TheoremViolation, build_S, build_Sq,
                     h_poly, rhs_classical, rhs_q, verify)
-from .oriented_matroid import AffineOrientedMatroid, SignVector, conforms, separation
-from .polyring import IntPoly, poly_eval
+from .oriented_matroid import (AffineOrientedMatroid, ClosureCapExceeded,
+                               separation)
+from .polyring import CertificateError, ExactDivisionError, IntPoly, poly_eval
 
 MATRIX_REPORT_LIMIT = 40
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: Optional[str] = None
-    out: Optional[str] = None
-    seed: int = 0
-    dim: Optional[int] = None
-    n: Optional[int] = None
-    count: int = 10
-    jobs: int = 1
-    include_matrices: bool = False
-    nudge: Optional[int] = None
-    timings: bool = False
 
 
 @dataclass
@@ -147,17 +135,17 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def run_check(inst: Instance, cfg: RunConfig, matrices: str = "auto",
+def run_check(inst: Instance, args: argparse.Namespace, matrices: str = "auto",
               ) -> tuple[dict, int]:
     """matrices: 'auto' (size-gated), 'omit', or 'on-mismatch' (witness)."""
     t0 = time.perf_counter()
     om = inst.om
-    s = build_S(om, cfg.jobs)
-    sq = build_Sq(om, cfg.jobs)
+    s = build_S(om)
+    sq = build_Sq(om)
     t_forms = time.perf_counter()
     vs, vq = verify(om, forms=(s, sq))
     t_verify = time.perf_counter()
-    if cfg.include_matrices:
+    if args.include_matrices:
         include = True
     elif matrices == "auto":
         include = s.n <= MATRIX_REPORT_LIMIT
@@ -170,39 +158,39 @@ def run_check(inst: Instance, cfg: RunConfig, matrices: str = "auto",
         "verdict": _verdict_json(s, vs, vq),
         "matrices": _matrices_json(s, sq) if include else None,
         "timings": {"forms_s": round(t_forms - t0, 6),
-                    "verify_s": round(t_verify - t_forms, 6)} if cfg.timings else None,
+                    "verify_s": round(t_verify - t_forms, 6)} if args.timings else None,
         "version": __version__,
         "input_digest": inst.digest,
     }
     return report, 0 if vq.match else 2
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    inst = load_instance(cfg.input, cfg.nudge)
-    report, code = run_check(inst, cfg)
-    _emit(report, cfg.out)
+def cmd_check(args: argparse.Namespace) -> int:
+    inst = load_instance(args.input, args.nudge)
+    report, code = run_check(inst, args)
+    _emit(report, args.out)
     return code
 
 
-def cmd_matrix(cfg: RunConfig) -> int:
-    inst = load_instance(cfg.input, cfg.nudge)
-    s = build_S(inst.om, cfg.jobs)
-    sq = build_Sq(inst.om, cfg.jobs)
+def cmd_matrix(args: argparse.Namespace) -> int:
+    inst = load_instance(args.input, args.nudge)
+    s = build_S(inst.om)
+    sq = build_Sq(inst.om)
     report = {
         "instance": _instance_json(inst),
         "matrices": _matrices_json(s, sq),
         "version": __version__,
         "input_digest": inst.digest,
     }
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0
 
 
-def cmd_det(cfg: RunConfig) -> int:
+def cmd_det(args: argparse.Namespace) -> int:
     from .polyring import poly_det
-    inst = load_instance(cfg.input, cfg.nudge)
-    s = build_S(inst.om, cfg.jobs)
-    sq = build_Sq(inst.om, cfg.jobs)
+    inst = load_instance(args.input, args.nudge)
+    s = build_S(inst.om)
+    sq = build_Sq(inst.om)
     det_s = poly_det(s.matrix)
     det_sq = poly_det(sq.matrix)
     report = {
@@ -212,12 +200,12 @@ def cmd_det(cfg: RunConfig) -> int:
         "version": __version__,
         "input_digest": inst.digest,
     }
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0
 
 
-def cmd_rhs(cfg: RunConfig) -> int:
-    inst = load_instance(cfg.input, cfg.nudge)
+def cmd_rhs(args: argparse.Namespace) -> int:
+    inst = load_instance(args.input, args.nudge)
     m = inst.om.matroid()
     value, factors = rhs_classical(m)
     value_q, _ = rhs_q(m)
@@ -229,13 +217,13 @@ def cmd_rhs(cfg: RunConfig) -> int:
         "version": __version__,
         "input_digest": inst.digest,
     }
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0
 
 
 # -- invariants ------------------------------------------------------------------
 
-def structural_invariants(inst: Instance, jobs: int = 1) -> list[dict]:
+def structural_invariants(inst: Instance) -> list[dict]:
     """Symmetry, q=1 specialization, Euler/palindromicity, flagspace suite."""
     om = inst.om
     results = []
@@ -246,8 +234,8 @@ def structural_invariants(inst: Instance, jobs: int = 1) -> list[dict]:
             entry["witness"] = witness
         results.append(entry)
 
-    s = build_S(om, jobs)
-    sq = build_Sq(om, jobs)
+    s = build_S(om)
+    sq = build_Sq(om)
     n = s.n
     ent_s, ent_q = s.matrix.entries, sq.matrix.entries
 
@@ -311,12 +299,12 @@ def structural_invariants(inst: Instance, jobs: int = 1) -> list[dict]:
     return results
 
 
-def cmd_invariants(cfg: RunConfig) -> int:
-    inst = load_instance(cfg.input, cfg.nudge)
-    results = structural_invariants(inst, cfg.jobs)
+def cmd_invariants(args: argparse.Namespace) -> int:
+    inst = load_instance(args.input, args.nudge)
+    results = structural_invariants(inst)
     if inst.kind == "arrangement":
         try:
-            yrep = build_y_matrix(inst.arrangement, cfg.seed)
+            yrep = build_y_matrix(inst.arrangement, args.seed)
             results.append({"name": "det_y_unimodular", "pass": True,
                             "det_y": yrep.det_y, "xi": list(yrep.xi)})
             failures = expansion_matches_y(inst.om, yrep)
@@ -335,7 +323,7 @@ def cmd_invariants(cfg: RunConfig) -> int:
         "version": __version__,
         "input_digest": inst.digest,
     }
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0 if ok else 1
 
 
@@ -364,18 +352,18 @@ def generate_random_arrangement(rng: random.Random, dim: int, n: int,
     return None
 
 
-def cmd_random(cfg: RunConfig) -> int:
-    if not (1 <= cfg.dim <= 4):
+def cmd_random(args: argparse.Namespace) -> int:
+    if not (1 <= args.dim <= 4):
         raise ValueError("random sweeps support --dim between 1 and 4")
-    if not (cfg.dim <= cfg.n <= 10):
+    if not (args.dim <= args.n <= 10):
         raise ValueError("random sweeps support --n between dim and 10")
     lines = []
     matches = 0
     mismatches = 0
     skipped = 0
-    for i in range(cfg.count):
-        rng = random.Random(f"{cfg.seed}:{i}")
-        arr = generate_random_arrangement(rng, cfg.dim, cfg.n)
+    for i in range(args.count):
+        rng = random.Random(f"{args.seed}:{i}")
+        arr = generate_random_arrangement(rng, args.dim, args.n)
         if arr is None:
             skipped += 1
             print(f"instance {i}: no generic arrangement found, skipped",
@@ -383,7 +371,7 @@ def cmd_random(cfg: RunConfig) -> int:
             continue
         doc = json.dumps(arr.to_json(), sort_keys=True).encode()
         inst = Instance("arrangement", arr.compile(), arr, _digest(doc))
-        report, code = run_check(inst, cfg, matrices="on-mismatch")
+        report, code = run_check(inst, args, matrices="on-mismatch")
         report["instance_index"] = i
         if code == 0:
             matches += 1
@@ -391,11 +379,11 @@ def cmd_random(cfg: RunConfig) -> int:
             mismatches += 1
         lines.append(json.dumps(report, separators=(",", ":")))
     text = "\n".join(lines) + ("\n" if lines else "")
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    print(f"instances: {cfg.count - skipped}  matches: {matches}  "
+    print(f"instances: {args.count - skipped}  matches: {matches}  "
           f"mismatches: {mismatches}  skipped: {skipped}", file=sys.stderr)
     return 2 if mismatches else 0
 
@@ -410,30 +398,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input):
+    def add(name, help_text, needs_input=True, seed=False, check=False):
+        """A subcommand with only the options that its command reads."""
+        p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("--input", required=True,
                            help="arrangement or oriented-matroid JSON file")
             p.add_argument("--nudge", type=int, default=None, metavar="SEED",
                            help="re-randomize non-generic offsets from this seed")
         p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--include-matrices", action="store_true")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings (breaks byte-stability)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if check:
+            p.add_argument("--include-matrices", action="store_true")
+            p.add_argument("--timings", action="store_true",
+                           help="include wall-clock timings (breaks byte-stability)")
+        return p
 
-    for name, help_text in [
-            ("check", "verify both determinant identities end to end"),
-            ("matrix", "emit the S and S_q matrices"),
-            ("det", "emit the two determinants"),
-            ("rhs", "emit the product-formula factorization"),
-            ("invariants", "run the structural and proof-machinery checks")]:
-        p = sub.add_parser(name, help=help_text)
-        common(p, needs_input=True)
-
-    p = sub.add_parser("random", help="sweep random generic arrangements")
-    common(p, needs_input=False)
+    add("check", "verify both determinant identities end to end", check=True)
+    add("matrix", "emit the S and S_q matrices")
+    add("det", "emit the two determinants")
+    add("rhs", "emit the product-formula factorization")
+    add("invariants", "run the structural and proof-machinery checks", seed=True)
+    p = add("random", "sweep random generic arrangements", needs_input=False,
+            seed=True, check=True)
     p.add_argument("--dim", type=int, required=True, help="ambient dimension r")
     p.add_argument("--n", type=int, required=True, help="number of hyperplanes")
     p.add_argument("--count", type=int, default=10)
@@ -451,25 +439,17 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command,
-                    input=getattr(ns, "input", None),
-                    out=ns.out,
-                    seed=ns.seed,
-                    dim=getattr(ns, "dim", None),
-                    n=getattr(ns, "n", None),
-                    count=getattr(ns, "count", 10),
-                    jobs=ns.jobs,
-                    include_matrices=ns.include_matrices,
-                    nudge=getattr(ns, "nudge", None),
-                    timings=ns.timings)
     try:
-        return COMMANDS[cfg.command](cfg)
-    except (ValueError, OSError) as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 is reserved for findings
+        return 1 if exc.code == 2 else exc.code
+    try:
+        return COMMANDS[args.command](args)
+    except (ValueError, OSError, ClosureCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TheoremViolation as exc:
+    except (TheoremViolation, CertificateError, ExactDivisionError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
 

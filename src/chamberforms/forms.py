@@ -10,7 +10,6 @@ are products over coloop-free proper flats K of the central matroid of
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -63,25 +62,18 @@ class DeterminantVerdict:
     match: bool
 
 
-def _pair_entries(om: AffineOrientedMatroid, entry_fn, jobs: int = 1):
+def _pair_entries(om: AffineOrientedMatroid, entry_fn):
     topes = om.bounded_topes()
     n = len(topes)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda ij: entry_fn(topes[ij[0]], topes[ij[1]]),
-                                   pairs))
-    else:
-        values = [entry_fn(topes[i], topes[j]) for i, j in pairs]
     grid = [[ZERO] * n for _ in range(n)]
-    for (i, j), v in zip(pairs, values):
-        grid[i][j] = v
-        grid[j][i] = v
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = entry_fn(topes[i], topes[j])
     labels = tuple(t.key() for t in topes)
     return IntersectionForm(tuple(topes), PolyMatrix(labels, grid))
 
 
-def build_S(om: AffineOrientedMatroid, jobs: int = 1) -> IntersectionForm:
+def build_S(om: AffineOrientedMatroid) -> IntersectionForm:
     """Integer form: entries (-1)^d * (#common cocircuit faces)."""
 
     # bit k of faces[t] is set when feasible cocircuit k is a face of tope t
@@ -99,10 +91,10 @@ def build_S(om: AffineOrientedMatroid, jobs: int = 1) -> IntersectionForm:
             return ZERO
         return const(f0 if separation(a, b) % 2 == 0 else -f0)
 
-    return _pair_entries(om, entry, jobs)
+    return _pair_entries(om, entry)
 
 
-def build_Sq(om: AffineOrientedMatroid, jobs: int = 1) -> IntersectionForm:
+def build_Sq(om: AffineOrientedMatroid) -> IntersectionForm:
     """q-form: entries (-q)^d * h(meet, q^2); zero on empty meets."""
 
     def entry(a: SignVector, b: SignVector) -> IntPoly:
@@ -113,7 +105,7 @@ def build_Sq(om: AffineOrientedMatroid, jobs: int = 1) -> IntersectionForm:
         h = h_poly(fv)
         return h.shifted(d) if d % 2 == 0 else (-h).shifted(d)
 
-    return _pair_entries(om, entry, jobs)
+    return _pair_entries(om, entry)
 
 
 def _rhs_factors(m: Matroid) -> list[Factor]:
@@ -152,7 +144,7 @@ def rhs_q(m: Matroid) -> tuple[IntPoly, list[Factor]]:
     return value, factors
 
 
-def verify(om: AffineOrientedMatroid, jobs: int = 1,
+def verify(om: AffineOrientedMatroid,
            forms: Optional[tuple[IntersectionForm, IntersectionForm]] = None,
            ) -> tuple[DeterminantVerdict, DeterminantVerdict]:
     """Evaluate both determinant identities on the central matroid.
@@ -160,7 +152,7 @@ def verify(om: AffineOrientedMatroid, jobs: int = 1,
     A mismatch in the integer identity is fatal (the formula is a theorem);
     a mismatch in the q-identity is reported as a finding, never an abort.
     """
-    s, sq = forms if forms is not None else (build_S(om, jobs), build_Sq(om, jobs))
+    s, sq = forms if forms is not None else (build_S(om), build_Sq(om))
     m = om.matroid()
 
     det_s = poly_det(s.matrix)

@@ -129,6 +129,29 @@ def _nz2(bits: int, odd: int) -> int:
     return nz | (nz << 1)
 
 
+def _composition_closure(gen: Sequence[int], odd: int, cap: int) -> set[int]:
+    """Every composition of one or more generators, as packed sign vectors.
+
+    odd is the _odd_mask of the generators' length; ClosureCapExceeded is
+    raised once the closure holds more than cap vectors.
+    """
+    states = set(gen)
+    frontier = list(gen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            x_keep = ~_nz2(x, odd)
+            for y in gen:
+                z = x | (y & x_keep)
+                if z not in states:
+                    states.add(z)
+                    nxt.append(z)
+            if len(states) > cap:
+                raise ClosureCapExceeded(f"covector closure exceeded cap {cap}")
+        frontier = nxt
+    return states
+
+
 def compose(x: SignVector, y: SignVector) -> SignVector:
     """(x o y)(e) = x(e) if x(e) != 0 else y(e)."""
     if x.ground != y.ground:
@@ -213,10 +236,6 @@ class Chirotope:
 
     def to_matroid(self) -> Matroid:
         return Matroid(self.ground, self.bases())
-
-
-def chirotope_sign(c: Chirotope, ordered_tuple: Sequence) -> int:
-    return c.sign(ordered_tuple)
 
 
 def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
@@ -352,28 +371,6 @@ class AffineOrientedMatroid:
 
     # -- tope enumeration --------------------------------------------------------
 
-    def _closure_bits(self) -> set[int]:
-        """Composition closure of the feasible cocircuits (the affine faces)."""
-        n = len(self.ground)
-        odd = _odd_mask(n)
-        gen = [y.bits for y in self.feasible]
-        states = set(gen)
-        frontier = list(gen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                x_keep = ~_nz2(x, odd)
-                for y in gen:
-                    z = x | (y & x_keep)
-                    if z not in states:
-                        states.add(z)
-                        nxt.append(z)
-                if len(states) > self.cap:
-                    raise ClosureCapExceeded(
-                        f"covector closure exceeded cap {self.cap}")
-            frontier = nxt
-        return states
-
     def affine_covectors(self) -> list[SignVector]:
         """All faces of the affine part, as sign vectors on the ground set.
 
@@ -389,21 +386,7 @@ class AffineOrientedMatroid:
         for y in self.infinite:
             gen.append(y.bits)
             gen.append((-y).bits)
-        states = set(gen)
-        frontier = list(gen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                x_keep = ~_nz2(x, odd)
-                for y in gen:
-                    z = x | (y & x_keep)
-                    if z not in states:
-                        states.add(z)
-                        nxt.append(z)
-                if len(states) > self.cap:
-                    raise ClosureCapExceeded(
-                        f"covector closure exceeded cap {self.cap}")
-            frontier = nxt
+        states = _composition_closure(gen, odd, self.cap)
         mask = g_plus - 1
         return sorted((SignVector(self.ground, b & mask) for b in states
                        if b & g_plus), key=SignVector.key)
@@ -415,7 +398,8 @@ class AffineOrientedMatroid:
             inf_bits = [y.bits for y in self.infinite]
             inf_bits += [(-y).bits for y in self.infinite]
             topes = []
-            for x in self._closure_bits():
+            gen = [y.bits for y in self.feasible]
+            for x in _composition_closure(gen, odd, self.cap):
                 if ((x | x >> 1) & odd) != odd:
                     continue  # not full support
                 if any((x & _nz2(y, odd)) == y for y in inf_bits):
@@ -465,18 +449,7 @@ class AffineOrientedMatroid:
                   and (tb & _nz2(y.bits, odd)) == y.bits]
         if not common:
             return None
-        faces = set(common)
-        frontier = list(common)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                x_keep = ~_nz2(x, odd)
-                for y in common:
-                    z = x | (y & x_keep)
-                    if z not in faces:
-                        faces.add(z)
-                        nxt.append(z)
-            frontier = nxt
+        faces = _composition_closure(common, odd, self.cap)
         r = self.central.rank
         top = 0
         for y in common:

@@ -1,14 +1,14 @@
 """Exact arithmetic over Z and Z[q]: q-integers and determinants.
 
 Polynomials are dense integer-coefficient vectors in the single variable q.
-All arithmetic is exact; products are computed by Kronecker substitution
-(packing coefficients into one Python bignum) so that the heavy lifting runs
-at C speed, and exact divisions are verified by a guaranteed re-multiply.
+All arithmetic is exact.  Products are schoolbook convolutions: they build
+only h-polynomials and the q-integer powers of the right-hand sides, since
+the determinant engine below multiplies no polynomials.
 
 Determinants over Z[q] come from one modular engine (Abbott, Bronstein and
 Mulders, ISSAC 1999).  The row-maximum degrees sum to a bound D on the
-degree.  Modulo each 31-bit prime the matrix is evaluated at q = 0 .. D, the
-D + 1 determinants come from one numpy int64 batch of eliminations, and
+degree.  Modulo each 31-bit prime the matrix takes its values at q = 0 .. D,
+the D + 1 determinants come from one numpy int64 batch of eliminations, and
 Newton interpolation recovers det mod p.  Primes are combined by CRT until
 their product exceeds twice the coefficient bound
 H = prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on |q| = 1 with Cauchy's
@@ -27,7 +27,7 @@ import numpy as np
 
 
 class ExactDivisionError(ArithmeticError):
-    """A polynomial division expected to be exact was not.
+    """A division in the integer Bareiss elimination of int_det was inexact.
 
     This always indicates an internal arithmetic bug, never bad user input.
     """
@@ -107,26 +107,14 @@ class IntPoly:
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        if len(a) == 1:
-            return IntPoly(tuple(a[0] * c for c in b))
-        if len(b) == 1:
-            return IntPoly(tuple(b[0] * c for c in a))
-        n = len(a) + len(b) - 1
-        if min(len(a), len(b)) <= 4 or len(a) * len(b) <= 256:
-            # short operands: convolution beats packing overhead
-            out = [0] * n
-            if len(a) > len(b):
-                a, b = b, a
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            return IntPoly(out)
-        bits = _pack_bits(a, b)
-        prod = _pack(a, bits) * _pack(b, bits)
-        return IntPoly(_unpack(prod, bits, n))
+        out = [0] * (len(a) + len(b) - 1)
+        if len(a) > len(b):
+            a, b = b, a
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return IntPoly(out)
 
     def scaled(self, c: int) -> "IntPoly":
         return IntPoly(tuple(c * x for x in self.coeffs))
@@ -172,92 +160,6 @@ ONE = IntPoly((1,))
 
 def const(c: int) -> IntPoly:
     return IntPoly((c,))
-
-
-# -- Kronecker packing -------------------------------------------------------
-
-def _pack_bits(a: Sequence[int], b: Sequence[int]) -> int:
-    """Slot width so product coefficients unpack without collision."""
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    bound = ma * mb * min(len(a), len(b))
-    return bound.bit_length() + 2
-
-
-def _pack(coeffs: Sequence[int], bits: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << bits) + c
-    return v
-
-
-def _unpack(v: int, bits: int, n: int) -> list[int]:
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    mask = full - 1
-    out = []
-    for _ in range(n):
-        d = v & mask
-        if d >= half:
-            d -= full
-        out.append(d)
-        v = (v - d) >> bits
-    if v:
-        raise ExactDivisionError("Kronecker unpack left a nonzero tail")
-    return out
-
-
-def _long_division(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact schoolbook division over Z; O(len(quotient) * len(divisor))."""
-    rem = list(a)
-    lb = len(b)
-    lead = b[-1]
-    nq = len(a) - lb + 1
-    q = [0] * nq
-    for i in range(nq - 1, -1, -1):
-        c = rem[i + lb - 1]
-        if c:
-            qi, r = divmod(c, lead)
-            if r:
-                raise ExactDivisionError("inexact polynomial division")
-            q[i] = qi
-            for j in range(lb):
-                rem[i + j] -= qi * b[j]
-    if any(rem):
-        raise ExactDivisionError("inexact polynomial division")
-    return q
-
-
-def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Quotient a/b when b divides a in Z[q]; ExactDivisionError otherwise."""
-    if b.is_zero():
-        raise ExactDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return ZERO
-    la, lb = len(a.coeffs), len(b.coeffs)
-    if la < lb:
-        raise ExactDivisionError("degree of dividend below divisor")
-    nq = la - lb + 1
-    if nq <= 16 or la <= 16:
-        # short quotient: long division is cheaper and self-verifying
-        return IntPoly(_long_division(a.coeffs, b.coeffs))
-    ma = max(abs(c) for c in a.coeffs)
-    mb = max(abs(c) for c in b.coeffs)
-    bits = max(ma, mb).bit_length() + 4
-    # The packed map Z[q] -> Z is a ring hom, so when b | a the integer
-    # quotient is the packed image of a/b; only the unpacking width needs
-    # guessing.  Verify by re-multiplying (itself exact) and widen on failure.
-    for _ in range(8):
-        try:
-            digits = _unpack(_pack(a.coeffs, bits) // _pack(b.coeffs, bits), bits, nq)
-            q = IntPoly(digits)
-        except ExactDivisionError:
-            bits *= 2
-            continue
-        if q * b == a:
-            return q
-        bits *= 2
-    raise ExactDivisionError("inexact polynomial division")
 
 
 # -- spec operations ---------------------------------------------------------
@@ -312,9 +214,6 @@ class PolyMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def evaluated(self, x: int) -> list[list[int]]:
-        return [[poly_eval(e, x) for e in row] for row in self.entries]
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -404,7 +303,7 @@ def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
 class _Evaluator:
     """Evaluates a Z[q] matrix at q = 0 .. n_points - 1 modulo a prime.
 
-    Only the nonzero entries are evaluated, so sparse matrices cost little.
+    Only the nonzero entries are computed, so sparse matrices cost little.
     """
 
     def __init__(self, rows, n_points: int):
@@ -556,12 +455,12 @@ def poly_det(m) -> IntPoly:
     Accepts a PolyMatrix or a plain square grid of IntPoly.  Constant
     matrices go to int_det.  Otherwise D, the sum of the row-maximum
     degrees, bounds the degree of the determinant.  For each 31-bit prime p
-    the matrix is evaluated at q = 0 .. D, all D + 1 determinants mod p come
+    the matrix takes its values at q = 0 .. D, all D + 1 determinants mod p come
     from one batched elimination, and Newton interpolation gives det mod p.
     Primes are combined by CRT until their product exceeds 2H, with
     H = prod_i sqrt(sum_j ||M_ij||_1^2) the Hadamard bound on |q| = 1, which
     by Cauchy's estimate bounds every coefficient; the symmetric lift is
-    then the determinant.  As a certificate, the matrix is evaluated
+    then the determinant.  As a certificate, the matrix is taken
     independently at a random point modulo 2**61 - 1 and its determinant,
     found by plain elimination, must equal the result there; a wrong result
     passes with probability at most D / (2**61 - 1).  A failed certificate

@@ -5,34 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from chamberforms.arrangement import Arrangement, Hyperplane, _row_reduce
+from chamberforms.arrangement import Arrangement, _row_reduce
+# the fixture builders, re-exported to the test modules
+from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
 from chamberforms.matroid import Matroid
 from chamberforms.oriented_matroid import AffineOrientedMatroid
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def example13_C() -> Arrangement:
-    return Arrangement(2, [
-        Hyperplane.make("H1", ["0", "1"], "1"),
-        Hyperplane.make("H2", ["0", "1"], "-1"),
-        Hyperplane.make("H3", ["1", "0"], "0"),
-        Hyperplane.make("H4", ["-1", "1"], "0"),
-    ])
-
-
-def example13_Cprime() -> Arrangement:
-    return Arrangement(2, [
-        Hyperplane.make("H1", ["0", "1"], "-2"),
-        Hyperplane.make("H2", ["0", "1"], "-1"),
-        Hyperplane.make("H3", ["1", "0"], "0"),
-        Hyperplane.make("H4", ["-1", "1"], "0"),
-    ])
-
-
-def line_arrangement(n: int) -> Arrangement:
-    return Arrangement(1, [Hyperplane.make(f"H{i}", ["1"], str(-i))
-                           for i in range(1, n + 2)])
 
 
 def random_arrangement(rng: random.Random, dim: int, n: int, attempts=400):

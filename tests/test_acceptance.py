@@ -21,7 +21,7 @@ from chamberforms.oriented_matroid import SignVector
 from chamberforms.polyring import (IntPoly, poly_det, poly_eval, poly_pow,
                                    q_integer)
 from conftest import (FIXTURE_DIR, example13_C, example13_Cprime,
-                      line_arrangement, random_arrangement, uniform_lines)
+                      line_points, random_arrangement, uniform_lines)
 
 
 def report(criterion, elapsed, detail=""):
@@ -88,7 +88,7 @@ def test_criterion_1_example_reproduction():
 def test_criterion_2_points_on_a_line():
     t0 = time.perf_counter()
     for n in range(1, 51):
-        om = line_arrangement(n).compile()
+        om = line_points(n).compile()
         s, sq = build_S(om), build_Sq(om)
         assert s.n == n
         for i in range(n):
@@ -165,7 +165,7 @@ def test_criterion_6_theorem_identity_sweep(random_sweep):
 def test_criterion_7_proof_machinery_oracle(random_sweep):
     t0 = time.perf_counter()
     fixture_oms = [example13_C().compile(), example13_Cprime().compile(),
-                   line_arrangement(5).compile(), line_arrangement(10).compile()]
+                   line_points(5).compile(), line_points(10).compile()]
     from chamberforms.oriented_matroid import AffineOrientedMatroid
     fixture_oms.append(AffineOrientedMatroid.from_json(
         json.loads((FIXTURE_DIR / "vamos.json").read_text())))
@@ -188,8 +188,8 @@ def test_criterion_7_proof_machinery_oracle(random_sweep):
         assert all(d == 1 for d in rep.phi_divisors)
     for k, arr in enumerate(random_instances):
         assert build_y_matrix(arr, seed=k).det_y in (1, -1)
-    for arr in (example13_C(), example13_Cprime(), line_arrangement(5),
-                line_arrangement(10)):
+    for arr in (example13_C(), example13_Cprime(), line_points(5),
+                line_points(10)):
         assert build_y_matrix(arr, seed=1).det_y in (1, -1)
     elapsed = time.perf_counter() - t0
     report(7, elapsed, "Gram, kernel, counts, Smith divisors, det y on "
@@ -199,7 +199,7 @@ def test_criterion_7_proof_machinery_oracle(random_sweep):
 def test_criterion_8_structural_invariants():
     t0 = time.perf_counter()
     rng = random.Random(88)
-    instances = [example13_C(), example13_Cprime(), line_arrangement(6)]
+    instances = [example13_C(), example13_Cprime(), line_points(6)]
     while len(instances) < 8:
         arr = random_arrangement(rng, rng.choice([2, 3]), rng.randint(3, 7))
         if arr is not None:
@@ -258,7 +258,7 @@ def test_criterion_9_conjecture_sweep(random_sweep, monkeypatch, tmp_path, capsy
                   if rec.det_sq != rec.rhs_sq]
     # paper-covered instances must match
     for om in (example13_C().compile(), example13_Cprime().compile(),
-               line_arrangement(10).compile()):
+               line_points(10).compile()):
         _, vq = verify(om)
         assert vq.match
     import chamberforms.oriented_matroid as om_mod

@@ -6,7 +6,7 @@ import pytest
 from chamberforms.arrangement import Arrangement, Hyperplane, _row_reduce
 from chamberforms.forms import verify
 from chamberforms.oriented_matroid import conforms
-from conftest import (example13_C, example13_Cprime, line_arrangement,
+from conftest import (example13_C, example13_Cprime, line_points,
                       random_arrangement)
 
 
@@ -154,7 +154,7 @@ class TestCompile:
             assert len(om.feasible) == len(om.matroid().bases)
 
     def test_points_on_line(self):
-        om = line_arrangement(2).compile()
+        om = line_points(2).compile()
         assert len(om.feasible) == 3
         assert len(om.bounded_topes()) == 2
 

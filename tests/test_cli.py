@@ -128,6 +128,68 @@ class TestErrors:
         assert code == 0
         assert rep["verdict"]["theorem_match"]
 
+    def test_closure_cap_is_an_error(self, monkeypatch, capsys):
+        from chamberforms.oriented_matroid import (AffineOrientedMatroid,
+                                                   ClosureCapExceeded)
+
+        def capped(self):
+            raise ClosureCapExceeded("covector closure exceeded cap 3")
+        monkeypatch.setattr(AffineOrientedMatroid, "bounded_topes", capped)
+        assert cli.main(["check", "--input",
+                         str(FIXTURE_DIR / "example13-C.json")]) == 1
+        assert "error: covector closure exceeded cap 3" in capsys.readouterr().err
+
+    def test_failed_certificate_is_internal_inconsistency(self, monkeypatch, capsys):
+        import chamberforms.forms as forms_mod
+        from chamberforms.polyring import CertificateError
+
+        def broken(m):
+            raise CertificateError("determinant certificate failed")
+        monkeypatch.setattr(forms_mod, "poly_det", broken)
+        assert cli.main(["check", "--input",
+                         str(FIXTURE_DIR / "example13-C.json")]) == 1
+        err = capsys.readouterr().err
+        assert "internal inconsistency: determinant certificate failed" in err
+
+    def test_inexact_division_is_internal_inconsistency(self, monkeypatch, capsys):
+        from chamberforms import polyring
+        from chamberforms.polyring import ExactDivisionError
+
+        def broken(rows):
+            raise ExactDivisionError("Bareiss integer division was inexact")
+        monkeypatch.setattr(polyring, "int_det", broken)
+        assert cli.main(["det", "--input",
+                         str(FIXTURE_DIR / "example13-C.json")]) == 1
+        err = capsys.readouterr().err
+        assert "internal inconsistency: Bareiss integer division" in err
+
+
+class TestUsage:
+    """argparse usage errors exit 1, since exit code 2 means a finding."""
+
+    def test_missing_input(self, capsys):
+        assert cli.main(["check"]) == 1
+        assert "--input" in capsys.readouterr().err
+
+    def test_unknown_flag(self, capsys):
+        assert cli.main(["check", "--input", str(FIXTURE_DIR / "example13-C.json"),
+                         "--bogus"]) == 1
+        assert "--bogus" in capsys.readouterr().err
+
+    def test_options_belong_to_their_commands(self, capsys):
+        fixture = str(FIXTURE_DIR / "example13-C.json")
+        assert cli.main(["det", "--input", fixture, "--timings"]) == 1
+        assert "--timings" in capsys.readouterr().err
+        assert cli.main(["rhs", "--input", fixture, "--seed", "1"]) == 1
+        assert cli.main(["matrix", "--input", fixture, "--include-matrices"]) == 1
+        assert cli.main(["check", "--input", fixture, "--seed", "1"]) == 1
+
+    def test_help_and_version_exit_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["check", "--help"]) == 0
+        assert cli.main(["--version"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
 
 class TestPartialCommands:
     def test_matrix(self):

@@ -7,7 +7,7 @@ from chamberforms.flagspace import (FlagVector, boundary, build_y_matrix,
                                     pairing, phi, smith_divisors)
 from chamberforms.forms import build_S
 from chamberforms.polyring import int_det, poly_det, poly_eval
-from conftest import (example13_C, example13_Cprime, line_arrangement,
+from conftest import (example13_C, example13_Cprime, line_points,
                       random_arrangement)
 
 
@@ -18,7 +18,7 @@ class TestPhi:
             assert len(phi(om, t).support()) == 3
 
     def test_rank_one_two_monomials(self):
-        om = line_arrangement(1).compile()  # two points, one segment
+        om = line_points(1).compile()  # two points, one segment
         (t,) = om.bounded_topes()
         v = phi(om, t)
         assert len(v.support()) == 2
@@ -63,18 +63,18 @@ class TestPairing:
 
 class TestBoundary:
     def test_two_element_monomial(self):
-        om = line_arrangement(1).compile()
+        om = line_points(1).compile()
         v = FlagVector({frozenset({"H1", "H2"}): 1})
         out = boundary(om, v)
         assert out == {frozenset({"H2"}): 1, frozenset({"H1"}): -1}
 
     def test_zero_vector(self):
-        om = line_arrangement(1).compile()
+        om = line_points(1).compile()
         assert boundary(om, FlagVector({})) == {}
 
     def test_phi_in_kernel_on_fixtures(self, vamos_om):
         for om in (example13_C().compile(),
-                   line_arrangement(3).compile(), vamos_om):
+                   line_points(3).compile(), vamos_om):
             for t in om.bounded_topes():
                 assert boundary(om, phi(om, t)) == {}
 
@@ -117,7 +117,7 @@ class TestKernelReport:
 
     def test_line(self):
         n = 5
-        rep = check_basis_of_kernel(line_arrangement(n).compile())
+        rep = check_basis_of_kernel(line_points(n).compile())
         assert rep.ok() and rep.phi_rank == n
 
     def test_vamos(self, vamos_om):
@@ -132,7 +132,7 @@ class TestKernelReport:
 
 class TestYMatrix:
     def test_one_dimensional_two_bases(self):
-        arr = line_arrangement(1)  # two hyperplanes in R^1
+        arr = line_points(1)  # two hyperplanes in R^1
         rep = build_y_matrix(arr, seed=1)
         assert len(rep.bases) == 2
         assert rep.det_y in (1, -1)
@@ -148,7 +148,7 @@ class TestYMatrix:
         assert poly_eval(det_yq, 1) == rep.det_y
 
     def test_expansion_identity(self):
-        for arr, seed in ((example13_C(), 3), (line_arrangement(4), 9)):
+        for arr, seed in ((example13_C(), 3), (line_points(4), 9)):
             om = arr.compile()
             rep = build_y_matrix(arr, seed)
             assert expansion_matches_y(om, rep) == []

@@ -8,7 +8,7 @@ from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import FVector
 from chamberforms.polyring import (IntPoly, ONE, poly_det, poly_eval, poly_pow,
                                    q_integer)
-from conftest import (example13_C, example13_Cprime, line_arrangement,
+from conftest import (example13_C, example13_Cprime, line_points,
                       random_arrangement, uniform_lines)
 
 
@@ -41,7 +41,7 @@ class TestBuildS:
 
     def test_line_tridiagonal(self):
         n = 6
-        s = ints(build_S(line_arrangement(n).compile()))
+        s = ints(build_S(line_points(n).compile()))
         for i in range(n):
             for j in range(n):
                 expect = 2 if i == j else -1 if abs(i - j) == 1 else 0
@@ -70,7 +70,7 @@ class TestBuildSq:
 
     def test_line_quantum_cartan(self):
         n = 5
-        sq = build_Sq(line_arrangement(n).compile())
+        sq = build_Sq(line_points(n).compile())
         diag = IntPoly([1, 0, 1])
         off = IntPoly([0, -1])
         for i in range(n):
@@ -177,7 +177,7 @@ class TestVerify:
 
     def test_matrix_size_is_mu_plus_dual(self):
         from chamberforms.matroid import top_mu_plus
-        for om in (example13_C().compile(), line_arrangement(4).compile()):
+        for om in (example13_C().compile(), line_points(4).compile()):
             s = build_S(om)
             assert s.n == top_mu_plus(om.matroid().dual())
 
@@ -198,7 +198,3 @@ class TestVerify:
         monkeypatch.setattr(forms_mod, "rhs_q", wrong)
         vs, vq = forms_mod.verify(example13_C().compile())
         assert vs.match and not vq.match
-
-    def test_jobs_parallel_matches_serial(self):
-        om = example13_Cprime().compile()
-        assert build_Sq(om, jobs=4).matrix.entries == build_Sq(om).matrix.entries

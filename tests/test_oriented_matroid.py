@@ -6,10 +6,9 @@ import pytest
 from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            ClosureCapExceeded, FVector,
-                                           SignVector, chirotope_sign,
-                                           cocircuits_from_chirotope, compose,
-                                           conforms, separation)
-from conftest import example13_C, line_arrangement, random_arrangement
+                                           SignVector, cocircuits_from_chirotope,
+                                           compose, conforms, separation)
+from conftest import example13_C, line_points, random_arrangement
 
 
 def sv(text, ground=("1", "2", "3")):
@@ -93,17 +92,17 @@ class TestSeparation:
 class TestChirotope:
     def test_alternating(self):
         c = Chirotope.from_text(2, ("1", "2", "3"), "+++")
-        assert chirotope_sign(c, ("1", "2")) == 1
-        assert chirotope_sign(c, ("2", "1")) == -1
+        assert c.sign(("1", "2")) == 1
+        assert c.sign(("2", "1")) == -1
 
     def test_repeat_gives_zero(self):
         c = Chirotope.from_text(2, ("1", "2", "3"), "+++")
-        assert chirotope_sign(c, ("1", "1")) == 0
+        assert c.sign(("1", "1")) == 0
 
     def test_identity_order_is_stored_sign(self):
         c = Chirotope.from_text(2, ("1", "2", "3"), "+-0")
-        assert chirotope_sign(c, ("1", "3")) == -1
-        assert chirotope_sign(c, ("2", "3")) == 0
+        assert c.sign(("1", "3")) == -1
+        assert c.sign(("2", "3")) == 0
 
     def test_text_round_trip(self):
         c = Chirotope.from_text(2, ("1", "2", "3"), "+-+")
@@ -163,7 +162,7 @@ class TestBoundedTopes:
             [t.key() for t in om.bounded_topes()]
 
     def test_every_tope_is_composition_of_its_cocircuit_faces(self):
-        for om in (om_example13(), line_arrangement(4).compile()):
+        for om in (om_example13(), line_points(4).compile()):
             for t in om.bounded_topes():
                 faces = [y for y in om.feasible if conforms(y, t)]
                 acc = faces[0]
@@ -172,9 +171,17 @@ class TestBoundedTopes:
                 assert acc == t
 
     def test_closure_cap(self):
-        arr = line_arrangement(5)
+        arr = line_points(5)
         with pytest.raises(ClosureCapExceeded):
             arr.compile(cap=3).bounded_topes()
+
+    def test_meet_closure_cap(self):
+        om = line_points(5).compile()
+        t = om.bounded_topes()[0]
+        assert om.meet_faces(t, t).f == (2, 1)
+        om.cap = 2
+        with pytest.raises(ClosureCapExceeded):
+            om.meet_faces(t, t)
 
     def test_closure_matches_geometric_face_count(self):
         # simple 2-dimensional arrangements: #faces = V + sum(k_i + 1) + (1 + n + V)
@@ -208,7 +215,7 @@ class TestCocircuitFaces:
         assert counts == [3, 4]
 
     def test_segment_has_two(self):
-        om = line_arrangement(2).compile()
+        om = line_points(2).compile()
         for t in om.bounded_topes():
             assert len(om.cocircuit_faces(t)) == 2
 
@@ -241,7 +248,7 @@ class TestMeetFaces:
         assert separation(a, b) == 1
 
     def test_empty_meet_is_none(self):
-        om = line_arrangement(3).compile()
+        om = line_points(3).compile()
         topes = om.bounded_topes()
         assert om.meet_faces(topes[0], topes[2]) is None
 

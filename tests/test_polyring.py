@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberforms import polyring
-from chamberforms.polyring import (CertificateError, ExactDivisionError,
-                                   IntPoly, ONE, ZERO, PolyMatrix, const,
-                                   det_by_expansion, exact_div, int_det,
+from chamberforms.polyring import (CertificateError, IntPoly, ONE, ZERO,
+                                   PolyMatrix, const, det_by_expansion, int_det,
                                    poly_det, poly_eval, poly_pow, q_integer)
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
@@ -94,24 +93,6 @@ class TestEval:
     def test_horner_matches_powers(self, a, x):
         p = IntPoly(a)
         assert poly_eval(p, x) == sum(c * x ** k for k, c in enumerate(p.coeffs))
-
-
-class TestExactDiv:
-    @given(coeff_lists, coeff_lists)
-    @settings(deadline=None)
-    def test_product_roundtrip(self, a, b):
-        pa, pb = IntPoly(a), IntPoly(b)
-        if pb.is_zero():
-            return
-        assert exact_div(pa * pb, pb) == pa
-
-    def test_inexact_raises(self):
-        with pytest.raises(ExactDivisionError):
-            exact_div(IntPoly([1, 0, 1]), IntPoly([1, 1]))
-
-    def test_division_by_zero_raises(self):
-        with pytest.raises(ExactDivisionError):
-            exact_div(ONE, ZERO)
 
 
 class TestIntDet:
