@@ -320,6 +320,7 @@ class AffineOrientedMatroid:
         self._bounded: Optional[tuple[SignVector, ...]] = None
         self._by_zero_set: dict[frozenset, SignVector] = {}
         self._rank_memo: dict[int, int] = {}
+        self._meets: dict[tuple[int, int, int], Optional[FVector]] = {}
         self._validate()
 
     def _validate(self):
@@ -441,13 +442,18 @@ class AffineOrientedMatroid:
 
         Faces are all compositions of cocircuits conforming to both topes;
         the dimension of a face is r minus the central rank of its zero set.
+        Each unordered pair is closed once per instance and cap.
         """
+        ta, tb = sorted((a.bits, b.bits))
+        key = (ta, tb, self.cap)  # a lowered cap must raise, not hit the cache
+        if key in self._meets:
+            return self._meets[key]
         odd = _odd_mask(len(self.ground))
-        ta, tb = a.bits, b.bits
         common = [y.bits for y in self.feasible
                   if (ta & _nz2(y.bits, odd)) == y.bits
                   and (tb & _nz2(y.bits, odd)) == y.bits]
         if not common:
+            self._meets[key] = None
             return None
         faces = _composition_closure(common, odd, self.cap)
         r = self.central.rank
@@ -460,4 +466,5 @@ class AffineOrientedMatroid:
             counts[r - self._zero_rank(x)] += 1
         fv = FVector(dim_top, tuple(counts))
         assert fv.f[dim_top] == 1, "meet must be the unique top face"
+        self._meets[key] = fv
         return fv

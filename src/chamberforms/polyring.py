@@ -6,15 +6,29 @@ only h-polynomials and the q-integer powers of the right-hand sides, since
 the determinant engine below multiplies no polynomials.
 
 Determinants over Z[q] come from one modular engine (Abbott, Bronstein and
-Mulders, ISSAC 1999).  The row-maximum degrees sum to a bound D on the
-degree.  Modulo each 31-bit prime the matrix takes its values at q = 0 .. D,
-the D + 1 determinants come from one numpy int64 batch of eliminations, and
-Newton interpolation recovers det mod p.  Primes are combined by CRT until
-their product exceeds twice the coefficient bound
-H = prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on |q| = 1 with Cauchy's
-estimate), and the symmetric lift is the exact determinant.  Each result is
-then certified by a second, independent route: the determinant at a random
-point modulo 2**61 - 1, by plain elimination on Python ints.
+Mulders, ISSAC 1999), preceded by two exact transforms that keep the
+determinant:
+
+- Band order: rows and columns are permuted alike by reverse Cuthill-McKee
+  on the symmetrised nonzero pattern.  A symmetric permutation P M P^T has
+  det(P)^2 det(M) = det(M), and each elimination step updates only the span
+  of nonzero rows and columns, which a narrow band keeps small.
+- Grading: when a 0/1 vector s gives every nonzero coefficient of entry
+  (i, j) an exponent of parity s_i + s_j, as it does in S_q, the engine runs
+  on N(t) with N(q^2) = D M D, D = diag(q^s_i).  Then det N(t) =
+  t^(sum s) g(t) and det M(q) = g(q^2), at about half the evaluation points.
+  Without such an s the engine runs on the band-ordered M.
+
+The row-maximum degrees sum to a bound D on the degree.  Modulo each 31-bit
+prime the matrix takes its values at 0 .. D, the D + 1 determinants come
+from one numpy int64 batch of eliminations, and Newton interpolation
+recovers det mod p.  Primes are combined by CRT until their product exceeds
+twice the coefficient bound H = prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on
+the unit circle with Cauchy's estimate), and the symmetric lift is the exact
+determinant.  The prime count is fixed by H before any prime is used, so the
+result is exact, not Monte Carlo.  Each result is then certified by a
+second, independent route: the determinant of the untransformed matrix at a
+random point modulo 2**61 - 1, by plain elimination on Python ints.
 """
 
 from __future__ import annotations
@@ -449,22 +463,113 @@ def _det_mod(rows: list[list[int]], m: int) -> int:
     return det % m
 
 
+def _band_order(n: int, pattern: Sequence[tuple[int, int]]) -> list[int]:
+    """Reverse Cuthill-McKee order of the symmetrised nonzero pattern.
+
+    Each connected component is searched breadth first from its vertex of
+    least degree, neighbours in order of increasing degree, and the whole
+    order is reversed.  Bucketing the vertices by degree keeps the pass
+    linear in the number of nonzero entries.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pattern:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        buckets[len(adj[v])].append(v)
+    by_degree = [v for bucket in buckets for v in bucket]
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for v in by_degree:
+        for u in adj[v]:
+            neighbours[u].append(v)
+    seen = [False] * n
+    order: list[int] = []
+    for start in by_degree:
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for u in neighbours[order[head]]:
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+            head += 1
+    order.reverse()
+    return order
+
+
+def _grading(n: int, entries: Sequence[tuple[int, int, tuple[int, ...]]]):
+    """A 0/1 vector s with every exponent of entry (i, j) = s_i + s_j mod 2.
+
+    entries lists the nonzero entries as (i, j, coeffs).  One search over
+    the connected components of the pattern fixes s; the result is None when
+    an entry mixes parities or the parities admit no such s.
+    """
+    adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    for i, j, c in entries:
+        odd = any(c[1::2])
+        if odd and any(c[::2]):
+            return None
+        adj[i].append((j, odd))
+        adj[j].append((i, odd))
+    s: list = [None] * n
+    for root in range(n):
+        if s[root] is not None:
+            continue
+        s[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u, odd in adj[v]:
+                want = s[v] ^ odd
+                if s[u] is None:
+                    s[u] = want
+                    stack.append(u)
+                elif s[u] != want:
+                    return None
+    return s
+
+
 def poly_det(m) -> IntPoly:
     """Exact determinant over Z[q], certified at a random point.
 
     Accepts a PolyMatrix or a plain square grid of IntPoly.  Constant
-    matrices go to int_det.  Otherwise D, the sum of the row-maximum
-    degrees, bounds the degree of the determinant.  For each 31-bit prime p
-    the matrix takes its values at q = 0 .. D, all D + 1 determinants mod p come
-    from one batched elimination, and Newton interpolation gives det mod p.
-    Primes are combined by CRT until their product exceeds 2H, with
-    H = prod_i sqrt(sum_j ||M_ij||_1^2) the Hadamard bound on |q| = 1, which
-    by Cauchy's estimate bounds every coefficient; the symmetric lift is
-    then the determinant.  As a certificate, the matrix is taken
-    independently at a random point modulo 2**61 - 1 and its determinant,
-    found by plain elimination, must equal the result there; a wrong result
-    passes with probability at most D / (2**61 - 1).  A failed certificate
-    raises CertificateError.
+    matrices go to int_det.  Otherwise two exact transforms precede the
+    modular engine:
+
+    - Band order.  Rows and columns are permuted alike, by reverse
+      Cuthill-McKee on the symmetrised nonzero pattern.  det(P M P^T) =
+      det(P)^2 det(M) = det(M), sign included, and the narrower band shrinks
+      the block each elimination step updates.
+    - Grading.  If some 0/1 vector s gives every nonzero coefficient of
+      entry (i, j) an exponent of parity s_i + s_j, as (-q)^d h(q^2) does in
+      S_q, the engine runs on N_ij(t) = sum_k c_k t^((k + s_i + s_j) / 2).
+      Then N(q^2) = D M D with D = diag(q^s_i), so det N(t) = t^(sum s) g(t)
+      with det M(q) = g(q^2), at about half the evaluation points.  A
+      nonzero coefficient of det N below t^(sum s) raises CertificateError.
+      Without such an s the engine runs on P M P^T itself (s = 0, t = q).
+
+    The engine bounds the degree by D, the sum of the row-maximum degrees.
+    For each 31-bit prime p the matrix takes its values at 0 .. D, all
+    D + 1 determinants mod p come from one batched elimination, and Newton
+    interpolation gives det mod p.  Primes are combined by CRT until their
+    product exceeds 2H, with H = prod_i sqrt(sum_j ||M_ij||_1^2) the
+    Hadamard bound on the unit circle, which by Cauchy's estimate bounds
+    every coefficient; the symmetric lift is then the determinant.  The
+    transforms move coefficients but change none, so H is the same for N.
+    The prime count stays deterministic although H often overshoots (291
+    bits against 88 on one 84-tope S_q): stopping once the result settles
+    would make it Monte Carlo.
+
+    As a certificate, the matrix exactly as passed in, without either
+    transform, is taken at a random point modulo 2**61 - 1 and its
+    determinant, found by plain elimination, must equal the result there;
+    a wrong result passes with probability at most deg / (2**61 - 1).  A
+    failed certificate raises CertificateError.
     """
     rows = m.entries if isinstance(m, PolyMatrix) else tuple(tuple(r) for r in m)
     n = len(rows)
@@ -472,7 +577,23 @@ def poly_det(m) -> IntPoly:
         raise ValueError("poly_det requires a square matrix")
     if all(len(e.coeffs) <= 1 for row in rows for e in row):
         return const(int_det([[e[0] for e in row] for row in rows]))
-    det = _modular_det(rows)
+    entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
+               for j, e in enumerate(row) if e.coeffs]
+    at = [0] * n
+    for k, i in enumerate(_band_order(n, [(i, j) for i, j, _ in entries])):
+        at[i] = k
+    s = _grading(n, entries)
+    banded = [[ZERO] * n for _ in range(n)]
+    for i, j, c in entries:
+        banded[at[i]][at[j]] = (rows[i][j] if s is None
+                                else IntPoly(((0,) * (s[i] + s[j]) + c)[::2]))
+    det = _modular_det(banded)
+    if s is not None:  # det is det N(t) = t**shift * g(t); det M(q) = g(q**2)
+        shift = sum(s)
+        if any(det.coeffs[:shift]):
+            raise CertificateError(
+                f"graded determinant has a nonzero coefficient below t**{shift}")
+        det = IntPoly(c for x in det.coeffs[shift:] for c in (x, 0))
     point = secrets.randbelow(_CERT_PRIME)
     at_point = _det_mod([[_eval_mod(e, point, _CERT_PRIME) for e in row]
                          for row in rows], _CERT_PRIME)

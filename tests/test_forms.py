@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from chamberforms import polyring
+from chamberforms.cli import load_instance
 from chamberforms.forms import (TheoremViolation, build_S, build_Sq, h_poly,
                                 rhs_classical, rhs_q, verify)
 from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import FVector
 from chamberforms.polyring import (IntPoly, ONE, poly_det, poly_eval, poly_pow,
                                    q_integer)
-from conftest import (example13_C, example13_Cprime, line_points,
+from conftest import (FIXTURE_DIR, example13_C, example13_Cprime, line_points,
                       random_arrangement, uniform_lines)
 
 
@@ -102,6 +104,20 @@ class TestBuildSq:
                 d = separation(sq.topes[i], sq.topes[j])
                 low = next(k for k, c in enumerate(e.coeffs) if c)
                 assert low == d and e.coeffs[d] == (-1) ** d
+
+    @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_det_fast_path_applies(self, path):
+        """S_q is graded, and band order does not widen its band."""
+        rows = build_Sq(load_instance(str(path)).om).matrix.entries
+        n = len(rows)
+        entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
+                   for j, e in enumerate(row) if e.coeffs]
+        assert polyring._grading(n, entries) is not None
+        order = polyring._band_order(n, [(i, j) for i, j, _ in entries])
+        pos = {v: k for k, v in enumerate(order)}
+        banded = max(abs(pos[i] - pos[j]) for i, j, _ in entries)
+        assert banded <= max(abs(i - j) for i, j, _ in entries)
 
 
 class TestRhs:

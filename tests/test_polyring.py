@@ -165,6 +165,28 @@ class TestPolyDet:
             assert poly_det(block) == poly_det(a) * poly_det(b)
 
 
+def graded(rows):
+    n = len(rows)
+    return polyring._grading(n, [(i, j, e.coeffs) for i, row in enumerate(rows)
+                                 for j, e in enumerate(row) if e.coeffs]) is not None
+
+
+def graded_matrices(max_n=5):
+    """Entries q^(s_i + s_j) p_ij(q^2) for a random 0/1 vector s."""
+    def build(n):
+        entry = st.one_of(st.just([]), st.lists(st.integers(-2 ** 40, 2 ** 40),
+                                                 min_size=1, max_size=3))
+        return st.tuples(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+
+    def to_rows(drawn):
+        s, ps = drawn
+        return [[IntPoly([c for x in p for c in (x, 0)]).shifted(s[i] + s[j])
+                 for j, p in enumerate(row)] for i, row in enumerate(ps)]
+    return st.integers(1, max_n).flatmap(build).map(to_rows)
+
+
 class TestModularEngine:
     """The CRT engine behind poly_det, against the permutation-sum oracle."""
 
@@ -207,6 +229,64 @@ class TestModularEngine:
         q = IntPoly([0, 1])
         with pytest.raises(CertificateError):
             poly_det([[q, ONE], [ONE, q]])
+
+    def test_certificate_failure_raises_on_graded_path(self, monkeypatch):
+        wrong = lambda rows: det_by_expansion(rows) + ONE
+        monkeypatch.setattr(polyring, "_modular_det", wrong)
+        q, q2 = IntPoly([0, 1]), IntPoly([0, 0, 1])
+        for mat in ([[ONE, q], [q, ONE]],      # s = (0, 1): caught by the t-shift
+                    [[ONE, q2], [q2, ONE]]):  # s = (0, 0): caught by the certificate
+            assert graded(mat)
+            with pytest.raises(CertificateError):
+                poly_det(mat)
+
+    @given(graded_matrices())
+    @settings(deadline=None, max_examples=60)
+    def test_graded_matches_expansion(self, rows):
+        assert graded(rows)
+        assert poly_det(rows) == det_by_expansion(rows)
+
+    def test_mixed_parity_entry_falls_back(self):
+        q = IntPoly([0, 1])
+        mat = [[ONE, q, ZERO],
+               [q, IntPoly([3, 0, 1]), q + ONE],  # q + 1 mixes parities
+               [ZERO, q, ONE]]
+        assert not graded(mat)
+        assert poly_det(mat) == det_by_expansion(mat)
+
+    def test_odd_cycle_has_no_grading(self):
+        q = IntPoly([0, 1])
+        two = const(2)
+        mat = [[two, q, q], [q, two, q], [q, q, two]]  # s_i + s_j odd on a triangle
+        assert not graded(mat)
+        assert poly_det(mat) == det_by_expansion(mat)
+
+    def test_disconnected_and_unsymmetric_patterns(self):
+        q, q2 = IntPoly([0, 1]), IntPoly([0, 0, 1])
+        blocks = [[ONE, q, ZERO, ZERO],
+                  [q, q2, ZERO, ZERO],
+                  [ZERO, ZERO, q2 + ONE, q],
+                  [ZERO, ZERO, q, const(5)]]
+        assert graded(blocks)
+        assert poly_det(blocks) == det_by_expansion(blocks)
+        lopsided = [[ONE, ZERO, q * q2],
+                    [q, const(2), ZERO],
+                    [ZERO, ZERO, q2 - ONE]]
+        assert graded(lopsided)
+        assert poly_det(lopsided) == det_by_expansion(lopsided)
+        order = polyring._band_order(3, [(0, 0), (0, 2), (1, 0), (1, 1), (2, 2)])
+        assert sorted(order) == [0, 1, 2]
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(coeff_lists, min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.permutations(range(n)))))
+    @settings(deadline=None, max_examples=60)
+    def test_symmetric_permutation_keeps_det(self, drawn):
+        rows, perm = drawn
+        mat = [[IntPoly(e) for e in row] for row in rows]
+        permuted = [[mat[i][j] for j in perm] for i in perm]
+        assert poly_det(permuted) == poly_det(mat) == det_by_expansion(mat)
 
 
 class TestPolyMatrix:
