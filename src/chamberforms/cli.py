@@ -137,7 +137,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 def run_check(inst: Instance, args: argparse.Namespace, matrices: str = "auto",
               ) -> tuple[dict, int]:
-    """matrices: 'auto' (size-gated), 'omit', or 'on-mismatch' (witness)."""
+    """matrices: 'auto' (size-gated) or 'on-mismatch' (witness)."""
     t0 = time.perf_counter()
     om = inst.om
     s = build_S(om)
@@ -149,10 +149,8 @@ def run_check(inst: Instance, args: argparse.Namespace, matrices: str = "auto",
         include = True
     elif matrices == "auto":
         include = s.n <= MATRIX_REPORT_LIMIT
-    elif matrices == "on-mismatch":
-        include = not vq.match
     else:
-        include = False
+        include = not vq.match
     report = {
         "instance": _instance_json(inst),
         "verdict": _verdict_json(s, vs, vq),

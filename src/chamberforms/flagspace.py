@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -202,20 +201,19 @@ class YMatrixReport:
     region_of_basis: dict = field(repr=False, default_factory=dict)
 
 
-def _region_of_basis(arr: Arrangement, xi: Sequence[int],
-                     b: frozenset) -> SignVector:
-    """Sign vector of the xi-bounded region whose optimum sits at vertex b."""
-    ground = arr.ground
-    idx = {e: i for i, e in enumerate(ground)}
-    signs = [0] * len(ground)
-    p = arr.vertices()[b]
-    for j, (row, c) in enumerate(zip(arr.int_normals, arr.scaled_offsets)):
-        v = sum(a * x for a, x in zip(row, p)) - c
-        signs[j] = (v > 0) - (v < 0)
+def _region_of_basis(arr: Arrangement, directions: dict, xi: Sequence[int],
+                     y: SignVector) -> SignVector:
+    """Sign vector of the xi-bounded region whose optimum is y's vertex.
+
+    y is the vertex's feasible cocircuit; directions maps sorted (r-1)-subsets
+    of indices to their edge directions.
+    """
+    idx = {e: i for i, e in enumerate(arr.ground)}
+    b = y.zero_set()
+    signs = list(y.signs())
     for e in b:
         j = idx[e]
-        others = sorted(idx[f] for f in b if f != e)
-        v = arr.kernel_direction(others)
+        v = directions[tuple(sorted(idx[f] for f in b if f != e))]
         pairing_xi = sum(a * x for a, x in zip(xi, v))
         if pairing_xi == 0:
             raise ValueError("functional not generic on an edge direction")
@@ -224,7 +222,7 @@ def _region_of_basis(arr: Arrangement, xi: Sequence[int],
         s = sum(a * x for a, x in zip(arr.int_normals[j], v))
         assert s != 0, "edge direction cannot be parallel to its own hyperplane"
         signs[j] = 1 if s > 0 else -1
-    return SignVector.from_signs(ground, signs)
+    return SignVector.from_signs(arr.ground, signs)
 
 
 def build_y_matrix(arr: Arrangement, seed: int,
@@ -240,10 +238,10 @@ def build_y_matrix(arr: Arrangement, seed: int,
     order = {e: i for i, e in enumerate(arr.ground)}
     bases = sorted(m.bases, key=lambda b: sorted(order[e] for e in b))
 
-    directions = []
+    directions = {}
     for sub in combinations(range(len(arr.ground)), arr.dim - 1):
         try:
-            directions.append(arr.kernel_direction(sub))
+            directions[sub] = arr.kernel_direction(sub)
         except ValueError:
             continue  # rank-deficient subset spans no line
 
@@ -253,15 +251,16 @@ def build_y_matrix(arr: Arrangement, seed: int,
     while draws < max_draws:
         draws += 1
         cand = tuple(rng.randint(-10 ** 4, 10 ** 4) for _ in range(arr.dim))
-        if all(sum(a * x for a, x in zip(cand, v)) != 0 for v in directions) \
-                and any(cand):
+        if any(cand) and all(sum(a * x for a, x in zip(cand, v)) != 0
+                             for v in directions.values()):
             xi = cand
             break
     if xi is None:
         raise ValueError(
             f"no generic functional found in {max_draws} draws; try another seed")
 
-    region_of = {b: _region_of_basis(arr, xi, b) for b in bases}
+    region_of = {b: _region_of_basis(arr, directions, xi, om.basis_to_cocircuit(b))
+                 for b in bases}
     regions = sorted(region_of.values(), key=SignVector.key)
     if len({t.bits for t in regions}) != len(bases):
         raise ValueError("optimum map is not injective: functional not generic")

@@ -11,6 +11,7 @@ are products over coloop-free proper flats K of the central matroid of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .matroid import Matroid, top_mu_plus
@@ -108,7 +109,8 @@ def build_Sq(om: AffineOrientedMatroid) -> IntersectionForm:
     return _pair_entries(om, entry)
 
 
-def _rhs_factors(m: Matroid) -> list[Factor]:
+@lru_cache(maxsize=1)  # rhs_classical and rhs_q read the same matroid's factors
+def _rhs_factors(m: Matroid) -> tuple[Factor, ...]:
     # Exponent of the factor at a coloop-free proper flat K:
     # beta(M/K) times mu+ of the dual of the restriction M|K.  (The dual is
     # what the honest dualization of the flag-space determinant produces;
@@ -125,11 +127,11 @@ def _rhs_factors(m: Matroid) -> list[Factor]:
         exponent = m.contract_set(k.elements).beta() * mu_dual
         flat = tuple(sorted(k.elements, key=order.__getitem__))
         factors.append(Factor(flat, base, exponent))
-    return factors
+    return tuple(factors)
 
 
 def rhs_classical(m: Matroid) -> tuple[int, list[Factor]]:
-    factors = _rhs_factors(m)
+    factors = list(_rhs_factors(m))
     value = 1
     for f in factors:
         value *= f.base ** f.exponent
@@ -137,7 +139,7 @@ def rhs_classical(m: Matroid) -> tuple[int, list[Factor]]:
 
 
 def rhs_q(m: Matroid) -> tuple[IntPoly, list[Factor]]:
-    factors = _rhs_factors(m)
+    factors = list(_rhs_factors(m))
     value = ONE
     for f in factors:
         value = value * poly_pow(q_integer(f.base), f.exponent)

@@ -5,6 +5,10 @@ which makes rank, minors, duals and the flat lattice direct to compute and
 easy to test.  The invariants exposed are exactly the ones appearing in the
 product formulas: Mobius values mu+, nbc basis counts, Crapo's beta, and
 coloop-free flats.
+
+Bases are trusted: minors, duals, uniform matroids and the matroid of a
+compiled arrangement (nonzero determinants) are matroids by construction.
+Bases from outside input must pass Matroid.check_exchange() where they enter.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ class Flat(NamedTuple):
 
 
 class Matroid:
-    """A matroid given by its ground list (fixing the nbc order) and bases."""
+    """A matroid given by its ground list (fixing the nbc order) and bases.
 
-    EXCHANGE_CHECK_LIMIT = 12
+    The constructor checks structure only, not basis exchange; bases from
+    outside input must pass check_exchange().
+    """
 
     def __init__(self, ground: Iterable, bases: Iterable[Iterable]):
         self.ground = tuple(ground)
@@ -37,18 +43,20 @@ class Matroid:
         gset = set(self.ground)
         if any(not b <= gset for b in self.bases):
             raise ValueError("basis element outside ground set")
-        if len(self.ground) <= self.EXCHANGE_CHECK_LIMIT:
-            self._check_exchange()
         self._rank_cache: dict[frozenset, int] = {}
         self._flats = None
         self._circuits = None
         self._mobius = None
 
-    def _check_exchange(self):
+    def check_exchange(self) -> None:
+        """Raise ValueError unless the bases satisfy the exchange axiom."""
         for b1 in self.bases:
+            # swaps[x]: the y for which b1 - {x} + {y} is a basis
+            swaps = {x: {y for y in self.ground if b1 - {x} | {y} in self.bases}
+                     for x in b1}
             for b2 in self.bases:
                 for x in b1 - b2:
-                    if not any(b1 - {x} | {y} in self.bases for y in b2 - b1):
+                    if not swaps[x] & b2:
                         raise ValueError(
                             f"basis exchange fails for {set(b1)}, {set(b2)}, {x}")
 
@@ -74,10 +82,6 @@ class Matroid:
             self._rank_cache[s] = cached
         return cached
 
-    def is_independent(self, subset: Iterable) -> bool:
-        s = frozenset(subset)
-        return self.rank(s) == len(s)
-
     def closure(self, subset: Iterable) -> Flat:
         s = frozenset(subset)
         r = self.rank(s)
@@ -92,8 +96,6 @@ class Matroid:
 
     def flats(self) -> list[Flat]:
         """All flats, sorted by (rank, ground-order lexicographic elements)."""
-        if len(self.ground) > 20:
-            raise ValueError("flat enumeration guarded at 20 ground elements")
         if self._flats is None:
             bottom = self.closure(())
             level = {bottom.elements}

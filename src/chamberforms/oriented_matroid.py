@@ -92,11 +92,6 @@ class SignVector:
     def zero_set(self) -> frozenset:
         return frozenset(e for e, s in zip(self.ground, self.signs()) if s == 0)
 
-    def is_full_support(self) -> bool:
-        n = len(self.ground)
-        odd = _odd_mask(n)
-        return ((self.bits | self.bits >> 1) & odd) == odd
-
     def key(self) -> str:
         """Canonical sort key: '+' < '-' < '0' in ground order."""
         return "".join(_CHAR[(self.bits >> (2 * i)) & 3]
@@ -186,13 +181,14 @@ def _perm_parity(seq: Sequence[int]) -> int:
 class Chirotope:
     """Basis orientation: alternating sign map on r-tuples of the ground."""
 
-    __slots__ = ("rank", "ground", "_signs", "_index")
+    __slots__ = ("rank", "ground", "_signs", "_index", "_matroid")
 
     def __init__(self, rank: int, ground: Sequence, signs: dict):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "ground", tuple(ground))
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(ground)})
         object.__setattr__(self, "_signs", dict(signs))
+        object.__setattr__(self, "_matroid", None)
         if all(v == 0 for v in self._signs.values()):
             raise ValueError("chirotope must not be identically zero")
         expected = set(combinations(range(len(self.ground)), rank))
@@ -235,7 +231,10 @@ class Chirotope:
                 for s, v in sorted(self._signs.items()) if v != 0]
 
     def to_matroid(self) -> Matroid:
-        return Matroid(self.ground, self.bases())
+        """The underlying matroid, built once; basis exchange is not checked."""
+        if self._matroid is None:
+            object.__setattr__(self, "_matroid", Matroid(self.ground, self.bases()))
+        return self._matroid
 
 
 def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
@@ -316,7 +315,6 @@ class AffineOrientedMatroid:
         self.feasible = tuple(sorted(feasible, key=SignVector.key))
         self.infinite = tuple(cocircuits_from_chirotope(chirotope))
         self.cap = cap
-        self._matroid: Optional[Matroid] = None
         self._bounded: Optional[tuple[SignVector, ...]] = None
         self._by_zero_set: dict[frozenset, SignVector] = {}
         self._rank_memo: dict[int, int] = {}
@@ -344,9 +342,7 @@ class AffineOrientedMatroid:
                 f"vs {len(bases)} bases")
 
     def matroid(self) -> Matroid:
-        if self._matroid is None:
-            self._matroid = self.central.to_matroid()
-        return self._matroid
+        return self.central.to_matroid()
 
     def basis_to_cocircuit(self, b: Iterable) -> SignVector:
         y = self._by_zero_set.get(frozenset(b))
@@ -426,6 +422,7 @@ class AffineOrientedMatroid:
                         for t in lift["feasible_cocircuits"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed oriented-matroid JSON: missing {exc}") from None
+        chi.to_matroid().check_exchange()  # the one check of outside bases
         return cls(chi, feasible, g=g, cap=cap)
 
     def to_json(self) -> dict:

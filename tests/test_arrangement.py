@@ -153,6 +153,10 @@ class TestCompile:
             om = arr.compile()
             assert len(om.feasible) == len(om.matroid().bases)
 
+    def test_one_matroid_per_instance(self):
+        arr = example13_C()
+        assert arr.matroid() is arr.compile().matroid()
+
     def test_points_on_line(self):
         om = line_points(2).compile()
         assert len(om.feasible) == 3

@@ -1,16 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from chamberforms import cli
-from conftest import FIXTURE_DIR
+from chamberforms.matroid import Matroid
+from conftest import FIXTURE_DIR, line_points
 
 
 def run_cli(args, **kw):
+    # the child process imports the same chamberforms as this one
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run([sys.executable, "-m", "chamberforms.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=env, **kw)
 
 
 def run_main(args):
@@ -56,6 +63,29 @@ class TestCheck:
                                 "--out", str(out)])
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_line_n21(self, tmp_path):
+        # past the 20 ground elements that flat enumeration once refused
+        p = tmp_path / "line21.json"
+        p.write_text(json.dumps(line_points(21).to_json()))
+        code, rep = run_main(["check", "--input", str(p)])
+        assert code == 0
+        assert rep["verdict"]["n_topes"] == 21
+        assert rep["verdict"]["det_S"] == "22"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURE_DIR.glob("*.json")))
+    def test_exchange_checked_once_per_document(self, name, monkeypatch):
+        calls = []
+        real = Matroid.check_exchange
+
+        def counted(m):
+            calls.append(m)
+            real(m)
+        monkeypatch.setattr(Matroid, "check_exchange", counted)
+        code, _ = run_main(["check", "--input", str(FIXTURE_DIR / name)])
+        assert code == 0
+        doc = json.loads((FIXTURE_DIR / name).read_text())
+        assert len(calls) == (1 if "chirotope" in doc else 0)
 
     def test_timings_excluded_by_default(self):
         _, rep = run_main(["check", "--input",
@@ -116,6 +146,18 @@ class TestErrors:
         assert cli.main(["check", "--input", str(p)]) == 1
         err = capsys.readouterr().err
         assert "H1" in err and "H3" in err
+
+    def test_exchange_violation_on_13_elements(self, tmp_path, capsys):
+        # rank 2 on 13 elements whose only bases are {1,2} and {3,4}
+        pairs = combinations(range(13), 2)
+        doc = {"rank": 2, "elements": [str(i) for i in range(1, 14)],
+               "chirotope": "".join("+" if p in ((0, 1), (2, 3)) else "0"
+                                    for p in pairs),
+               "lift": {"feasible_cocircuits": ["3 4", "1 2"]}}
+        p = tmp_path / "exchange13.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["check", "--input", str(p)]) == 1
+        assert "error: basis exchange fails" in capsys.readouterr().err
 
     def test_nudge_recovers_non_generic_input(self, tmp_path):
         doc = {"dim": 2, "hyperplanes": [

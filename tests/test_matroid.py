@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberforms.matroid import Flat, Matroid, top_mu_plus, uniform_matroid
+from chamberforms.oriented_matroid import AffineOrientedMatroid
 from conftest import example13_C, matroid_from_columns
 
 U23 = uniform_matroid(2, 3)
@@ -30,8 +31,31 @@ small_matrices = st.lists(
 
 class TestConstruction:
     def test_exchange_violation_rejected(self):
+        # bases {1,2} and {3,4} as an oriented-matroid document; the 2-subsets
+        # in lex order are 12 13 14 23 24 34
+        doc = {"rank": 2, "elements": ["1", "2", "3", "4"], "chirotope": "+0000+",
+               "lift": {"feasible_cocircuits": ["3 4", "1 2"]}}
         with pytest.raises(ValueError, match="exchange"):
-            Matroid((1, 2, 3, 4), [{1, 2}, {3, 4}])
+            AffineOrientedMatroid.from_json(doc)
+
+    def test_check_exchange_matches_definition(self):
+        def satisfies_exchange(bases):
+            return all(any(b1 - {x} | {y} in bases for y in b2 - b1)
+                       for b1 in bases for b2 in bases for x in b1 - b2)
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            subsets = [frozenset(c) for c in combinations(range(n), rng.randint(1, n))]
+            bases = set(rng.sample(subsets, rng.randint(1, len(subsets))))
+            ok = satisfies_exchange(bases)
+            verdicts.add(ok)
+            if ok:
+                Matroid(range(n), bases).check_exchange()
+            else:
+                with pytest.raises(ValueError, match="exchange"):
+                    Matroid(range(n), bases).check_exchange()
+        assert verdicts == {True, False}
 
     def test_unequal_basis_sizes_rejected(self):
         with pytest.raises(ValueError):
