@@ -117,6 +117,7 @@ class Arrangement:
         self._chirotope: Optional[Chirotope] = None
         self._vertices: Optional[dict] = None
         self._scan: Optional[tuple] = None
+        self._compiled: Optional[AffineOrientedMatroid] = None
 
     # -- construction and serialization ---------------------------------------
 
@@ -235,11 +236,14 @@ class Arrangement:
 
     # -- compilation -------------------------------------------------------------
 
-    def compile(self, cap: int = AffineOrientedMatroid.DEFAULT_CAP) -> AffineOrientedMatroid:
-        violation, feasible = self._vertex_scan()
-        if violation is not None:
-            raise ValueError(f"arrangement is not generic: {violation.describe()}")
-        return AffineOrientedMatroid(self.central_chirotope(), feasible, cap=cap)
+    def compile(self) -> AffineOrientedMatroid:
+        """The affine oriented matroid, built once per arrangement."""
+        if self._compiled is None:
+            violation, feasible = self._vertex_scan()
+            if violation is not None:
+                raise ValueError(f"arrangement is not generic: {violation.describe()}")
+            self._compiled = AffineOrientedMatroid(self.central_chirotope(), feasible)
+        return self._compiled
 
     def kernel_direction(self, idxs: Sequence[int]) -> tuple[int, ...]:
         """Primitive integer vector spanning the kernel of the given normals."""

@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -388,6 +389,7 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 # -- entry point -----------------------------------------------------------------------
 
+@cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chamberforms",

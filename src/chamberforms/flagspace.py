@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .arrangement import Arrangement
-from .matroid import top_mu_plus
 from .oriented_matroid import AffineOrientedMatroid, SignVector, conforms, separation
 from .polyring import IntPoly, PolyMatrix, ZERO, int_det, poly_det, poly_eval
 
@@ -159,7 +158,7 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
     matrix = [[v.coords.get(b, 0) for b in bases] for v in vectors]
     divisors = tuple(smith_divisors(matrix)) if matrix else ()
     rank = len(divisors)
-    mu_dual = top_mu_plus(m.dual())
+    mu_dual = m.tutte(0, 1)  # mu+ of the dual matroid
     if rank != len(topes):
         failures.append(f"phi matrix rank {rank} != {len(topes)} bounded topes")
     if mu_dual != len(topes):

@@ -5,7 +5,7 @@ S_q(A,B) = (-q)^d(A,B) * h(A meet B, q^2)
 
 with h(x) = f(x-1) the h-polynomial of the meet face.  The right-hand sides
 are products over coloop-free proper flats K of the central matroid of
-|I \\ K| (resp. the q-integer [|I \\ K|]) raised to beta(M/K) * mu+(K).
+|I \\ K| (resp. the q-integer [|I \\ K|]) raised to beta(M/K) * mu+((M|K)*).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .matroid import Matroid, top_mu_plus
+from .matroid import Matroid
 from .oriented_matroid import (AffineOrientedMatroid, FVector, SignVector,
                                conforms, separation)
 from .polyring import (IntPoly, PolyMatrix, ONE, ZERO, const, poly_det,
@@ -35,7 +35,9 @@ def h_poly(fv: FVector) -> IntPoly:
     for fi in fv.f:
         acc = acc + power.scaled(fi)
         power = power * _Q2_MINUS_1
-    assert acc[0] == 1, "constant term of h must be 1 (Euler relation)"
+    if acc[0] != 1:
+        raise ValueError(f"meet face with f-vector {fv.f} breaks the Euler "
+                         f"relation: the input is not an oriented matroid")
     return acc
 
 
@@ -112,10 +114,11 @@ def build_Sq(om: AffineOrientedMatroid) -> IntersectionForm:
 @lru_cache(maxsize=1)  # rhs_classical and rhs_q read the same matroid's factors
 def _rhs_factors(m: Matroid) -> tuple[Factor, ...]:
     # Exponent of the factor at a coloop-free proper flat K:
-    # beta(M/K) times mu+ of the dual of the restriction M|K.  (The dual is
-    # what the honest dualization of the flag-space determinant produces;
-    # restrictions like U_{2,5}, whose dual has a different mu+, confirm it
-    # numerically, as does the published rank-4 example on 8 elements.)
+    # beta(M/K) times mu+ of the dual of the restriction M|K, T_{M|K}(0, 1).
+    # (The dual is what the honest dualization of the flag-space determinant
+    # produces; restrictions like U_{2,5}, whose dual has a different mu+,
+    # confirm it numerically, as does the published rank-4 example on 8
+    # elements.)
     full = frozenset(m.ground)
     order = {e: i for i, e in enumerate(m.ground)}
     factors = []
@@ -123,8 +126,8 @@ def _rhs_factors(m: Matroid) -> tuple[Factor, ...]:
         if k.elements == full:
             continue
         base = len(m.ground) - len(k.elements)
-        mu_dual = top_mu_plus(m.restrict(k.elements).dual())
-        exponent = m.contract_set(k.elements).beta() * mu_dual
+        exponent = (m.contract(k.elements).beta()
+                    * m.restrict(k.elements).tutte(0, 1))
         flat = tuple(sorted(k.elements, key=order.__getitem__))
         factors.append(Factor(flat, base, exponent))
     return tuple(factors)

@@ -2,9 +2,12 @@
 
 Matroids are stored by explicit basis lists (ground sets here stay small),
 which makes rank, minors, duals and the flat lattice direct to compute and
-easy to test.  The invariants exposed are exactly the ones appearing in the
-product formulas: Mobius values mu+, nbc basis counts, Crapo's beta, and
-coloop-free flats.
+easy to test.  The product formulas need coloop-free flats, Crapo's beta
+and mu+ of a matroid and of its dual.  The last three are read from one
+count of the bases by Tutte's internal and external activity: beta(M) is
+the coefficient of x in T_M(x, y), mu+(M) = T_M(1, 0) and mu+(M*) =
+T_M(0, 1).  Mobius values on the flat lattice are a second, independent
+route to mu+ and beta.
 
 Bases are trusted: minors, duals, uniform matroids and the matroid of a
 compiled arrangement (nonzero determinants) are matroids by construction.
@@ -23,7 +26,7 @@ class Flat(NamedTuple):
 
 
 class Matroid:
-    """A matroid given by its ground list (fixing the nbc order) and bases.
+    """A matroid given by its ground list (fixing the activity order) and bases.
 
     The constructor checks structure only, not basis exchange; bases from
     outside input must pass check_exchange().
@@ -45,8 +48,8 @@ class Matroid:
             raise ValueError("basis element outside ground set")
         self._rank_cache: dict[frozenset, int] = {}
         self._flats = None
-        self._circuits = None
         self._mobius = None
+        self._activities = None
 
     def check_exchange(self) -> None:
         """Raise ValueError unless the bases satisfy the exchange axiom."""
@@ -137,38 +140,62 @@ class Matroid:
         """Unsigned Mobius value (-1)^r(K) mu(bottom, K); positive on flats."""
         k = self._require_flat(k)
         v = (-1) ** k.rank * self.mobius(k)
-        assert v > 0, "mu+ must be positive on flats of a loopless matroid"
+        if v <= 0:
+            raise ValueError(f"mu+ of flat {set(k.elements)} is {v}; the bases "
+                             f"do not form a matroid")
         return v
 
-    # -- circuits and nbc counts -----------------------------------------------
-
-    def circuits(self) -> list[frozenset]:
-        """Minimal dependent sets; every circuit has at most rank+1 elements."""
-        if self._circuits is None:
-            found: list[frozenset] = []
-            top = min(self.rank_ + 1, len(self.ground))
-            for size in range(1, top + 1):
-                for c in combinations(self.ground, size):
-                    s = frozenset(c)
-                    if any(k <= s for k in found):
-                        continue
-                    if self.rank(s) < len(s):
-                        found.append(s)
-            self._circuits = found
-        return list(self._circuits)
-
-    def nbc_basis_count(self, k) -> int:
-        """Bases of the restriction to flat K avoiding every broken circuit.
-
-        The linear order is the ground-list order.  Equals mu+(K) whenever
-        the restriction is loopless.
-        """
+    def beta_sum(self, k) -> int:
+        """(-1)^r(K) sum of mu(F) r(F) over flats F below K; equals beta of m|K."""
         k = self._require_flat(k)
-        rest = self.restrict(k.elements)
-        order = {e: i for i, e in enumerate(self.ground)}
-        broken = [c - {min(c, key=order.__getitem__)} for c in rest.circuits()]
-        return sum(1 for b in rest.bases
-                   if not any(bc <= b for bc in broken))
+        total = sum(self.mobius(f) * f.rank for f in self.flats()
+                    if f.elements <= k.elements)
+        return (-1) ** k.rank * total
+
+    # -- basis activities --------------------------------------------------------
+
+    def activities(self) -> dict[tuple[int, int], int]:
+        """Number of bases by (internal, external) activity, in ground order.
+
+        These are the coefficients of the Tutte polynomial.  For a basis B,
+        f in B and g outside B lie in each other's fundamental cocircuit and
+        circuit exactly when B - f + g is a basis.  An element is active when
+        it is the least of its fundamental cocircuit (f in B) or circuit
+        (g outside B).
+        """
+        if self._activities is None:
+            order = {e: i for i, e in enumerate(self.ground)}
+            counts: dict[tuple[int, int], int] = {}
+            for b in self.bases:
+                outside = [g for g in self.ground if g not in b]
+                internal, external = set(b), set(outside)
+                for f in b:
+                    for g in outside:
+                        if b - {f} | {g} in self.bases:
+                            if order[g] < order[f]:
+                                internal.discard(f)
+                            else:
+                                external.discard(g)
+                key = (len(internal), len(external))
+                counts[key] = counts.get(key, 0) + 1
+            self._activities = counts
+        return dict(self._activities)
+
+    def tutte(self, x: int, y: int) -> int:
+        """T_M(x, y); T(1, 0) is mu+ of the top flat, T(0, 1) that of the dual.
+
+        A loop is externally active in every basis, so T(1, 0) is 0 on a
+        matroid with a loop, the convention the bounded-region counts need.
+        """
+        return sum(c * x ** i * y ** j for (i, j), c in self.activities().items())
+
+    def beta(self) -> int:
+        """Crapo's beta: bases with internal activity 1 and external activity 0.
+
+        Nonzero exactly when the matroid is connected with at least one
+        element that is not a loop.
+        """
+        return self.activities().get((1, 0), 0)
 
     # -- minors and duality ------------------------------------------------------
 
@@ -178,73 +205,21 @@ class Matroid:
         bases = {s & b for b in self.bases if len(s & b) == r}
         return Matroid(tuple(e for e in self.ground if e in s), bases)
 
-    def delete(self, e) -> "Matroid":
-        return self.restrict(set(self.ground) - {e})
-
-    def contract(self, e) -> "Matroid":
-        if self.is_loop(e):
-            return self.delete(e)
-        ground = tuple(x for x in self.ground if x != e)
-        bases = {b - {e} for b in self.bases if e in b}
-        return Matroid(ground, bases)
-
-    def contract_set(self, subset: Iterable) -> "Matroid":
-        m = self
-        for e in subset:
-            m = m.contract(e)
-        return m
+    def contract(self, subset: Iterable) -> "Matroid":
+        """M/K: b - K for the bases b that meet K in a basis of K."""
+        s = frozenset(subset)
+        r = self.rank(s)
+        bases = {b - s for b in self.bases if len(s & b) == r}
+        return Matroid(tuple(e for e in self.ground if e not in s), bases)
 
     def dual(self) -> "Matroid":
         gset = frozenset(self.ground)
         return Matroid(self.ground, {gset - b for b in self.bases})
 
-    # -- connectivity and beta ----------------------------------------------------
-
-    def is_loop(self, e) -> bool:
-        return all(e not in b for b in self.bases)
+    # -- coloops ------------------------------------------------------------------
 
     def is_coloop(self, e) -> bool:
         return all(e in b for b in self.bases)
-
-    def is_connected(self) -> bool:
-        """Connected iff the circuit relation links all pairs of elements."""
-        n = len(self.ground)
-        if n <= 1:
-            return True
-        parent = {e: e for e in self.ground}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.circuits():
-            it = iter(c)
-            first = find(next(it))
-            for e in it:
-                parent[find(e)] = first
-        return len({find(e) for e in self.ground}) == 1
-
-    def beta(self) -> int:
-        """Crapo beta by deletion/contraction; 0 for loops and disconnected."""
-        n = len(self.ground)
-        if n == 0:
-            return 0
-        if n == 1:
-            return 1 if self.rank_ == 1 else 0  # coloop vs loop
-        e = next((x for x in self.ground
-                  if not self.is_loop(x) and not self.is_coloop(x)), None)
-        if e is None:
-            return 0  # direct sum of loops/coloops on >= 2 elements
-        return self.delete(e).beta() + self.contract(e).beta()
-
-    def beta_sum(self, k) -> int:
-        """(-1)^r(K) sum of mu(F) r(F) over flats F below K; equals beta of m|K."""
-        k = self._require_flat(k)
-        total = sum(self.mobius(f) * f.rank for f in self.flats()
-                    if f.elements <= k.elements)
-        return (-1) ** k.rank * total
 
     def coloop_free_flats(self) -> list[Flat]:
         out = []
@@ -259,12 +234,3 @@ def uniform_matroid(r: int, n: int, ground=None) -> Matroid:
     ground = tuple(range(1, n + 1)) if ground is None else tuple(ground)
     return Matroid(ground, combinations(ground, r))
 
-
-def top_mu_plus(m: Matroid) -> int:
-    """Number of nbc bases of the whole matroid.
-
-    Equals the unsigned Mobius value of the top flat when the matroid is
-    loopless; a loop makes the empty set a broken circuit, so the count is 0,
-    which is the convention the bounded-region counts need.
-    """
-    return m.nbc_basis_count(m.closure(m.ground))

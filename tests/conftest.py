@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -38,10 +39,44 @@ def matroid_from_columns(cols) -> Matroid:
         return _row_reduce(rows) if rows else 0
 
     r = rank_of(ground)
-    from itertools import combinations
     bases = [set(sub) for sub in combinations(ground, r)
              if rank_of(sub) == r]
     return Matroid(ground, bases)
+
+
+# Brute-force definitions that the basis-activity invariants are tested against.
+
+def circuits(m: Matroid) -> list[frozenset]:
+    """Minimal dependent sets; every circuit has at most rank + 1 elements."""
+    found: list[frozenset] = []
+    for size in range(1, min(m.rank_ + 1, len(m.ground)) + 1):
+        for c in combinations(m.ground, size):
+            s = frozenset(c)
+            if not any(k <= s for k in found) and m.rank(s) < len(s):
+                found.append(s)
+    return found
+
+
+def nbc_count(m: Matroid, flat) -> int:
+    """Bases of m|K containing no broken circuit, in ground order.
+
+    Equals mu+(K) when m|K is loopless and 0 when it has a loop (the empty
+    set is then a broken circuit).
+    """
+    rest = m.restrict(flat.elements)
+    order = {e: i for i, e in enumerate(m.ground)}
+    broken = [c - {min(c, key=order.__getitem__)} for c in circuits(rest)]
+    return sum(1 for b in rest.bases if not any(bc <= b for bc in broken))
+
+
+def is_connected(m: Matroid) -> bool:
+    """Connected iff the circuits link all elements into one component."""
+    components = [{e} for e in m.ground]
+    for c in circuits(m):
+        touched = [comp for comp in components if comp & c]
+        components = [comp for comp in components if not comp & c]
+        components.append(set().union(*touched))
+    return len(components) <= 1
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from chamberforms.arrangement import Arrangement, Hyperplane, _row_reduce
 from chamberforms.forms import verify
 from chamberforms.oriented_matroid import conforms
-from conftest import (example13_C, example13_Cprime, line_points,
+from conftest import (circuits, example13_C, example13_Cprime, line_points,
                       random_arrangement)
 
 
@@ -100,7 +100,7 @@ class TestValidateGeneric:
         """Vertex zero sets against the definition: a circuit with a common point."""
         def violating_circuits(arr):
             out = {}
-            for circuit in arr.matroid().circuits():
+            for circuit in circuits(arr.matroid()):
                 idxs = sorted(arr.ground.index(e) for e in circuit)
                 coef = [[Fraction(x) for x in arr.int_normals[i]] for i in idxs]
                 aug = [row + [arr.scaled_offsets[i]] for row, i in zip(coef, idxs)]

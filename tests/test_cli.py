@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -12,11 +13,11 @@ from chamberforms.matroid import Matroid
 from conftest import FIXTURE_DIR, line_points
 
 
-def run_cli(args, **kw):
+def run_cli(args, module="chamberforms.cli", **kw):
     # the child process imports the same chamberforms as this one
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    return subprocess.run([sys.executable, "-m", "chamberforms.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env, **kw)
 
 
@@ -193,6 +194,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "internal inconsistency: determinant certificate failed" in err
 
+    def test_euler_violation_is_an_input_error(self, tmp_path):
+        # flipping one chirotope sign leaves the exchange axiom intact, but a
+        # meet face then breaks the Euler relation
+        doc = json.loads((FIXTURE_DIR / "vamos.json").read_text())
+        chi = doc["chirotope"]
+        i = chi.index("+")
+        doc["chirotope"] = chi[:i] + "-" + chi[i + 1:]
+        p = tmp_path / "vamos-flipped.json"
+        p.write_text(json.dumps(doc))
+        res = run_cli(["check", "--input", str(p)])
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and "Euler relation" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_inexact_division_is_internal_inconsistency(self, monkeypatch, capsys):
         from chamberforms import polyring
         from chamberforms.polyring import ExactDivisionError
@@ -225,6 +240,9 @@ class TestUsage:
         assert cli.main(["rhs", "--input", fixture, "--seed", "1"]) == 1
         assert cli.main(["matrix", "--input", fixture, "--include-matrices"]) == 1
         assert cli.main(["check", "--input", fixture, "--seed", "1"]) == 1
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
     def test_help_and_version_exit_0(self, capsys):
         assert cli.main(["--help"]) == 0
@@ -270,6 +288,29 @@ class TestPartialCommands:
         y_entry = next(r for r in rep["invariants"]
                        if r["name"] == "det_y_unimodular")
         assert y_entry["det_y"] in (1, -1)
+
+    def test_invariants_line_n50(self, tmp_path):
+        p = tmp_path / "line50.json"
+        p.write_text(json.dumps(line_points(50).to_json()))
+        t0 = time.perf_counter()
+        code, rep = run_main(["invariants", "--input", str(p)])
+        assert time.perf_counter() - t0 < 10.0
+        assert code == 0 and rep["all_pass"]
+
+    @pytest.mark.parametrize("name", ["example13-C.json", "line-n5.json"])
+    def test_invariants_compiles_twice(self, name, monkeypatch):
+        # the instance, and the deliberate recompile of canonical_order_stable
+        from chamberforms.oriented_matroid import AffineOrientedMatroid
+        built = []
+        real = AffineOrientedMatroid.__init__
+
+        def counted(om, *args, **kwargs):
+            built.append(om)
+            real(om, *args, **kwargs)
+        monkeypatch.setattr(AffineOrientedMatroid, "__init__", counted)
+        code, _ = run_main(["invariants", "--input", str(FIXTURE_DIR / name)])
+        assert code == 0
+        assert len(built) == 2
 
     def test_invariants_vamos_skips_y(self):
         code, rep = run_main(["invariants", "--input",
@@ -319,3 +360,9 @@ class TestSubprocess:
     def test_version_flag(self):
         res = run_cli(["--version"])
         assert res.returncode == 0
+
+    def test_package_runs_as_module(self):
+        res = run_cli(["det", "--input", str(FIXTURE_DIR / "example13-C.json")],
+                      module="chamberforms")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["det_S"] == "8"

@@ -192,10 +192,9 @@ class TestVerify:
             assert poly_eval(vs.lhs, 1) > 0
 
     def test_matrix_size_is_mu_plus_dual(self):
-        from chamberforms.matroid import top_mu_plus
         for om in (example13_C().compile(), line_points(4).compile()):
             s = build_S(om)
-            assert s.n == top_mu_plus(om.matroid().dual())
+            assert s.n == om.matroid().tutte(0, 1)
 
     def test_theorem_mismatch_raises(self, monkeypatch):
         import chamberforms.forms as forms_mod

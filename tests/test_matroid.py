@@ -4,9 +4,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chamberforms.matroid import Flat, Matroid, top_mu_plus, uniform_matroid
+from chamberforms.matroid import Flat, Matroid, uniform_matroid
 from chamberforms.oriented_matroid import AffineOrientedMatroid
-from conftest import example13_C, matroid_from_columns
+from conftest import (example13_C, is_connected, matroid_from_columns,
+                      nbc_count)
 
 U23 = uniform_matroid(2, 3)
 U12 = uniform_matroid(1, 2)
@@ -146,19 +147,24 @@ class TestMobius:
     def test_equals_nbc_on_every_flat(self):
         for m in (U23, U12, U28, example13_matroid(), vamos(), vamos().dual()):
             for f in m.flats():
-                assert m.mobius_plus(f) == m.nbc_basis_count(f), f
+                assert m.mobius_plus(f) == nbc_count(m, f), f
 
 
 class TestNbc:
+    """mu+ = T(1, 0), the bases with no externally active element."""
+
     def test_empty_flat(self):
-        assert U23.nbc_basis_count(U23.closure(())) == 1
+        assert nbc_count(U23, U23.closure(())) == 1
+        assert U23.restrict(()).tutte(1, 0) == 1
 
     def test_u23_full(self):
-        assert U23.nbc_basis_count(U23.closure({1, 2, 3})) == 2
+        assert nbc_count(U23, U23.closure({1, 2, 3})) == 2
+        assert U23.tutte(1, 0) == 2
 
     def test_loops_kill_all_nbc_bases(self):
         loopy = Matroid((1, 2), [{2}])  # 1 is a loop
-        assert top_mu_plus(loopy) == 0
+        assert nbc_count(loopy, loopy.closure({1, 2})) == 0
+        assert loopy.tutte(1, 0) == 0
 
 
 class TestMinorsDual:
@@ -167,8 +173,8 @@ class TestMinorsDual:
 
     def test_u28_chain(self):
         e = 8
-        assert U28.delete(e) == uniform_matroid(2, 7)
-        assert U28.contract(e) == uniform_matroid(1, 7, ground=range(1, 8))
+        assert U28.restrict(set(U28.ground) - {e}) == uniform_matroid(2, 7)
+        assert U28.contract({e}) == uniform_matroid(1, 7, ground=range(1, 8))
 
     def test_dual_involution(self):
         for m in (U23, U28, example13_matroid(), vamos()):
@@ -176,7 +182,7 @@ class TestMinorsDual:
 
     def test_contract_loop_is_delete(self):
         loopy = Matroid((1, 2), [{2}])
-        assert loopy.contract(1) == loopy.delete(1)
+        assert loopy.contract({1}) == loopy.restrict({2})
 
     def test_restrict_keeps_ground_order(self):
         m = vamos()
@@ -185,20 +191,26 @@ class TestMinorsDual:
 
 
 class TestConnectivity:
+    """Crapo: connected iff beta > 0, once there are two elements."""
+
     def test_coloop_alone(self):
         assert uniform_matroid(1, 1).is_coloop(1)
-        assert uniform_matroid(1, 1).is_connected()
+        assert is_connected(uniform_matroid(1, 1))
+        assert uniform_matroid(1, 1).beta() == 1
 
     def test_u22_disconnected(self):
-        assert not uniform_matroid(2, 2).is_connected()
+        assert not is_connected(uniform_matroid(2, 2))
+        assert uniform_matroid(2, 2).beta() == 0
 
     def test_u23_connected(self):
-        assert U23.is_connected()
+        assert is_connected(U23)
+        assert U23.beta() == 1
 
     def test_loop_coloop_flags(self):
         loopy = Matroid((1, 2), [{2}])
-        assert loopy.is_loop(1) and not loopy.is_loop(2)
+        assert loopy.rank({1}) == 0 and loopy.rank({2}) == 1
         assert loopy.is_coloop(2) and not loopy.is_coloop(1)
+        assert loopy.activities() == {(1, 1): 1}  # T = xy
 
 
 class TestBeta:
@@ -239,15 +251,43 @@ class TestBeta:
         b = m.beta()
         assert b >= 0
         for e in m.ground:
-            if not m.is_loop(e) and not m.is_coloop(e):
-                assert m.delete(e).beta() + m.contract(e).beta() == b
+            if m.rank({e}) == 1 and not m.is_coloop(e):
+                rest = m.restrict(set(m.ground) - {e})
+                assert rest.beta() + m.contract({e}).beta() == b
 
     @given(small_matrices)
     @settings(deadline=None, max_examples=30)
     def test_zero_when_disconnected(self, cols):
         m = matroid_from_columns(cols)
-        if len(m.ground) >= 2 and not m.is_connected():
-            assert m.beta() == 0
+        if len(m.ground) >= 2:
+            assert (m.beta() > 0) == is_connected(m)
+
+
+class TestActivities:
+    def test_u23_tutte_polynomial(self):
+        # T = x^2 + x + y in ground order 1 < 2 < 3
+        assert U23.activities() == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
+        assert U23.tutte(1, 1) == len(U23.bases)
+
+    def test_dual_swaps_activities(self):
+        for m in (U23, U28, example13_matroid(), vamos()):
+            assert m.dual().activities() == {(j, i): c for (i, j), c
+                                             in m.activities().items()}
+
+    @given(small_matrices)
+    @settings(deadline=None, max_examples=40)
+    def test_match_reference_routes(self, cols):
+        """mu+ and beta from activities against nbc bases and the flat lattice."""
+        m = matroid_from_columns(cols)
+        loopless = not m.closure(()).elements  # the flat lattice ignores loops
+        for f in m.flats():
+            rest = m.restrict(f.elements)
+            assert rest.tutte(1, 0) == nbc_count(m, f), f
+            if loopless:
+                assert rest.tutte(1, 0) == m.mobius_plus(f), f
+                assert rest.beta() == m.beta_sum(f), f
+        dual = m.dual()
+        assert m.tutte(0, 1) == nbc_count(dual, dual.closure(dual.ground))
 
 
 class TestColoopFreeFlats:

@@ -171,9 +171,10 @@ class TestBoundedTopes:
                 assert acc == t
 
     def test_closure_cap(self):
-        arr = line_points(5)
+        om = line_points(5).compile()
+        om.cap = 3
         with pytest.raises(ClosureCapExceeded):
-            arr.compile(cap=3).bounded_topes()
+            om.bounded_topes()
 
     def test_meet_closure_cap(self):
         om = line_points(5).compile()
