@@ -1,7 +1,12 @@
 """Exact rational hyperplane arrangements and their oriented-matroid compile.
 
-All geometry runs over Fraction; sign decisions are exact.  A hyperplane is
-{x : <normal, x> = offset} with positive side <normal, x> > offset.
+A hyperplane is {x : <normal, x> = offset} with positive side
+<normal, x> > offset.  The oriented matroid is that of the lift: one integer
+row (normal, -offset) per hyperplane, cleared of denominators.  Every sign
+that compile() and the flag-space oracle need is the sign of an integer
+minor of these rows: the chirotope, each vertex's cocircuit and each edge
+direction.  Fraction is used only to parse, to serialise and in
+with_offsets.
 """
 
 from __future__ import annotations
@@ -43,56 +48,14 @@ class GenericityViolation(NamedTuple):
                 f"rank {self.rank_augmented})")
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> int:
-    """In-place row echelon over Q; returns the rank."""
-    if not rows:
-        return 0
-    n_cols = len(rows[0])
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+def _cofactors(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """Signed maximal minors of a (width - 1) x width integer matrix.
 
-
-def _solve_square(rows: Sequence[Sequence[Fraction]],
-                  rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Unique solution of an invertible square rational system."""
-    n = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    rank = _row_reduce(aug)
-    if rank != n:
-        raise ValueError("system is singular")
-    return tuple(aug[i][n] for i in range(n))
-
-
-def _kernel_direction(rows: Sequence[Sequence[Fraction]], dim: int) -> tuple[int, ...]:
-    """Primitive integer spanning vector of a corank-one solution space."""
-    work = [list(r) for r in rows]
-    rank = _row_reduce(work)
-    if rank != dim - 1:
-        raise ValueError("kernel is not one-dimensional")
-    pivots = []
-    for row in work[:rank]:
-        pivots.append(next(c for c in range(dim) if row[c] != 0))
-    free = next(c for c in range(dim) if c not in pivots)
-    v = [Fraction(0)] * dim
-    v[free] = Fraction(1)
-    for row, p in zip(work[:rank], pivots):
-        v[p] = -row[free]
-    scale = lcm(*(x.denominator for x in v))
-    return tuple(int(x * scale) for x in v)
+    Entry j is (-1)^j det(rows without column j).  The vector is orthogonal
+    to every row, and it is zero exactly when the rows are dependent.
+    """
+    return tuple((-1) ** j * int_det([row[:j] + row[j + 1:] for row in rows])
+                 for j in range(width))
 
 
 class Arrangement:
@@ -107,15 +70,13 @@ class Arrangement:
         if any(len(h.normal) != self.dim for h in self.hyperplanes):
             raise ValueError("normal length must equal the dimension")
         self.ground = tuple(labels)
-        # integer-scaled rows: per-row positive scaling preserves all signs
-        self.int_normals = []
-        self.scaled_offsets = []
+        # the lift's row (a_i, -c_i) per hyperplane, cleared of denominators;
+        # a positive scaling keeps every sign
+        self.rows = []
         for h in self.hyperplanes:
-            m = lcm(*(x.denominator for x in h.normal))
-            self.int_normals.append(tuple(int(x * m) for x in h.normal))
-            self.scaled_offsets.append(h.offset * m)
+            m = lcm(h.offset.denominator, *(x.denominator for x in h.normal))
+            self.rows.append(tuple(int(x * m) for x in h.normal + (-h.offset,)))
         self._chirotope: Optional[Chirotope] = None
-        self._vertices: Optional[dict] = None
         self._scan: Optional[tuple] = None
         self._compiled: Optional[AffineOrientedMatroid] = None
 
@@ -162,7 +123,7 @@ class Arrangement:
             signs = {}
             essential = False
             for sub in combinations(range(n), self.dim):
-                d = int_det([self.int_normals[i] for i in sub])
+                d = int_det([self.rows[i][:self.dim] for i in sub])
                 s = (d > 0) - (d < 0)
                 signs[sub] = s
                 essential = essential or s != 0
@@ -173,29 +134,6 @@ class Arrangement:
 
     def matroid(self) -> Matroid:
         return self.central_chirotope().to_matroid()
-
-    def vertices(self) -> dict[frozenset, tuple[Fraction, ...]]:
-        """Exact intersection point for each basis of the normal matroid."""
-        if self._vertices is None:
-            out = {}
-            for b in self.matroid().bases:
-                idxs = sorted(self.ground.index(e) for e in b)
-                rows = [[Fraction(x) for x in self.int_normals[i]] for i in idxs]
-                rhs = [self.scaled_offsets[i] for i in idxs]
-                out[b] = _solve_square(rows, rhs)
-            self._vertices = out
-        return dict(self._vertices)
-
-    def point_signs(self, point: Sequence[Fraction]) -> SignVector:
-        # clear denominators: sign(<a, x> - c) = sign(<a, den*x> * c_den - c_num * den)
-        den = lcm(*(x.denominator for x in point))
-        ints = [x.numerator * (den // x.denominator) for x in point]
-        signs = []
-        for row, c in zip(self.int_normals, self.scaled_offsets):
-            v = (sum(a * x for a, x in zip(row, ints)) * c.denominator
-                 - c.numerator * den)
-            signs.append((v > 0) - (v < 0))
-        return SignVector.from_signs(self.ground, signs)
 
     # -- validation ------------------------------------------------------------
 
@@ -214,23 +152,37 @@ class Arrangement:
         return self._vertex_scan()[0]
 
     def _vertex_scan(self) -> tuple[Optional[GenericityViolation], list[SignVector]]:
-        """First violation (or None) and the vertex sign vectors, in basis order."""
+        """First violation (or None) and the vertex sign vectors, in basis order.
+
+        The vertex x of basis b gives (x, 1), which spans the kernel of the
+        lifted rows R_b, as does their cofactor vector w.  Since R_e . w =
+        (-1)^r det[R_b; R_e] and w_r = (-1)^r det A_b, the sign at e is
+        chi(b) sign det[R_b; R_e], an integer minor that is zero for e in b.
+        """
         if self._scan is None:
-            index = self.ground.index
-            bases = set(self.matroid().bases)
+            bases = self.matroid().bases
             violation = None
             feasible = []
-            for b, p in sorted(self.vertices().items(),
-                               key=lambda kv: sorted(map(index, kv[0]))):
-                sv = self.point_signs(p)
-                extra = sv.zero_set() - b
+            for sub in combinations(range(len(self.rows)), self.dim):
+                w = _cofactors([self.rows[i] for i in sub], self.dim + 1)
+                if not w[-1]:
+                    continue  # dependent normals: not a basis
+                if w[-1] < 0:
+                    w = tuple(-x for x in w)  # a positive multiple of (x, 1)
+                signs = []
+                for row in self.rows:
+                    v = sum(a * x for a, x in zip(row, w))
+                    signs.append((v > 0) - (v < 0))
+                sv = SignVector.from_signs(self.ground, signs)
+                feasible.append(sv)
+                extra = [j for j, s in enumerate(signs) if not s and j not in sub]
                 if extra and violation is None:
-                    e = min(extra, key=index)
+                    b = frozenset(self.ground[i] for i in sub)
+                    e = self.ground[extra[0]]
                     circuit = [x for x in b if (b - {x}) | {e} in bases] + [e]
                     violation = GenericityViolation(
-                        tuple(sorted(circuit, key=index)),
+                        tuple(sorted(circuit, key=self.ground.index)),
                         len(circuit) - 1, len(circuit) - 1)
-                feasible.append(sv)
             self._scan = (violation, feasible)
         return self._scan
 
@@ -246,6 +198,8 @@ class Arrangement:
         return self._compiled
 
     def kernel_direction(self, idxs: Sequence[int]) -> tuple[int, ...]:
-        """Primitive integer vector spanning the kernel of the given normals."""
-        rows = [[Fraction(x) for x in self.int_normals[i]] for i in idxs]
-        return _kernel_direction(rows, self.dim)
+        """Cofactor vector of the given r - 1 normals.
+
+        It spans their common kernel, and it is zero when they are dependent.
+        """
+        return _cofactors([self.rows[i][:self.dim] for i in idxs], self.dim)

@@ -42,10 +42,8 @@ def phi(om: AffineOrientedMatroid, tope: SignVector) -> FlagVector:
     order = {e: i for i, e in enumerate(ground)}
     tsigns = dict(zip(ground, tope.signs()))
     coords = {}
-    for b in om.matroid().bases:
-        y = om.basis_to_cocircuit(b)
-        if not conforms(y, tope):
-            continue
+    for y in om.cocircuits_in(om.face_mask(tope)):
+        b = y.zero_set()
         coeff = om.central.sign(sorted(b, key=order.__getitem__))
         for e in b:
             coeff *= tsigns[e]
@@ -218,8 +216,8 @@ def _region_of_basis(arr: Arrangement, directions: dict, xi: Sequence[int],
             raise ValueError("functional not generic on an edge direction")
         if pairing_xi > 0:
             v = tuple(-x for x in v)
-        s = sum(a * x for a, x in zip(arr.int_normals[j], v))
-        assert s != 0, "edge direction cannot be parallel to its own hyperplane"
+        # nonzero: a_j . v = +-det A_b, and b is a basis
+        s = sum(a * x for a, x in zip(arr.rows[j][:arr.dim], v))
         signs[j] = 1 if s > 0 else -1
     return SignVector.from_signs(arr.ground, signs)
 
@@ -239,10 +237,9 @@ def build_y_matrix(arr: Arrangement, seed: int,
 
     directions = {}
     for sub in combinations(range(len(arr.ground)), arr.dim - 1):
-        try:
-            directions[sub] = arr.kernel_direction(sub)
-        except ValueError:
-            continue  # rank-deficient subset spans no line
+        v = arr.kernel_direction(sub)
+        if any(v):  # a rank-deficient subset spans no line
+            directions[sub] = v
 
     rng = random.Random(seed)
     xi = None
@@ -299,12 +296,11 @@ def expansion_matches_y(om: AffineOrientedMatroid, rep: YMatrixReport) -> list[s
 
     In the basis e'_b = (prod_{i in b} region(b)(i)) e_b the coefficient of
     phi(A) at b must be (-1)^d(A, region(b)) exactly when the cocircuit of b
-    is a face of A.
+    is a face of A.  Every bounded tope is a region of rep: build_y_matrix
+    raises ValueError otherwise, as pos_of would raise KeyError.
     """
     failures = []
-    m = om.matroid()
     order = {e: i for i, e in enumerate(om.ground)}
-    bounded = {t.bits for t in om.bounded_topes()}
     pos_of = {t.bits: i for i, t in enumerate(rep.regions)}
     for t in om.bounded_topes():
         v = phi(om, t)
@@ -322,5 +318,4 @@ def expansion_matches_y(om: AffineOrientedMatroid, rep: YMatrixReport) -> list[s
             if coeff != row[jb]:
                 failures.append(
                     f"phi({t.key()}) coefficient at {bt} is {coeff}, y row has {row[jb]}")
-    assert bounded <= set(pos_of), "bounded topes must be functional-bounded"
     return failures

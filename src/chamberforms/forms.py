@@ -15,8 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .matroid import Matroid
-from .oriented_matroid import (AffineOrientedMatroid, FVector, SignVector,
-                               conforms, separation)
+from .oriented_matroid import AffineOrientedMatroid, FVector, SignVector, separation
 from .polyring import (IntPoly, PolyMatrix, ONE, ZERO, const, poly_det,
                        poly_eval, poly_pow, q_integer)
 
@@ -79,17 +78,8 @@ def _pair_entries(om: AffineOrientedMatroid, entry_fn):
 def build_S(om: AffineOrientedMatroid) -> IntersectionForm:
     """Integer form: entries (-1)^d * (#common cocircuit faces)."""
 
-    # bit k of faces[t] is set when feasible cocircuit k is a face of tope t
-    faces = {}
-    for t in om.bounded_topes():
-        mask = 0
-        for k, y in enumerate(om.feasible):
-            if conforms(y, t):
-                mask |= 1 << k
-        faces[t.bits] = mask
-
     def entry(a: SignVector, b: SignVector) -> IntPoly:
-        f0 = (faces[a.bits] & faces[b.bits]).bit_count()
+        f0 = (om.face_mask(a) & om.face_mask(b)).bit_count()
         if f0 == 0:
             return ZERO
         return const(f0 if separation(a, b) % 2 == 0 else -f0)

@@ -222,12 +222,9 @@ class Matroid:
         return all(e in b for b in self.bases)
 
     def coloop_free_flats(self) -> list[Flat]:
-        out = []
-        for f in self.flats():
-            rest = self.restrict(f.elements) if f.elements else None
-            if rest is None or not any(rest.is_coloop(e) for e in rest.ground):
-                out.append(f)
-        return out
+        """Flats K with no coloop in M|K: r(K - e) = r(K) for every e in K."""
+        return [f for f in self.flats()
+                if all(self.rank(f.elements - {e}) == f.rank for e in f.elements)]
 
 
 def uniform_matroid(r: int, n: int, ground=None) -> Matroid:

@@ -316,6 +316,7 @@ class AffineOrientedMatroid:
         self.infinite = tuple(cocircuits_from_chirotope(chirotope))
         self.cap = cap
         self._bounded: Optional[tuple[SignVector, ...]] = None
+        self._face_masks: dict[int, int] = {}
         self._by_zero_set: dict[frozenset, SignVector] = {}
         self._rank_memo: dict[int, int] = {}
         self._meets: dict[tuple[int, int, int], Optional[FVector]] = {}
@@ -402,8 +403,25 @@ class AffineOrientedMatroid:
                 if any((x & _nz2(y, odd)) == y for y in inf_bits):
                     continue  # an infinite cocircuit is a face: unbounded
                 topes.append(SignVector(self.ground, x))
+                self._face_masks[x] = sum(1 << k for k, y in enumerate(gen)
+                                          if (x & _nz2(y, odd)) == y)
             self._bounded = tuple(sorted(topes, key=SignVector.key))
         return list(self._bounded)
+
+    def face_mask(self, t: SignVector) -> int:
+        """Bit k is set when feasible cocircuit k is a face of bounded tope t."""
+        if self._bounded is None:
+            self.bounded_topes()
+        return self._face_masks[t.bits]
+
+    def cocircuits_in(self, mask: int) -> list[SignVector]:
+        """The feasible cocircuits whose bits are set in mask."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.feasible[low.bit_length() - 1])
+            mask ^= low
+        return out
 
     def cocircuit_faces(self, t: SignVector) -> list[SignVector]:
         return [y for y in self.cocircuit_pool() if conforms(y, t)]
@@ -446,9 +464,8 @@ class AffineOrientedMatroid:
         if key in self._meets:
             return self._meets[key]
         odd = _odd_mask(len(self.ground))
-        common = [y.bits for y in self.feasible
-                  if (ta & _nz2(y.bits, odd)) == y.bits
-                  and (tb & _nz2(y.bits, odd)) == y.bits]
+        common = [y.bits for y in self.cocircuits_in(self.face_mask(a)
+                                                     & self.face_mask(b))]
         if not common:
             self._meets[key] = None
             return None

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from chamberforms.arrangement import Arrangement, _row_reduce
+from chamberforms.arrangement import Arrangement
 # the fixture builders, re-exported to the test modules
 from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
 from chamberforms.matroid import Matroid
-from chamberforms.oriented_matroid import AffineOrientedMatroid
+from chamberforms.oriented_matroid import AffineOrientedMatroid, SignVector
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,6 +28,67 @@ def uniform_lines(rng: random.Random, n: int = 8) -> Arrangement:
             return arr
 
 
+# Fraction linear algebra: the reference for the integer minors that
+# Arrangement reads its vertices and edge directions from.
+
+def row_reduce(rows: list[list[Fraction]]) -> int:
+    """In-place reduced row echelon form over Q; returns the rank."""
+    if not rows:
+        return 0
+    n_cols = len(rows[0])
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def kernel_vector(rows, dim: int):
+    """A nonzero vector spanning the kernel of the rows, or None unless it is a line."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = row_reduce(work)
+    if rank != dim - 1:
+        return None
+    pivots = [next(c for c in range(dim) if row[c] != 0) for row in work[:rank]]
+    free = next(c for c in range(dim) if c not in pivots)
+    v = [Fraction(0)] * dim
+    v[free] = Fraction(1)
+    for row, p in zip(work[:rank], pivots):
+        v[p] = -row[free]
+    return tuple(v)
+
+
+def vertices(arr: Arrangement) -> dict:
+    """The intersection point of each basis of the normal matroid, over Q."""
+    out = {}
+    for b in arr.matroid().bases:
+        hyps = [h for h in arr.hyperplanes if h.label in b]
+        aug = [list(h.normal) + [h.offset] for h in hyps]
+        assert row_reduce(aug) == arr.dim
+        out[b] = tuple(row[arr.dim] for row in aug)
+    return out
+
+
+def point_signs(arr: Arrangement, point) -> SignVector:
+    """Side of each hyperplane that a rational point lies on."""
+    signs = []
+    for h in arr.hyperplanes:
+        v = sum(a * x for a, x in zip(h.normal, point)) - h.offset
+        signs.append((v > 0) - (v < 0))
+    return SignVector.from_signs(arr.ground, signs)
+
+
 def matroid_from_columns(cols) -> Matroid:
     """Column matroid of a rational matrix: independent oracle for tests."""
     cols = [tuple(Fraction(x) for x in c) for c in cols]
@@ -36,7 +97,7 @@ def matroid_from_columns(cols) -> Matroid:
 
     def rank_of(subset):
         rows = [list(cols[i - 1]) for i in subset]
-        return _row_reduce(rows) if rows else 0
+        return row_reduce(rows) if rows else 0
 
     r = rank_of(ground)
     bases = [set(sub) for sub in combinations(ground, r)

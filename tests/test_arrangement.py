@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from chamberforms.arrangement import Arrangement, Hyperplane, _row_reduce
+from chamberforms.arrangement import Arrangement, Hyperplane
 from chamberforms.forms import verify
-from chamberforms.oriented_matroid import conforms
-from conftest import (circuits, example13_C, example13_Cprime, line_points,
-                      random_arrangement)
+from chamberforms.oriented_matroid import SignVector, conforms
+from conftest import (circuits, example13_C, example13_Cprime, kernel_vector,
+                      line_points, point_signs, random_arrangement, row_reduce,
+                      vertices)
 
 
 class TestHyperplane:
@@ -40,7 +42,6 @@ class TestChirotope:
             arr.central_chirotope()
 
     def test_matroid_rank_agrees_with_linear_algebra(self):
-        from chamberforms.arrangement import _row_reduce
         rng = random.Random(12)
         for _ in range(5):
             arr = random_arrangement(rng, 3, 6)
@@ -49,24 +50,86 @@ class TestChirotope:
             m = arr.matroid()
             for _ in range(10):
                 s = frozenset(e for e in arr.ground if rng.random() < 0.5)
-                rows = [[Fraction(x) for x in arr.int_normals[arr.ground.index(e)]]
-                        for e in s]
-                assert m.rank(s) == (_row_reduce(rows) if rows else 0)
+                rows = [list(h.normal) for h in arr.hyperplanes if h.label in s]
+                assert m.rank(s) == (row_reduce(rows) if rows else 0)
 
 
 class TestVertices:
     def test_example13_vertex_coordinates(self):
-        verts = example13_C().vertices()
+        verts = vertices(example13_C())
         assert verts[frozenset({"H1", "H3"})] == (Fraction(0), Fraction(1))
         assert verts[frozenset({"H3", "H4"})] == (Fraction(0), Fraction(0))
 
     def test_example13_has_five_vertices(self):
-        assert len(example13_C().vertices()) == 5
+        assert len(vertices(example13_C())) == 5
 
     def test_generic_eight_lines_have_28(self):
         from conftest import uniform_lines
         arr = uniform_lines(random.Random(2), 8)
-        assert len(arr.vertices()) == 28
+        assert len(vertices(arr)) == 28
+
+
+class TestIntegerMinors:
+    def test_agree_with_fraction_solves(self):
+        """Vertex cocircuits and edge directions against Fraction elimination."""
+        rng = random.Random(2407)
+        seen_generic = seen_violation = seen_dependent = 0
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            normals = []
+            for _ in range(rng.randint(dim, dim + 3)):
+                if len(normals) >= 2 and rng.random() < 0.3:
+                    # a combination of two earlier normals: not uniform
+                    u, v = rng.sample(normals, 2)
+                    k = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+                    normal = [a + k * b for a, b in zip(u, v)]
+                else:
+                    normal = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                              for _ in range(dim)]
+                if not any(normal):
+                    normal[0] = Fraction(1, 2)
+                normals.append(normal)
+            hyps = [Hyperplane.make(f"H{i}", a,
+                                    Fraction(rng.randint(-2, 2), rng.choice([1, 1, 3])))
+                    for i, a in enumerate(normals)]
+            arr = Arrangement(dim, hyps)
+            try:
+                arr.central_chirotope()
+            except ValueError:
+                continue  # inessential draw
+
+            verts = vertices(arr)
+            index = arr.ground.index
+            extras = [(b, point_signs(arr, verts[b]).zero_set() - b)
+                      for b in sorted(verts, key=lambda b: sorted(map(index, b)))]
+            violated = [(b, extra) for b, extra in extras if extra]
+            witness = arr.validate_generic()
+            if not violated:
+                assert witness is None
+                want = sorted((point_signs(arr, p) for p in verts.values()),
+                              key=SignVector.key)
+                assert list(arr.compile().feasible) == want
+                seen_generic += 1
+            else:
+                # the fundamental circuit of the least extra hyperplane on
+                # the first vertex, in index order
+                b, extra = violated[0]
+                e = min(extra, key=index)
+                circuit = {x for x in b if (b - {x}) | {e} in verts} | {e}
+                assert witness is not None and set(witness.circuit) == circuit
+                seen_violation += 1
+
+            for sub in combinations(range(len(hyps)), dim - 1):
+                v = arr.kernel_direction(sub)
+                u = kernel_vector([hyps[i].normal for i in sub], dim)
+                if u is None:
+                    assert not any(v)
+                    seen_dependent += 1
+                else:
+                    assert any(v)
+                    assert all(v[i] * u[j] == v[j] * u[i]
+                               for i, j in combinations(range(dim), 2))
+        assert seen_generic > 100 and seen_violation > 10 and seen_dependent > 10
 
 
 class TestValidateGeneric:
@@ -101,11 +164,9 @@ class TestValidateGeneric:
         def violating_circuits(arr):
             out = {}
             for circuit in circuits(arr.matroid()):
-                idxs = sorted(arr.ground.index(e) for e in circuit)
-                coef = [[Fraction(x) for x in arr.int_normals[i]] for i in idxs]
-                aug = [row + [arr.scaled_offsets[i]] for row, i in zip(coef, idxs)]
-                r_coef = _row_reduce([list(r) for r in coef])
-                if _row_reduce(aug) == r_coef:
+                hyps = [h for h in arr.hyperplanes if h.label in circuit]
+                r_coef = row_reduce([list(h.normal) for h in hyps])
+                if row_reduce([list(h.normal) + [h.offset] for h in hyps]) == r_coef:
                     out[frozenset(circuit)] = r_coef
             return out
 
@@ -165,11 +226,11 @@ class TestCompile:
     def test_interior_point_conforms_to_exactly_one_bounded_tope(self):
         arr = example13_Cprime()
         om = arr.compile()
-        verts = arr.vertices()
+        verts = vertices(arr)
         for t in om.bounded_topes():
             vs = [verts[y.zero_set()] for y in om.cocircuit_faces(t)]
             centroid = tuple(sum(c) / len(vs) for c in zip(*vs))
-            sv = arr.point_signs(centroid)
+            sv = point_signs(arr, centroid)
             hits = [u for u in om.bounded_topes() if conforms(sv, u)]
             assert hits == [t]
 

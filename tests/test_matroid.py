@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chamberforms.matroid import Flat, Matroid, uniform_matroid
 from chamberforms.oriented_matroid import AffineOrientedMatroid
 from conftest import (example13_C, is_connected, matroid_from_columns,
-                      nbc_count)
+                      nbc_count, row_reduce)
 
 U23 = uniform_matroid(2, 3)
 U12 = uniform_matroid(1, 2)
@@ -93,9 +94,7 @@ class TestRankClosure:
         for _ in range(5):
             s = frozenset(e for e in m.ground if rng.random() < 0.5)
             rows = [cols[e - 1] for e in s]
-            from chamberforms.arrangement import _row_reduce
-            from fractions import Fraction
-            expect = _row_reduce([[Fraction(x) for x in r] for r in rows]) if rows else 0
+            expect = row_reduce([[Fraction(x) for x in r] for r in rows]) if rows else 0
             assert m.rank(s) == expect
 
 
@@ -315,3 +314,12 @@ class TestColoopFreeFlats:
     def test_u28_only_trivial(self):
         got = [set(f.elements) for f in U28.coloop_free_flats()]
         assert got == [set(), set(U28.ground)]
+
+    @given(small_matrices)
+    @settings(deadline=None, max_examples=40)
+    def test_matches_restriction_definition(self, cols):
+        """No element of K is a coloop of the restricted matroid M|K."""
+        m = matroid_from_columns(cols)
+        want = [f for f in m.flats() if not f.elements or not any(
+            m.restrict(f.elements).is_coloop(e) for e in f.elements)]
+        assert m.coloop_free_flats() == want

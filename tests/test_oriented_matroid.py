@@ -220,6 +220,12 @@ class TestCocircuitFaces:
         for t in om.bounded_topes():
             assert len(om.cocircuit_faces(t)) == 2
 
+    def test_face_masks_match_cocircuit_faces(self, vamos_om):
+        for om in (vamos_om, om_example13(), line_points(4).compile()):
+            for t in om.bounded_topes():
+                faces = om.cocircuits_in(om.face_mask(t))
+                assert faces == [y for y in om.feasible if y in om.cocircuit_faces(t)]
+
     def test_bounded_topes_have_only_feasible_faces(self, vamos_om):
         feas = {y.bits for y in vamos_om.feasible}
         for t in vamos_om.bounded_topes()[:5]:

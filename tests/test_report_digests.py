@@ -1,0 +1,56 @@
+"""Every CLI report and exit code, pinned by sha256.
+
+tests/report_digests.json maps each command line below to the exit code and
+the sha256 of the report it writes.  A change that is meant to alter a
+report must re-record the file, by running this module as a script from the
+repository root:
+
+    PYTHONPATH=src python tests/test_report_digests.py > tests/report_digests.json
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from chamberforms.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
+FIXTURES = ("example13-C.json", "example13-Cprime.json", "line-n5.json",
+            "line-n10.json", "vamos.json")
+COMMANDS = ("check", "matrix", "det", "rhs", "invariants")
+
+CASES = [f"{cmd} --input fixtures/{name}" for name in FIXTURES for cmd in COMMANDS]
+CASES.append("random --dim 3 --n 7 --count 5 --seed 4")
+
+
+def run_case(case: str, workdir: Path) -> dict:
+    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in case.split()]
+    out = workdir / "report.out"
+    code = main(argv + ["--out", str(out)])
+    return {"exit": code, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def pinned() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def test_every_case_is_pinned(pinned):
+    assert sorted(pinned) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_matches_pinned_digest(case, pinned, tmp_path):
+    assert run_case(case, tmp_path) == pinned[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {case: run_case(case, Path(tmp)) for case in CASES}
+    json.dump(record, sys.stdout, indent=2)
+    sys.stdout.write("\n")
