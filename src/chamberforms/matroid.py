@@ -86,10 +86,22 @@ class Matroid:
         return cached
 
     def closure(self, subset: Iterable) -> Flat:
+        """s plus the elements that lie in no basis B with |B & s| = r(s).
+
+        r(s + e) = r(s) exactly when e lies in no such B, so one pass over
+        the bases finds r(s) and the union of those B together.
+        """
         s = frozenset(subset)
-        r = self.rank(s)
-        closed = frozenset(e for e in self.ground if self.rank(s | {e}) == r)
-        return Flat(closed, r)
+        if not s <= set(self.ground):
+            raise ValueError(f"elements {set(s) - set(self.ground)} not in ground set")
+        r, spanned = -1, set()
+        for b in self.bases:
+            k = len(s & b)
+            if k > r:
+                r, spanned = k, set(b)
+            elif k == r:
+                spanned |= b
+        return Flat(s | frozenset(e for e in self.ground if e not in spanned), r)
 
     # -- flat lattice ----------------------------------------------------------
 

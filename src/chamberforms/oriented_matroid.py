@@ -478,7 +478,10 @@ class AffineOrientedMatroid:
         counts = [0] * (dim_top + 1)
         for x in faces:
             counts[r - self._zero_rank(x)] += 1
+        if counts[dim_top] != 1:
+            raise ValueError(
+                f"bounded topes {a.text()!r} and {b.text()!r} meet in "
+                f"{counts[dim_top]} faces of top dimension {dim_top}, not one")
         fv = FVector(dim_top, tuple(counts))
-        assert fv.f[dim_top] == 1, "meet must be the unique top face"
         self._meets[key] = fv
         return fv

@@ -7,7 +7,7 @@ the determinant engine below multiplies no polynomials.
 
 Determinants over Z[q] come from one modular engine (Abbott, Bronstein and
 Mulders, ISSAC 1999), preceded by two exact transforms that keep the
-determinant:
+determinant and one pass that reads its symmetry:
 
 - Band order: rows and columns are permuted alike by reverse Cuthill-McKee
   on the symmetrised nonzero pattern.  A symmetric permutation P M P^T has
@@ -17,18 +17,26 @@ determinant:
   (i, j) an exponent of parity s_i + s_j, as it does in S_q, the engine runs
   on N(t) with N(q^2) = D M D, D = diag(q^s_i).  Then det N(t) =
   t^(sum s) g(t) and det M(q) = g(q^2), at about half the evaluation points.
-  Without such an s the engine runs on the band-ordered M.
+  Without such an s the engine runs on the band-ordered M, with t = q.
+- Palindrome: when integer row and column weights a, b give every nonzero
+  entry t^(a_i + b_j) N_ij(1/t) = N_ij(t), as S_q's entries (-q)^d h(q^2)
+  do, then t^c g(1/t) = g(t) with c = sum a + sum b - 2 sum s.  Each value
+  g(t) then also gives g(1/t) = t^-c g(t), again about half the points.
 
-The row-maximum degrees sum to a bound D on the degree.  Modulo each 31-bit
-prime the matrix takes its values at 0 .. D, the D + 1 determinants come
-from one numpy int64 batch of eliminations, and Newton interpolation
-recovers det mod p.  Primes are combined by CRT until their product exceeds
-twice the coefficient bound H = prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on
-the unit circle with Cauchy's estimate), and the symmetric lift is the exact
-determinant.  The prime count is fixed by H before any prime is used, so the
-result is exact, not Monte Carlo.  Each result is then certified by a
-second, independent route: the determinant of the untransformed matrix at a
-random point modulo 2**61 - 1, by plain elimination on Python ints.
+The engine interpolates g itself from det N(t) / t^(sum s) at nonzero nodes.
+On a palindrome it evaluates at t = 1 .. K, K = ceil((c + 2) / 2), and
+takes the first c + 1 of the nodes 1, 2, 1/2, .., K, 1/K; otherwise the
+nodes are t = 1 .. K with K = D - sum s + 1, where the row-maximum degrees
+of N sum to D.  Modulo
+each 31-bit prime the K determinants come from one numpy int64 batch of
+eliminations, and Newton interpolation on the nodes recovers g mod p.
+Primes are combined by CRT until their product exceeds twice the
+coefficient bound H = prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on the unit
+circle with Cauchy's estimate), and the symmetric lift is the exact g.  The
+prime count is fixed by H before any prime is used, so the result is exact,
+not Monte Carlo.  Each result is then certified by a second, independent
+route: the determinant of the untransformed matrix at a random point modulo
+2**61 - 1, by plain elimination on Python ints.
 """
 
 from __future__ import annotations
@@ -315,7 +323,7 @@ def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 class _Evaluator:
-    """Evaluates a Z[q] matrix at q = 0 .. n_points - 1 modulo a prime.
+    """Evaluates a Z[t] matrix at t = 1 .. n_points modulo a prime.
 
     Only the nonzero entries are computed, so sparse matrices cost little.
     """
@@ -327,14 +335,14 @@ class _Evaluator:
         self.rows = np.array([i for i, _, _ in entries], dtype=np.intp)
         self.cols = np.array([j for _, j, _ in entries], dtype=np.intp)
         width = max(len(c) for _, _, c in entries)
-        # coeffs[k][m] is the coefficient of q**k in the m-th nonzero entry
+        # coeffs[k][m] is the coefficient of t**k in the m-th nonzero entry
         self.coeffs = [[c[k] if k < len(c) else 0 for _, _, c in entries]
                        for k in range(width)]
 
     def __call__(self, p: int) -> np.ndarray:
-        t = np.arange(self.shape[0], dtype=np.int64)[:, None]
+        t = np.arange(1, self.shape[0] + 1, dtype=np.int64)[:, None]
         values = np.zeros((self.shape[0], len(self.rows)), dtype=np.int64)
-        for layer in reversed(self.coeffs):  # Horner in q
+        for layer in reversed(self.coeffs):  # Horner in t
             values = (values * t + np.array([c % p for c in layer], dtype=np.int64)) % p
         out = np.zeros(self.shape, dtype=np.int64)
         out[:, self.rows, self.cols] = values
@@ -379,23 +387,29 @@ def _batch_det_mod(a: np.ndarray, p: int) -> np.ndarray:
     return det
 
 
-def _interpolate_mod(values: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients mod p of the polynomial taking values[t] at t = 0, 1, ...
+def _interpolate_mod(x: list[int], y: list[int], p: int) -> list[int]:
+    """Coefficients mod p of the polynomial of degree < len(x) through (x_i, y_i).
 
-    Newton divided differences on the consecutive nodes 0 .. D, where
-    x_i - x_{i-j} = j, then expansion of the Newton form by Horner steps.
+    Newton divided differences on nodes distinct mod p, then expansion of the
+    Newton form by Horner steps.  Every difference x_{i+j} - x_i the divided
+    differences need is inverted in one vectorised pass.
     """
-    c = values.copy()
-    n_pts = len(c)
-    for j in range(1, n_pts):
-        c[j:] = (c[j:] - c[j - 1:-1]) * pow(j, p - 2, p) % p
-    poly = np.zeros(n_pts, dtype=np.int64)
-    for j in range(n_pts - 1, -1, -1):  # poly <- poly * (q - j) + c[j]
-        shifted = np.zeros(n_pts, dtype=np.int64)
+    n = len(x)
+    nodes = np.array(x, dtype=np.int64)
+    inv = _pow_mod(np.concatenate([nodes[:0]] + [nodes[j:] - nodes[:-j]
+                                                 for j in range(1, n)]), p - 2, p)
+    c = np.array(y, dtype=np.int64)
+    start = 0
+    for j in range(1, n):
+        c[j:] = (c[j:] - c[j - 1:-1]) * inv[start:start + n - j] % p
+        start += n - j
+    poly = np.zeros(n, dtype=np.int64)
+    for j in range(n - 1, -1, -1):  # poly <- poly * (t - x_j) + c[j]
+        shifted = np.zeros(n, dtype=np.int64)
         shifted[1:] = poly[:-1]
         shifted[0] = c[j]
-        poly = (shifted - j * poly) % p
-    return poly
+        poly = (shifted - x[j] * poly) % p
+    return poly.tolist()
 
 
 def _coefficient_bound_sq(rows) -> int:
@@ -411,27 +425,60 @@ def _coefficient_bound_sq(rows) -> int:
     return out
 
 
-def _modular_det(rows) -> IntPoly:
-    """det over Z[q] by evaluation, batched elimination, interpolation, CRT."""
+def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
+    """g(t) = det N(t) / t**shift over Z[t], N given by rows.
+
+    When c is not None, t**c g(1/t) = g(t): g has degree at most c, and each
+    value g(t) also gives g(1/t) = t**-c g(t).  Then K = ceil((c + 2) / 2)
+    evaluations at t = 1 .. K yield the c + 1 nodes 1, 2, 1/2, .., K, 1/K
+    (the last dropped when c is odd) that g needs.  Otherwise g has degree
+    at most D - shift, D the sum of the row-maximum degrees, and the nodes
+    are 1 .. K with K = D - shift + 1.  Each prime takes one batched
+    elimination at the K points, one Newton interpolation, and one CRT step.
+    """
     degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
     if min(degrees) < 0:
         return ZERO  # a zero row
-    n_points = sum(degrees) + 1
+    n_coeffs = sum(degrees) - shift + 1 if c is None else c + 1
+    if n_coeffs <= 0:
+        return ZERO  # the degree bound of g is negative
+    n_evals = n_coeffs if c is None else (c + 3) // 2
     bound_sq = _coefficient_bound_sq(rows)
-    residues: list[int] = [0] * n_points
+    primes: list[int] = []
     modulus = 1
-    evaluate = _Evaluator(rows, n_points)
     for p in _primes_31():
         if modulus * modulus > 4 * bound_sq:
             break
-        coeffs = _interpolate_mod(_batch_det_mod(evaluate(p), p), p).tolist()
+        primes.append(p)
+        modulus *= p
+    # Nodes 1 .. K are distinct and nonzero mod p while K < p; their
+    # inverses stay apart from them and from each other while K**2 < p.
+    reach = n_evals if c is None else n_evals * n_evals
+    if reach >= primes[-1]:
+        raise ValueError(f"{n_evals} evaluation points need primes above {reach}, "
+                         f"but the engine uses {primes[-1]}")
+    evaluate = _Evaluator(rows, n_evals)
+    residues: list[int] = [0] * n_coeffs
+    modulus = 1
+    for p in primes:
+        x: list[int] = []
+        y: list[int] = []
+        for t, v in enumerate(_batch_det_mod(evaluate(p), p).tolist(), 1):
+            t_inv = pow(t, -1, p)
+            g_t = v * pow(t_inv, shift, p) % p
+            x.append(t)
+            y.append(g_t)
+            if c is not None and t > 1:
+                x.append(t_inv)
+                y.append(g_t * pow(t_inv, c, p) % p)
+        coeffs = _interpolate_mod(x[:n_coeffs], y[:n_coeffs], p)
         inv = pow(modulus % p, -1, p)
         for k, r in enumerate(coeffs):
-            x = residues[k]
-            residues[k] = x + modulus * ((r - x) * inv % p)
+            z = residues[k]
+            residues[k] = z + modulus * ((r - z) * inv % p)
         modulus *= p
     half = modulus // 2
-    return IntPoly(x - modulus if x > half else x for x in residues)
+    return IntPoly(z - modulus if z > half else z for z in residues)
 
 
 def _eval_mod(p: IntPoly, x: int, m: int) -> int:
@@ -502,44 +549,73 @@ def _band_order(n: int, pattern: Sequence[tuple[int, int]]) -> list[int]:
     return order
 
 
+def _potentials(n: int, edges, across):
+    """Values x with x_v = across(w, x_u) on every edge (u, v, w), or None.
+
+    across(w, .) must be an involution, so an edge can be walked both ways.
+    One search over each connected component fixes its root at 0.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    x: list = [None] * n
+    for root in range(n):
+        if x[root] is not None:
+            continue
+        x[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u, w in adj[v]:
+                want = across(w, x[v])
+                if x[u] is None:
+                    x[u] = want
+                    stack.append(u)
+                elif x[u] != want:
+                    return None
+    return x
+
+
 def _grading(n: int, entries: Sequence[tuple[int, int, tuple[int, ...]]]):
     """A 0/1 vector s with every exponent of entry (i, j) = s_i + s_j mod 2.
 
-    entries lists the nonzero entries as (i, j, coeffs).  One search over
-    the connected components of the pattern fixes s; the result is None when
-    an entry mixes parities or the parities admit no such s.
+    entries lists the nonzero entries as (i, j, coeffs).  The result is None
+    when an entry mixes parities or the parities admit no such s.
     """
-    adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    edges = []
     for i, j, c in entries:
         odd = any(c[1::2])
         if odd and any(c[::2]):
             return None
-        adj[i].append((j, odd))
-        adj[j].append((i, odd))
-    s: list = [None] * n
-    for root in range(n):
-        if s[root] is not None:
-            continue
-        s[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u, odd in adj[v]:
-                want = s[v] ^ odd
-                if s[u] is None:
-                    s[u] = want
-                    stack.append(u)
-                elif s[u] != want:
-                    return None
-    return s
+        edges.append((i, j, int(odd)))
+    return _potentials(n, edges, lambda w, x: w ^ x)
+
+
+def _palindrome_weights(n: int, entries: Sequence[tuple[int, int, tuple[int, ...]]]):
+    """Row weights a and column weights b, as a + b, or None.
+
+    They satisfy t**(a_i + b_j) e(1/t) = e(t) for every nonzero entry e at
+    (i, j).  That holds exactly when the coefficients of e from its lowest
+    exponent lo to its highest hi read the same both ways and a_i + b_j =
+    lo + hi.  Rows are the vertices 0 .. n - 1 and columns n .. 2n - 1 of
+    one bipartite search.
+    """
+    edges = []
+    for i, j, c in entries:
+        body = c[next(k for k, x in enumerate(c) if x):]
+        if body != body[::-1]:
+            return None
+        edges.append((i, n + j, 2 * len(c) - len(body) - 1))
+    return _potentials(2 * n, edges, lambda w, x: w - x)
 
 
 def poly_det(m) -> IntPoly:
     """Exact determinant over Z[q], certified at a random point.
 
     Accepts a PolyMatrix or a plain square grid of IntPoly.  Constant
-    matrices go to int_det.  Otherwise two exact transforms precede the
-    modular engine:
+    matrices go to int_det.  Otherwise two exact transforms and one
+    structure pass precede the modular engine:
 
     - Band order.  Rows and columns are permuted alike, by reverse
       Cuthill-McKee on the symmetrised nonzero pattern.  det(P M P^T) =
@@ -549,21 +625,28 @@ def poly_det(m) -> IntPoly:
       entry (i, j) an exponent of parity s_i + s_j, as (-q)^d h(q^2) does in
       S_q, the engine runs on N_ij(t) = sum_k c_k t^((k + s_i + s_j) / 2).
       Then N(q^2) = D M D with D = diag(q^s_i), so det N(t) = t^(sum s) g(t)
-      with det M(q) = g(q^2), at about half the evaluation points.  A
-      nonzero coefficient of det N below t^(sum s) raises CertificateError.
-      Without such an s the engine runs on P M P^T itself (s = 0, t = q).
+      with det M(q) = g(q^2), at about half the evaluation points.  Without
+      such an s the engine runs on N = P M P^T itself (s = 0, t = q).
+    - Palindrome.  If integer row and column weights a, b give every
+      nonzero entry t^(a_i + b_j) N_ij(1/t) = N_ij(t), as S_q's entries
+      (-q)^d h(q^2) satisfy with a_i + b_j = 2r in q, then expanding det N
+      over permutations gives t^(sum a + sum b) det N(1/t) = det N(t), so
+      t^c g(1/t) = g(t) with c = sum a + sum b - 2 sum s.  The engine then
+      evaluates at t = 1 .. K with K = ceil((c + 2) / 2) and reads g(1/t) =
+      t^-c g(t) at the mirrored nodes, again about half the points.
 
-    The engine bounds the degree by D, the sum of the row-maximum degrees.
-    For each 31-bit prime p the matrix takes its values at 0 .. D, all
-    D + 1 determinants mod p come from one batched elimination, and Newton
-    interpolation gives det mod p.  Primes are combined by CRT until their
-    product exceeds 2H, with H = prod_i sqrt(sum_j ||M_ij||_1^2) the
+    The engine interpolates g itself from det N(t) / t^(sum s), at t = 1 ..
+    D - sum s + 1 without weights, D the sum of the row-maximum degrees of
+    N.  Each 31-bit prime takes one batched elimination at the points and
+    one Newton interpolation on the nodes, and CRT combines the primes until
+    their product exceeds 2H, with H = prod_i sqrt(sum_j ||M_ij||_1^2) the
     Hadamard bound on the unit circle, which by Cauchy's estimate bounds
-    every coefficient; the symmetric lift is then the determinant.  The
-    transforms move coefficients but change none, so H is the same for N.
-    The prime count stays deterministic although H often overshoots (291
-    bits against 88 on one 84-tope S_q): stopping once the result settles
-    would make it Monte Carlo.
+    every coefficient; the symmetric lift is then g.  The transforms move
+    coefficients but change none, so H is the same for N.  The prime count
+    stays deterministic although H often overshoots (291 bits against 88 on
+    one 84-tope S_q): stopping once the result settles would make it Monte
+    Carlo.  The nodes must stay distinct mod the smallest prime used: K < p
+    for 1 .. K, K^2 < p with the mirrored nodes; beyond that ValueError.
 
     As a certificate, the matrix exactly as passed in, without either
     transform, is taken at a random point modulo 2**61 - 1 and its
@@ -583,17 +666,18 @@ def poly_det(m) -> IntPoly:
     for k, i in enumerate(_band_order(n, [(i, j) for i, j, _ in entries])):
         at[i] = k
     s = _grading(n, entries)
+    graded = [(at[i], at[j], e if s is None else ((0,) * (s[i] + s[j]) + e)[::2])
+              for i, j, e in entries]
     banded = [[ZERO] * n for _ in range(n)]
-    for i, j, c in entries:
-        banded[at[i]][at[j]] = (rows[i][j] if s is None
-                                else IntPoly(((0,) * (s[i] + s[j]) + c)[::2]))
-    det = _modular_det(banded)
-    if s is not None:  # det is det N(t) = t**shift * g(t); det M(q) = g(q**2)
-        shift = sum(s)
-        if any(det.coeffs[:shift]):
-            raise CertificateError(
-                f"graded determinant has a nonzero coefficient below t**{shift}")
-        det = IntPoly(c for x in det.coeffs[shift:] for c in (x, 0))
+    for i, j, e in graded:
+        banded[i][j] = IntPoly(e)
+    shift = 0 if s is None else sum(s)
+    weights = _palindrome_weights(n, graded)
+    g = _modular_det(banded, shift,
+                     None if weights is None else sum(weights) - 2 * shift)
+    # g is interpolated from det N(t) / t**shift, so it has no coefficient
+    # below t**0 to check; the certificate below catches any wrong value.
+    det = g if s is None else IntPoly(c for x in g.coeffs for c in (x, 0))
     point = secrets.randbelow(_CERT_PRIME)
     at_point = _det_mod([[_eval_mod(e, point, _CERT_PRIME) for e in row]
                          for row in rows], _CERT_PRIME)

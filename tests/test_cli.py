@@ -88,6 +88,21 @@ class TestCheck:
         doc = json.loads((FIXTURE_DIR / name).read_text())
         assert len(calls) == (1 if "chirotope" in doc else 0)
 
+    def test_meet_with_two_top_faces_exits_1(self, tmp_path, monkeypatch, capsys):
+        """The zero set {1, 2} of '-3' is not a basis, which validation would
+        reject; past it, the self-meet of '-1 -2 -3' has two vertices."""
+        from chamberforms.oriented_matroid import AffineOrientedMatroid
+        monkeypatch.setattr(AffineOrientedMatroid, "_validate", lambda self: None)
+        p = tmp_path / "two-tops.json"
+        p.write_text(json.dumps({
+            "rank": 1, "elements": ["1", "2", "3"], "chirotope": "-++",
+            "lift": {"g": "g", "feasible_cocircuits": ["-3", "-2 -3", "-1 3"]}}))
+        code, _ = run_main(["check", "--input", str(p)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: bounded topes '-1 -2 -3' and '-1 -2 -3' meet in 2 faces of "
+            "top dimension 0, not one\n")
+
     def test_timings_excluded_by_default(self):
         _, rep = run_main(["check", "--input",
                            str(FIXTURE_DIR / "example13-C.json")])

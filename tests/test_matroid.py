@@ -86,6 +86,22 @@ class TestRankClosure:
         assert m.closure({"H1"}).rank == 1
         assert U23.closure(U23.ground).elements == frozenset(U23.ground)
 
+    def test_closure_outside_ground(self):
+        with pytest.raises(ValueError):
+            U23.closure({9})
+
+    @given(small_matrices)
+    @settings(deadline=None, max_examples=40)
+    def test_closure_matches_rank_definition(self, cols):
+        """cl(s) = {e : r(s + e) = r(s)}, with loops and parallel columns."""
+        m = matroid_from_columns(cols)
+        rng = random.Random(1)
+        for _ in range(5):
+            s = frozenset(e for e in m.ground if rng.random() < 0.5)
+            r = m.rank(s)
+            closed = frozenset(e for e in m.ground if m.rank(s | {e}) == r)
+            assert m.closure(s) == Flat(closed, r)
+
     @given(small_matrices)
     @settings(deadline=None, max_examples=40)
     def test_rank_agrees_with_linear_algebra(self, cols):

@@ -266,6 +266,22 @@ class TestMeetFaces:
                 fv = vamos_om.meet_faces(topes[i], topes[j])
                 assert fv is None or fv.euler_ok()
 
+    def test_two_top_faces_raise_value_error(self, monkeypatch):
+        """Unreachable past validation: when every zero set is a basis, two
+        faces of one tope with equal dimension have equal zero sets, so they
+        are equal.  Here '-2' has zero set {1, 3}, which is not a basis of
+        this rank-1 matroid, and '-2 3' and '-2' are both faces of dimension
+        0 common to the two topes."""
+        chi = Chirotope.from_text(1, ("1", "2", "3"), "+++")
+        feasible = [sv(t) for t in ("-2 3", "-1 3", "1 -2", "-2")]
+        with pytest.raises(ValueError, match="genericity"):
+            AffineOrientedMatroid(chi, feasible)
+        monkeypatch.setattr(AffineOrientedMatroid, "_validate", lambda self: None)
+        om = AffineOrientedMatroid(chi, feasible)
+        with pytest.raises(ValueError, match="bounded topes '1 -2 3' and "
+                                             "'-1 -2 3' meet in 2 faces of top"):
+            om.meet_faces(sv("1 -2 3"), sv("-1 -2 3"))
+
     def test_diagonal_f0_matches_cocircuit_faces(self, vamos_om):
         for t in vamos_om.bounded_topes()[:6]:
             fv = vamos_om.meet_faces(t, t)

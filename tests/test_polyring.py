@@ -1,5 +1,9 @@
+import random
+from math import comb
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chamberforms import polyring
 from chamberforms.polyring import (CertificateError, IntPoly, ONE, ZERO,
@@ -187,6 +191,11 @@ def graded_matrices(max_n=5):
     return st.integers(1, max_n).flatmap(build).map(to_rows)
 
 
+def wrong_g(rows, shift, c):
+    """det N / t**shift plus one: what a faulty engine might return."""
+    return IntPoly(det_by_expansion(rows).coeffs[shift:]) + ONE
+
+
 class TestModularEngine:
     """The CRT engine behind poly_det, against the permutation-sum oracle."""
 
@@ -224,18 +233,16 @@ class TestModularEngine:
         assert poly_det([[q, q + ONE], [q, q]]) == -q
 
     def test_certificate_failure_raises(self, monkeypatch):
-        wrong = lambda rows: det_by_expansion(rows) + ONE
-        monkeypatch.setattr(polyring, "_modular_det", wrong)
+        monkeypatch.setattr(polyring, "_modular_det", wrong_g)
         q = IntPoly([0, 1])
         with pytest.raises(CertificateError):
             poly_det([[q, ONE], [ONE, q]])
 
     def test_certificate_failure_raises_on_graded_path(self, monkeypatch):
-        wrong = lambda rows: det_by_expansion(rows) + ONE
-        monkeypatch.setattr(polyring, "_modular_det", wrong)
+        monkeypatch.setattr(polyring, "_modular_det", wrong_g)
         q, q2 = IntPoly([0, 1]), IntPoly([0, 0, 1])
-        for mat in ([[ONE, q], [q, ONE]],      # s = (0, 1): caught by the t-shift
-                    [[ONE, q2], [q2, ONE]]):  # s = (0, 0): caught by the certificate
+        for mat in ([[ONE, q], [q, ONE]],      # s = (0, 1)
+                    [[ONE, q2], [q2, ONE]]):  # s = (0, 0)
             assert graded(mat)
             with pytest.raises(CertificateError):
                 poly_det(mat)
@@ -287,6 +294,119 @@ class TestModularEngine:
         mat = [[IntPoly(e) for e in row] for row in rows]
         permuted = [[mat[i][j] for j in perm] for i in perm]
         assert poly_det(permuted) == poly_det(mat) == det_by_expansion(mat)
+
+
+def palindromic_matrices(max_n=4):
+    """Entries q^lo p(q), p a palindrome, with lo + hi = a_i + b_j.
+
+    Row weights a and column weights b are drawn apart and may be negative;
+    an entry whose weight a_i + b_j is negative stays zero.
+    """
+    def build(n):
+        weights = st.lists(st.integers(-3, 5), min_size=n, max_size=n)
+        half = st.lists(st.integers(-9, 9), min_size=1, max_size=3)
+        cells = st.lists(st.lists(st.tuples(st.booleans(), half),
+                                  min_size=n, max_size=n), min_size=n, max_size=n)
+        return st.tuples(weights, weights, cells)
+
+    def entry(w, present, half):
+        if not present or w < 0:
+            return ZERO
+        half = [half[0] or 1] + half[1:]
+        if w % 2:  # an even-length body
+            h = min(len(half), (w + 1) // 2)
+            body = half[:h] + half[:h][::-1]
+        else:
+            h = min(len(half) - 1, w // 2)
+            body = half[:h + 1] + half[:h][::-1]
+        return IntPoly([0] * ((w + 1 - len(body)) // 2) + body)
+
+    def to_rows(drawn):
+        a, b, cells = drawn
+        return [[entry(a[i] + b[j], *cell) for j, cell in enumerate(row)]
+                for i, row in enumerate(cells)]
+    return st.integers(1, max_n).flatmap(build).map(to_rows)
+
+
+def traced_det(rows):
+    """poly_det(rows), the c of each engine call, and the point counts.
+
+    c is the palindrome degree poly_det passes to _modular_det (None without
+    weights); the point counts are those of the batched eliminations.
+    """
+    cs, points = [], set()
+    engine, batch = polyring._modular_det, polyring._batch_det_mod
+
+    def spy_engine(rows, shift, c):
+        cs.append(c)
+        return engine(rows, shift, c)
+
+    def spy_batch(a, p):
+        points.add(a.shape[0])
+        return batch(a, p)
+    with mock.patch.object(polyring, "_modular_det", spy_engine), \
+            mock.patch.object(polyring, "_batch_det_mod", spy_batch):
+        return poly_det(rows), cs, points
+
+
+EVEN_C = [[IntPoly([0, 2, 2]), ZERO],               # a = (0, -1), b = (3, 2)
+          [IntPoly([1, 0, 1]), IntPoly([5, 5])]]
+ODD_C = [[IntPoly([0, 1, 3, 1]), IntPoly([2, 0, 0, 0, 2])],  # a = (2, -1), b = (2, 2)
+         [IntPoly([-1, -1]), IntPoly([4, 4])]]
+
+
+class TestMirroredNodes:
+    """Palindromic matrices evaluate at t = 1 .. K and read g at 1/t."""
+
+    @given(palindromic_matrices())
+    @example(EVEN_C)
+    @example(ODD_C)
+    @settings(deadline=None, max_examples=80)
+    def test_matches_expansion(self, rows):
+        det, cs, _ = traced_det(rows)
+        assert None not in cs
+        assert det == det_by_expansion(rows)
+
+    def test_examples_cover_both_parities_of_c(self):
+        assert traced_det(EVEN_C)[1:] == ([4], {3})
+        assert traced_det(ODD_C)[1:] == ([5], {4})
+
+    def test_one_non_palindromic_entry_takes_consecutive_nodes(self):
+        q = IntPoly([0, 1])
+        rows = [[IntPoly([1, 2, 1]), q, ZERO],
+                [q, IntPoly([1, 0, 3, 1]), q],   # 1 + 3q^2 + q^3 breaks the palindrome
+                [ZERO, q, IntPoly([2, 2])]]
+        det, cs, points = traced_det(rows)
+        assert det == det_by_expansion(rows)
+        assert cs == [None] and points == {2 + 3 + 1 + 1}  # nodes 1 .. D + 1
+
+    def test_uniform_sq_takes_half_the_points(self):
+        """A dense-shaped S_q: every S_q(A, B) is a palindrome of weight 2r
+        in q, so c = r * topes in t = q^2 and K = ceil((c + 2) / 2)."""
+        from chamberforms.forms import build_Sq
+        from conftest import random_arrangement
+        rng = random.Random(3)
+        r, n = 3, 7
+        while True:
+            arr = random_arrangement(rng, r, n)
+            if arr is not None and len(arr.matroid().bases) == comb(n, r):
+                break
+        sq = build_Sq(arr.compile())
+        assert sq.n == comb(n - 1, r)
+        det, cs, points = traced_det(sq.matrix)
+        c = r * sq.n
+        assert cs == [c] and points == {(c + 3) // 2}
+        assert det.degree == 2 * c
+
+    def test_node_precondition(self, monkeypatch):
+        mirrored = [[IntPoly([1] + [0] * 18 + [1])]]        # c = 19: K = 11, K^2 = 121
+        consecutive = [[IntPoly([1, 1] + [0] * 20 + [2])]]  # nodes 1 .. 23
+        for rows, ok, beyond in ((mirrored, 127, 113), (consecutive, 29, 23)):
+            monkeypatch.setattr(polyring, "_primes_31", lambda: iter([ok]))
+            assert poly_det(rows) == rows[0][0]
+            monkeypatch.setattr(polyring, "_primes_31", lambda: iter([beyond]))
+            with pytest.raises(ValueError, match="evaluation points"):
+                poly_det(rows)
 
 
 class TestPolyMatrix:
