@@ -222,8 +222,13 @@ def cmd_rhs(args: argparse.Namespace) -> int:
 
 # -- invariants ------------------------------------------------------------------
 
-def structural_invariants(inst: Instance) -> list[dict]:
-    """Symmetry, q=1 specialization, Euler/palindromicity, flagspace suite."""
+def structural_invariants(inst: Instance, seed: int) -> list[dict]:
+    """Symmetry, q=1 specialization, Euler/palindromicity, flagspace suite.
+
+    Each failing entry carries the first witness of its own check.  For an
+    arrangement, det y and the phi expansion use the functional drawn from
+    seed.
+    """
     om = inst.om
     results = []
 
@@ -232,6 +237,9 @@ def structural_invariants(inst: Instance) -> list[dict]:
         if witness and not ok:
             entry["witness"] = witness
         results.append(entry)
+
+    def add_first(name, witnesses):
+        add(name, not witnesses, witnesses[0] if witnesses else None)
 
     s = build_S(om)
     sq = build_Sq(om)
@@ -248,40 +256,36 @@ def structural_invariants(inst: Instance) -> list[dict]:
     r = om.central.rank
     add("diagonal_degree_2r", all(ent_q[i][i].degree == 2 * r for i in range(n)))
 
-    euler_ok = True
-    palin_ok = True
-    lowterm_ok = True
-    witness = None
+    euler, palin, lowterm = [], [], []
     for i in range(n):
         for j in range(i, n):
             fv = om.meet_faces(s.topes[i], s.topes[j])
             if fv is None:
                 continue
             if not fv.euler_ok():
-                euler_ok = False
-                witness = f"pair ({i},{j}) f={fv.f}"
+                euler.append(f"pair ({i},{j}) f={fv.f}")
             h = h_poly(fv)
             hq2 = h.coeffs[::2]
             if list(hq2) != list(reversed(hq2)):
-                palin_ok = False
-                witness = f"pair ({i},{j}) h={h}"
+                palin.append(f"pair ({i},{j}) h={h}")
             d = separation(s.topes[i], s.topes[j])
             e = ent_q[i][j]
             low = next(k for k, c in enumerate(e.coeffs) if c)
             if low != d or e.coeffs[d] != (-1) ** d:
-                lowterm_ok = False
-                witness = f"pair ({i},{j}) entry {e}"
-    add("euler_relation", euler_ok, witness)
-    add("h_palindromicity", palin_ok, witness)
-    add("lowest_degree_term", lowterm_ok, witness)
+                lowterm.append(f"pair ({i},{j}) entry {e}")
+    add_first("euler_relation", euler)
+    add_first("h_palindromicity", palin)
+    add_first("lowest_degree_term", lowterm)
 
-    vecs = [phi(om, t) for t in s.topes]
-    gram_ok = all(pairing(vecs[i], vecs[j]) == poly_eval(ent_s[i][j], 1)
-                  for i in range(n) for j in range(n))
-    add("gram_identity", gram_ok)
+    vectors = [phi(om, t) for t in s.topes]
+    add("gram_identity", all(
+        pairing(vectors[i], vectors[j]) == poly_eval(ent_s[i][j], 1)
+        for i in range(n) for j in range(n)))
 
-    rep = check_basis_of_kernel(om)
-    add("kernel_membership", all(rep.kernel_flags), "; ".join(rep.failures))
+    rep = check_basis_of_kernel(om, vectors)
+    add_first("kernel_membership", [f"boundary of phi({t.key()}) is nonzero"
+                                    for t, ok in zip(s.topes, rep.kernel_flags)
+                                    if not ok])
     add("tope_count_equals_mu_plus_dual", rep.mu_plus_dual == rep.n_topes,
         f"mu+={rep.mu_plus_dual} topes={rep.n_topes}")
     add("smith_divisors_all_one",
@@ -295,25 +299,21 @@ def structural_invariants(inst: Instance) -> list[dict]:
         add("canonical_order_stable",
             [t.key() for t in recompiled.bounded_topes()] ==
             [t.key() for t in om.bounded_topes()])
+        try:
+            yrep = build_y_matrix(inst.arrangement, seed)
+        except ValueError as exc:
+            add("det_y_unimodular", False, str(exc))
+        else:
+            results.append({"name": "det_y_unimodular", "pass": True,
+                            "det_y": yrep.det_y, "xi": list(yrep.xi)})
+            add_first("phi_expansion_matches_y",
+                      expansion_matches_y(om, yrep, vectors))
     return results
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.nudge)
-    results = structural_invariants(inst)
-    if inst.kind == "arrangement":
-        try:
-            yrep = build_y_matrix(inst.arrangement, args.seed)
-            results.append({"name": "det_y_unimodular", "pass": True,
-                            "det_y": yrep.det_y, "xi": list(yrep.xi)})
-            failures = expansion_matches_y(inst.om, yrep)
-            entry = {"name": "phi_expansion_matches_y", "pass": not failures}
-            if failures:
-                entry["witness"] = failures[0]
-            results.append(entry)
-        except ValueError as exc:
-            results.append({"name": "det_y_unimodular", "pass": False,
-                            "witness": str(exc)})
+    results = structural_invariants(inst, args.seed)
     ok = all(r["pass"] for r in results)
     report = {
         "instance": _instance_json(inst),

@@ -6,37 +6,28 @@ these vectors under the monomial pairing must reproduce the intersection
 matrix S, each phi(A) must lie in the kernel of the simplicial boundary, and
 together they must form a Z-basis of that kernel (unit Smith divisors).
 
-For realizable inputs the module also builds the square sign matrix y (and
-its q-version) indexed by generic-functional-bounded regions and bases.
+For realizable inputs the module also builds the square sign matrix y
+indexed by generic-functional-bounded regions and bases.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .arrangement import Arrangement
 from .oriented_matroid import AffineOrientedMatroid, SignVector, conforms, separation
-from .polyring import IntPoly, PolyMatrix, ZERO, int_det, poly_det, poly_eval
+from .polyring import int_det
 
 
-@dataclass(frozen=True)
-class FlagVector:
-    """Coordinates in the sorted-monomial basis, indexed by matroid bases."""
-
-    coords: dict
-
-    def support(self) -> set:
-        return {b for b, c in self.coords.items() if c}
-
-
-def phi(om: AffineOrientedMatroid, tope: SignVector) -> FlagVector:
+def phi(om: AffineOrientedMatroid, tope: SignVector) -> dict:
     """Signed sum over bases whose feasible cocircuit conforms to the tope.
 
-    Coefficient at basis b is prod_{i in b} tope(i) times the chirotope sign
-    of b sorted in ground order.
+    Returns its coordinates in the sorted-monomial basis, keyed by matroid
+    basis.  The coefficient at basis b is prod_{i in b} tope(i) times the
+    chirotope sign of b sorted in ground order.
     """
     ground = om.ground
     order = {e: i for i, e in enumerate(ground)}
@@ -48,22 +39,19 @@ def phi(om: AffineOrientedMatroid, tope: SignVector) -> FlagVector:
         for e in b:
             coeff *= tsigns[e]
         coords[b] = coeff
-    return FlagVector(coords)
+    return coords
 
 
-def pairing(u: FlagVector, v: FlagVector) -> int:
-    small, large = (u.coords, v.coords) if len(u.coords) <= len(v.coords) \
-        else (v.coords, u.coords)
+def pairing(u: dict, v: dict) -> int:
+    small, large = (u, v) if len(u) <= len(v) else (v, u)
     return sum(c * large.get(b, 0) for b, c in small.items())
 
 
-def boundary(om: AffineOrientedMatroid, v: FlagVector) -> dict:
+def boundary(om: AffineOrientedMatroid, v: dict) -> dict:
     """Simplicial boundary into (r-1)-subset coordinates."""
     order = {e: i for i, e in enumerate(om.ground)}
     out: dict = {}
-    for b, c in v.coords.items():
-        if not c:
-            continue
+    for b, c in v.items():
         elems = sorted(b, key=order.__getitem__)
         for k, e in enumerate(elems):
             key = b - {e}
@@ -131,45 +119,26 @@ class KernelReport:
     phi_rank: int
     mu_plus_dual: int
     boundary_kernel_dim: int
-    failures: tuple[str, ...]
-
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def check_basis_of_kernel(om: AffineOrientedMatroid,
-                          max_bases: int = 500) -> KernelReport:
-    """Verify the three kernel-basis clauses, with witnesses on failure."""
+                          vectors: Sequence[dict]) -> KernelReport:
+    """Measure the kernel-basis clauses on the phi vectors of the bounded topes.
+
+    The clauses hold when every kernel flag is set and the phi rank, mu+ of
+    the dual and the boundary kernel dimension all equal len(vectors), with
+    every phi divisor 1.
+    """
     m = om.matroid()
-    bases = sorted(m.bases, key=lambda b: sorted(m.ground.index(e) for e in b))
-    if len(bases) > max_bases:
-        raise ValueError(f"kernel check guarded at {max_bases} bases")
-    topes = om.bounded_topes()
-    failures = []
-
-    vectors = [phi(om, t) for t in topes]
+    order = {e: i for i, e in enumerate(m.ground)}
+    bases = sorted(m.bases, key=lambda b: sorted(order[e] for e in b))
     flags = tuple(not boundary(om, v) for v in vectors)
-    for t, good in zip(topes, flags):
-        if not good:
-            failures.append(f"boundary of phi({t.key()}) is nonzero")
-
-    matrix = [[v.coords.get(b, 0) for b in bases] for v in vectors]
+    matrix = [[v.get(b, 0) for b in bases] for v in vectors]
     divisors = tuple(smith_divisors(matrix)) if matrix else ()
-    rank = len(divisors)
-    mu_dual = m.tutte(0, 1)  # mu+ of the dual matroid
-    if rank != len(topes):
-        failures.append(f"phi matrix rank {rank} != {len(topes)} bounded topes")
-    if mu_dual != len(topes):
-        failures.append(
-            f"mu+ of the dual matroid is {mu_dual} != {len(topes)} bounded topes")
-    if any(d != 1 for d in divisors):
-        failures.append(f"phi matrix divisors {divisors} are not all 1")
 
-    r = om.central.rank
-    subsets = list(combinations(m.ground, r - 1))
+    subsets = list(combinations(m.ground, om.central.rank - 1))
     col = {frozenset(s): j for j, s in enumerate(subsets)}
     bmatrix = []
-    order = {e: i for i, e in enumerate(m.ground)}
     for b in bases:
         row = [0] * len(subsets)
         elems = sorted(b, key=order.__getitem__)
@@ -177,12 +146,10 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
             row[col[b - {e}]] = 1 if k % 2 == 0 else -1
         bmatrix.append(row)
     kernel_dim = len(bases) - len(smith_divisors(bmatrix)) if bmatrix else 0
-    if kernel_dim != len(topes):
-        failures.append(
-            f"boundary kernel dimension {kernel_dim} != {len(topes)} bounded topes")
 
-    return KernelReport(len(topes), len(bases), flags, divisors, rank,
-                        mu_dual, kernel_dim, tuple(failures))
+    mu_dual = m.tutte(0, 1)  # mu+ of the dual matroid
+    return KernelReport(len(vectors), len(bases), flags, divisors, len(divisors),
+                        mu_dual, kernel_dim)
 
 
 @dataclass(frozen=True)
@@ -191,11 +158,8 @@ class YMatrixReport:
     bases: tuple[tuple, ...]
     regions: tuple[SignVector, ...]
     y: tuple[tuple[int, ...], ...]
-    yq: PolyMatrix
     det_y: int
-    seed: int
-    draws: int
-    region_of_basis: dict = field(repr=False, default_factory=dict)
+    region_of_basis: dict
 
 
 def _region_of_basis(arr: Arrangement, directions: dict, xi: Sequence[int],
@@ -242,20 +206,17 @@ def build_y_matrix(arr: Arrangement, seed: int,
             directions[sub] = v
 
     rng = random.Random(seed)
-    xi = None
-    draws = 0
-    while draws < max_draws:
-        draws += 1
-        cand = tuple(rng.randint(-10 ** 4, 10 ** 4) for _ in range(arr.dim))
-        if any(cand) and all(sum(a * x for a, x in zip(cand, v)) != 0
-                             for v in directions.values()):
-            xi = cand
+    for _ in range(max_draws):
+        xi = tuple(rng.randint(-10 ** 4, 10 ** 4) for _ in range(arr.dim))
+        if any(xi) and all(sum(a * x for a, x in zip(xi, v)) != 0
+                           for v in directions.values()):
             break
-    if xi is None:
+    else:
         raise ValueError(
             f"no generic functional found in {max_draws} draws; try another seed")
 
-    region_of = {b: _region_of_basis(arr, directions, xi, om.basis_to_cocircuit(b))
+    cocircuit = {b: om.basis_to_cocircuit(b) for b in bases}
+    region_of = {b: _region_of_basis(arr, directions, xi, cocircuit[b])
                  for b in bases}
     regions = sorted(region_of.values(), key=SignVector.key)
     if len({t.bits for t in regions}) != len(bases):
@@ -264,58 +225,43 @@ def build_y_matrix(arr: Arrangement, seed: int,
     if not bounded <= {t.bits for t in regions}:
         raise ValueError("a bounded tope is missing from the functional-bounded set")
 
-    y_rows = []
-    q_rows = []
-    for t in regions:
-        y_row = []
-        q_row = []
-        for b in bases:
-            y_b = om.basis_to_cocircuit(b)
-            if conforms(y_b, t):
-                d = separation(t, region_of[b])
-                y_row.append((-1) ** d)
-                q_row.append(IntPoly((0,) * d + ((-1) ** d,)))
-            else:
-                y_row.append(0)
-                q_row.append(ZERO)
-        y_rows.append(tuple(y_row))
-        q_rows.append(q_row)
-
+    y_rows = tuple(
+        tuple((-1) ** separation(t, region_of[b]) if conforms(cocircuit[b], t) else 0
+              for b in bases)
+        for t in regions)
     det_y = int_det(y_rows)
     if det_y not in (1, -1):
         raise ValueError(f"det y = {det_y}, expected +-1")
-    labels = tuple(t.key() for t in regions)
-    yq = PolyMatrix(labels, q_rows)
     basis_tuples = tuple(tuple(sorted(b, key=order.__getitem__)) for b in bases)
-    return YMatrixReport(xi, basis_tuples, tuple(regions), tuple(y_rows), yq,
-                         det_y, seed, draws, dict(region_of))
+    return YMatrixReport(xi, basis_tuples, tuple(regions), y_rows, det_y, region_of)
 
 
-def expansion_matches_y(om: AffineOrientedMatroid, rep: YMatrixReport) -> list[str]:
+def expansion_matches_y(om: AffineOrientedMatroid, rep: YMatrixReport,
+                        vectors: Sequence[dict]) -> list[str]:
     """Check phi(A) rows against y rows on bounded topes, in adapted coordinates.
 
+    vectors holds phi(A) for the bounded topes A in their canonical order.
     In the basis e'_b = (prod_{i in b} region(b)(i)) e_b the coefficient of
     phi(A) at b must be (-1)^d(A, region(b)) exactly when the cocircuit of b
     is a face of A.  Every bounded tope is a region of rep: build_y_matrix
     raises ValueError otherwise, as pos_of would raise KeyError.
     """
-    failures = []
     order = {e: i for i, e in enumerate(om.ground)}
+    units = []  # sign of e'_b against e_b, in the order of rep.bases
+    for bt in rep.bases:
+        b = frozenset(bt)
+        rsigns = dict(zip(om.ground, rep.region_of_basis[b].signs()))
+        unit = om.central.sign(sorted(b, key=order.__getitem__))
+        for e in b:
+            unit *= rsigns[e]
+        units.append((b, unit))
     pos_of = {t.bits: i for i, t in enumerate(rep.regions)}
-    for t in om.bounded_topes():
-        v = phi(om, t)
+    failures = []
+    for t, v in zip(om.bounded_topes(), vectors):
         row = rep.y[pos_of[t.bits]]
-        for jb, bt in enumerate(rep.bases):
-            b = frozenset(bt)
-            coeff = v.coords.get(b, 0)
-            if coeff:
-                chi = om.central.sign(sorted(b, key=order.__getitem__))
-                unit = chi
-                rsigns = dict(zip(om.ground, rep.region_of_basis[b].signs()))
-                for e in b:
-                    unit *= rsigns[e]
-                coeff *= unit  # change to the adapted unit basis
+        for jb, (b, unit) in enumerate(units):
+            coeff = v.get(b, 0) * unit  # change to the adapted unit basis
             if coeff != row[jb]:
-                failures.append(
-                    f"phi({t.key()}) coefficient at {bt} is {coeff}, y row has {row[jb]}")
+                failures.append(f"phi({t.key()}) coefficient at {rep.bases[jb]} "
+                                f"is {coeff}, y row has {row[jb]}")
     return failures

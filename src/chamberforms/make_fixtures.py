@@ -39,11 +39,23 @@ def line_points(n: int) -> Arrangement:
                            for i in range(1, n + 2)])
 
 
+def cyclic_r3(n: int) -> Arrangement:
+    """Planes x0 + t x1 + t^2 x2 = t^3 for t = 1..n.
+
+    Generic: three planes meet where a cubic in t has their three roots, so
+    no fourth plane passes through that point.
+    """
+    return Arrangement(3, [Hyperplane.make(f"H{t}", ["1", str(t), str(t * t)],
+                                           str(t ** 3))
+                           for t in range(1, n + 1)])
+
+
 FIXTURES = {
     "example13-C.json": lambda: example13_C().to_json(),
     "example13-Cprime.json": lambda: example13_Cprime().to_json(),
     "line-n5.json": lambda: line_points(5).to_json(),
     "line-n10.json": lambda: line_points(10).to_json(),
+    "cyclic-r3-n7.json": lambda: cyclic_r3(7).to_json(),
     "vamos.json": vamos.fixture_json,
 }
 

@@ -183,9 +183,9 @@ def test_criterion_7_proof_machinery_oracle(random_sweep):
         for i in range(s.n):
             for j in range(s.n):
                 assert pairing(vecs[i], vecs[j]) == poly_eval(s.matrix[i, j], 1)
-        rep = check_basis_of_kernel(om)
-        assert rep.ok(), rep.failures
-        assert rep.mu_plus_dual == s.n == rep.phi_rank
+        rep = check_basis_of_kernel(om, vecs)
+        assert all(rep.kernel_flags)
+        assert rep.mu_plus_dual == s.n == rep.phi_rank == rep.boundary_kernel_dim
         assert all(d == 1 for d in rep.phi_divisors)
     for k, arr in enumerate(random_instances):
         assert build_y_matrix(arr, seed=k).det_y in (1, -1)

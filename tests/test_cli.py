@@ -327,6 +327,51 @@ class TestPartialCommands:
         assert code == 0
         assert len(built) == 2
 
+    @pytest.mark.parametrize("name", ["example13-C.json", "cyclic-r3-n7.json",
+                                      "vamos.json"])
+    def test_invariants_calls_phi_once_per_tope(self, name, monkeypatch):
+        from chamberforms import flagspace
+        calls = []
+        real = flagspace.phi
+
+        def counted(om, tope):
+            calls.append(tope.key())
+            return real(om, tope)
+        monkeypatch.setattr(flagspace, "phi", counted)
+        monkeypatch.setattr(cli, "phi", counted)
+        code, rep = run_main(["invariants", "--input", str(FIXTURE_DIR / name)])
+        assert code == 0
+        assert len(calls) == len(set(calls)) == rep["instance"]["n_bounded_topes"]
+
+    def test_invariants_witness_names_its_own_pair(self, monkeypatch):
+        # example13-C has two bounded topes; the meet loop visits the pairs
+        # (0,0), (0,1), (1,1) in that order
+        from chamberforms.forms import IntersectionForm
+        from chamberforms.polyring import IntPoly, PolyMatrix
+        real_h, real_sq = cli.h_poly, cli.build_Sq
+        visits = []
+
+        def h_bad_on_second_pair(fv):
+            visits.append(fv)
+            return IntPoly((1, 0, 2)) if len(visits) == 2 else real_h(fv)
+
+        def sq_bad_at_11(om):
+            sq = real_sq(om)
+            grid = [list(row) for row in sq.matrix.entries]
+            grid[1][1] = -grid[1][1]
+            return IntersectionForm(sq.topes, PolyMatrix(sq.matrix.labels, grid))
+        monkeypatch.setattr(cli, "h_poly", h_bad_on_second_pair)
+        monkeypatch.setattr(cli, "build_Sq", sq_bad_at_11)
+        code, rep = run_main(["invariants", "--input",
+                              str(FIXTURE_DIR / "example13-C.json")])
+        assert code == 1
+        by_name = {r["name"]: r for r in rep["invariants"]}
+        assert by_name["euler_relation"] == {"name": "euler_relation", "pass": True}
+        assert not by_name["h_palindromicity"]["pass"]
+        assert by_name["h_palindromicity"]["witness"].startswith("pair (0,1) h=")
+        assert not by_name["lowest_degree_term"]["pass"]
+        assert by_name["lowest_degree_term"]["witness"].startswith("pair (1,1) entry")
+
     def test_invariants_vamos_skips_y(self):
         code, rep = run_main(["invariants", "--input",
                               str(FIXTURE_DIR / "vamos.json")])
