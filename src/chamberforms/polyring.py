@@ -23,13 +23,17 @@ determinant and one pass that reads its symmetry:
   do, then t^c g(1/t) = g(t) with c = sum a + sum b - 2 sum s.  Each value
   g(t) then also gives g(1/t) = t^-c g(t), again about half the points.
 
-The engine interpolates g itself from det N(t) / t^(sum s) at nonzero nodes.
-On a palindrome it evaluates at t = 1 .. K, K = ceil((c + 2) / 2), and
-takes the first c + 1 of the nodes 1, 2, 1/2, .., K, 1/K; otherwise the
-nodes are t = 1 .. K with K = D - sum s + 1, where the row-maximum degrees
-of N sum to D.  Modulo
-each 31-bit prime the K determinants come from one numpy int64 batch of
-eliminations, and Newton interpolation on the nodes recovers g mod p.
+The engine interpolates g itself from det N(t) / t^(sum s) at powers of 2
+with consecutive exponents.  It evaluates at t = 2^0 .. 2^(K-1).  On a
+palindrome K = ceil((c + 2) / 2), and the c + 1 nodes are 2^-(K-1) ..
+2^(c-K+1); otherwise K = D - sum s + 1, where the row-maximum degrees of N
+sum to D, and the nodes are the evaluation points.  The primes lie below
+sqrt((2^63 - 1) / (m + 1)), m the larger of n and the widest entry of N, so
+that every sum of m + 1 products of residues fits in an int64: the numpy
+passes reduce mod p only where a product could overflow.  Modulo each prime
+the K determinants come from one int64 batch of eliminations, and Newton
+interpolation on the geometric nodes recovers g mod p.  A prime where 2 has
+order below the coefficient count would repeat a node and is skipped.
 Primes are combined by CRT until their product exceeds twice the
 coefficient bound H = prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on the unit
 circle with Cauchy's estimate), and the symmetric lift is the exact g.  The
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import secrets
 from itertools import permutations
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -298,55 +303,86 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _primes_31():
-    """Primes below 2**31 in descending order.
-
-    Below 2**31 every product of two residues fits in a signed 64-bit word,
-    so numpy int64 arithmetic reduces modulo p without overflow.
-    """
-    p = (1 << 31) - 1
-    while True:
+def _primes_below(top: int):
+    """Primes below top in descending order; _is_prime needs top < 3.2e9."""
+    p = top - 1 if top % 2 == 0 else top - 2
+    while p > 2:
         if _is_prime(p):
             yield p
         p -= 2
 
 
-def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(x)
-    base = x % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+def _powers(r: int, count: int, p: int) -> np.ndarray:
+    """r**0 .. r**(count - 1) mod p."""
+    out = [1] * count
+    for e in range(1, count):
+        out[e] = out[e - 1] * r % p
+    return np.array(out, dtype=np.int64)
+
+
+def _batch_inverse(v: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of the entries of v, with 0 where an entry is 0.
+
+    Montgomery's trick: prefix products, in which a zero counts as 1, one
+    inversion of the full product, and a backward pass that peels off one
+    factor at a time.
+    """
+    values = v.tolist()
+    prefix = [1] * len(values)
+    acc = 1
+    for i, x in enumerate(values):
+        prefix[i] = acc
+        if x:
+            acc = acc * x % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        x = values[i]
+        if x:
+            out[i] = inv * prefix[i] % p
+            inv = inv * x % p
+    return np.array(out, dtype=np.int64)
 
 
 class _Evaluator:
-    """Evaluates a Z[t] matrix at t = 1 .. n_points modulo a prime.
+    """Evaluates a Z[t] matrix at t = 2**0 .. 2**(n_points - 1) modulo a prime.
 
-    Only the nonzero entries are computed, so sparse matrices cost little.
+    Only the nonzero entries are computed, so sparse matrices cost little:
+    one int64 product of the node-power table (points x width) with the
+    coefficient table (width x entries), reduced once.  Each sum has at most
+    width products of residues, so the prime must keep width (p - 1)**2 in
+    an int64.  The (points, n, n) batch is allocated once and refilled.
     """
 
     def __init__(self, rows, n_points: int):
-        self.shape = (n_points, len(rows), len(rows))
         entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
                    for j, e in enumerate(row) if e.coeffs]
         self.rows = np.array([i for i, _, _ in entries], dtype=np.intp)
         self.cols = np.array([j for _, j, _ in entries], dtype=np.intp)
-        width = max(len(c) for _, _, c in entries)
+        self.width = max(len(c) for _, _, c in entries)
         # coeffs[k][m] is the coefficient of t**k in the m-th nonzero entry
         self.coeffs = [[c[k] if k < len(c) else 0 for _, _, c in entries]
-                       for k in range(width)]
+                       for k in range(self.width)]
+        # (points, n, n), laid out points-last for _batch_det_mod
+        self.batch = np.zeros((len(rows), len(rows), n_points),
+                              dtype=np.int64).transpose(2, 0, 1)
 
     def __call__(self, p: int) -> np.ndarray:
-        t = np.arange(1, self.shape[0] + 1, dtype=np.int64)[:, None]
-        values = np.zeros((self.shape[0], len(self.rows)), dtype=np.int64)
-        for layer in reversed(self.coeffs):  # Horner in t
-            values = (values * t + np.array([c % p for c in layer], dtype=np.int64)) % p
-        out = np.zeros(self.shape, dtype=np.int64)
-        out[:, self.rows, self.cols] = values
-        return out
+        nodes = _powers(2, self.batch.shape[0], p)
+        table = np.empty((len(nodes), self.width), dtype=np.int64)
+        table[:, 0] = 1
+        for k in range(1, self.width):
+            table[:, k] = table[:, k - 1] * nodes % p
+        coeffs = np.array([[c % p for c in layer] for layer in self.coeffs],
+                          dtype=np.int64)
+        self.batch.fill(0)
+        self.batch[:, self.rows, self.cols] = table @ coeffs % p
+        return self.batch
+
+
+# The block update forms factor x pivot row in row chunks of at most this
+# many elements, which bounds the temporary it allocates.
+_CHUNK = 1 << 18
 
 
 def _batch_det_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -357,58 +393,84 @@ def _batch_det_mod(a: np.ndarray, p: int) -> np.ndarray:
     step updates only the block spanned by the rows with a nonzero entry
     below the pivot and the columns with a nonzero entry right of it, at any
     point; on banded matrices such as the line's S_q that block is tiny.
+    The work runs on the (n, n, points) view of a, which is contiguous when
+    a is laid out points-last, as _Evaluator lays it out.
+
+    Reduction is lazy.  Entries start in [0, p); step k reduces only column
+    k (rows >= k) and then the pivot row, and the block update subtracts
+    products below p**2 with no remainder.  An entry is updated at most
+    n - 1 times before it is reduced, so entries stay above -(n - 1) p**2:
+    the prime must keep n (p - 1)**2 in an int64.  The pivots of all points
+    are inverted together (_batch_inverse); a point without a pivot has
+    det 0 already, and its factors are 0.
     """
     n_pts, n = a.shape[0], a.shape[1]
+    a = a.transpose(1, 2, 0)
     det = np.ones(n_pts, dtype=np.int64)
     pts = np.arange(n_pts)
     for k in range(n):
-        nonzero = a[:, k:, k] != 0
-        piv = nonzero.argmax(axis=1) + k
+        column = a[k:, k]
+        np.remainder(column, p, out=column)
+        piv = (column != 0).argmax(axis=0) + k
         swap = piv != k
         if swap.any():
-            row_piv = a[pts, piv].copy()
-            a[pts, piv] = a[:, k].copy()
-            a[:, k] = row_piv
-            det = np.where(swap, (p - det) % p, det)
-        pivot = a[:, k, k]  # zero exactly where the column has no pivot
+            row_piv = a[piv, :, pts].copy()
+            a[piv, :, pts] = a[k].T.copy()
+            a[k] = row_piv.T
+            det = np.where(swap, p - det, det)
+        pivot = a[k, k]  # zero exactly where the column has no pivot
         det = det * pivot % p
         if k == n - 1:
             break
-        rows = np.flatnonzero(a[:, k + 1:, k].any(axis=0)) + k + 1
-        cols = np.flatnonzero(a[:, k, k + 1:].any(axis=0)) + k + 1
+        row = a[k, k + 1:]
+        np.remainder(row, p, out=row)
+        rows = np.flatnonzero(a[k + 1:, k].any(axis=1)) + k + 1
+        cols = np.flatnonzero(row.any(axis=1)) + k + 1
         if not rows.size or not cols.size:
             continue
-        r = slice(rows[0], rows[-1] + 1)
+        top, bottom = rows[0], rows[-1] + 1
         c = slice(cols[0], cols[-1] + 1)
-        factor = a[:, r, k] * _pow_mod(pivot, p - 2, p)[:, None] % p
-        block = a[:, r, c]  # a view: the update below happens in place
-        block -= factor[:, :, None] * a[:, None, k, c]
-        np.remainder(block, p, out=block)
+        factor = a[top:bottom, k] * _batch_inverse(pivot, p) % p
+        pivot_row = a[k, c]
+        step = max(1, _CHUNK // pivot_row.size)
+        for lo in range(top, bottom, step):
+            hi = min(lo + step, bottom)
+            block = a[lo:hi, c]  # a view: the update happens in place
+            block -= factor[lo - top:hi - top, None] * pivot_row
     return det
 
 
-def _interpolate_mod(x: list[int], y: list[int], p: int) -> list[int]:
-    """Coefficients mod p of the polynomial of degree < len(x) through (x_i, y_i).
+def _interpolate_mod(e0: int, y: np.ndarray, p: int) -> list[int]:
+    """Coefficients mod p of the polynomial of degree < len(y) through
+    (2**(e0 + i), y_i).
 
-    Newton divided differences on nodes distinct mod p, then expansion of the
-    Newton form by Horner steps.  Every difference x_{i+j} - x_i the divided
-    differences need is inverted in one vectorised pass.
+    Newton divided differences, then expansion of the Newton form by Horner
+    steps.  The nodes x_i = 2**(e0 + i) are geometric, so x_{i+j} - x_i =
+    x_i (2**j - 1): level j of the table divides by the node inverses and by
+    one scalar 2**j - 1.  The scalars are applied once at the end, as their
+    running products, so each level takes a single remainder.  The nodes
+    must be distinct mod p: 2 must have order at least len(y).
     """
-    n = len(x)
-    nodes = np.array(x, dtype=np.int64)
-    inv = _pow_mod(np.concatenate([nodes[:0]] + [nodes[j:] - nodes[:-j]
-                                                 for j in range(1, n)]), p - 2, p)
-    c = np.array(y, dtype=np.int64)
-    start = 0
+    n = len(y)
+    x0 = pow(2, e0, p)
+    twos = _powers(2, n, p)
+    nodes = twos * x0 % p
+    inv_nodes = _powers((p + 1) // 2, n, p) * pow(x0, -1, p) % p
+    # scale[j] = prod_{l=1..j} (2**l - 1)**-1
+    running = [1] * n
     for j in range(1, n):
-        c[j:] = (c[j:] - c[j - 1:-1]) * inv[start:start + n - j] % p
-        start += n - j
+        running[j] = running[j - 1] * (int(twos[j]) - 1) % p
+    scale = _batch_inverse(np.array(running, dtype=np.int64), p)
+    c = np.array(y, dtype=np.int64)
+    for j in range(1, n):
+        c[j:] = (c[j:] - c[j - 1:-1]) * inv_nodes[:n - j] % p
+    c = c * scale % p
     poly = np.zeros(n, dtype=np.int64)
     for j in range(n - 1, -1, -1):  # poly <- poly * (t - x_j) + c[j]
-        shifted = np.zeros(n, dtype=np.int64)
-        shifted[1:] = poly[:-1]
-        shifted[0] = c[j]
-        poly = (shifted - x[j] * poly) % p
+        x = int(nodes[j])
+        head = (c[j] - x * poly[0]) % p
+        poly[1:n - j] = (poly[:n - j - 1] - x * poly[1:n - j]) % p
+        poly[0] = head
     return poly.tolist()
 
 
@@ -428,13 +490,18 @@ def _coefficient_bound_sq(rows) -> int:
 def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
     """g(t) = det N(t) / t**shift over Z[t], N given by rows.
 
-    When c is not None, t**c g(1/t) = g(t): g has degree at most c, and each
-    value g(t) also gives g(1/t) = t**-c g(t).  Then K = ceil((c + 2) / 2)
-    evaluations at t = 1 .. K yield the c + 1 nodes 1, 2, 1/2, .., K, 1/K
-    (the last dropped when c is odd) that g needs.  Otherwise g has degree
-    at most D - shift, D the sum of the row-maximum degrees, and the nodes
-    are 1 .. K with K = D - shift + 1.  Each prime takes one batched
-    elimination at the K points, one Newton interpolation, and one CRT step.
+    The nodes are powers of 2 at consecutive exponents.  When c is not
+    None, t**c g(1/t) = g(t): g has degree at most c, and each value g(t)
+    also gives g(1/t) = t**-c g(t).  Then K = ceil((c + 2) / 2) evaluations
+    at t = 2**0 .. 2**(K - 1) yield the c + 1 nodes 2**-(K - 1) .. 2**(c -
+    K + 1) that g needs.  Otherwise g has degree at most D - shift, D the
+    sum of the row-maximum degrees, and the nodes are 2**0 .. 2**(K - 1)
+    with K = D - shift + 1.  The primes lie below
+    sqrt((2**63 - 1) / (m + 1)), m the larger of n and the widest entry of
+    N, so that every sum of m + 1 products of residues fits in an int64; a
+    prime where 2 has order below the coefficient count would repeat a node
+    and is skipped.  Each prime takes one batched elimination at the K
+    points, one Newton interpolation, and one CRT step.
     """
     degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
     if min(degrees) < 0:
@@ -444,34 +511,29 @@ def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
         return ZERO  # the degree bound of g is negative
     n_evals = n_coeffs if c is None else (c + 3) // 2
     bound_sq = _coefficient_bound_sq(rows)
+    m = max(len(rows), max(degrees) + 1)
     primes: list[int] = []
     modulus = 1
-    for p in _primes_31():
+    for p in _primes_below(isqrt((2 ** 63 - 1) // (m + 1))):
         if modulus * modulus > 4 * bound_sq:
             break
+        if 1 in _powers(2, n_coeffs, p)[1:]:
+            continue  # 2 has order below n_coeffs: the nodes repeat
         primes.append(p)
         modulus *= p
-    # Nodes 1 .. K are distinct and nonzero mod p while K < p; their
-    # inverses stay apart from them and from each other while K**2 < p.
-    reach = n_evals if c is None else n_evals * n_evals
-    if reach >= primes[-1]:
-        raise ValueError(f"{n_evals} evaluation points need primes above {reach}, "
-                         f"but the engine uses {primes[-1]}")
     evaluate = _Evaluator(rows, n_evals)
     residues: list[int] = [0] * n_coeffs
     modulus = 1
     for p in primes:
-        x: list[int] = []
-        y: list[int] = []
-        for t, v in enumerate(_batch_det_mod(evaluate(p), p).tolist(), 1):
-            t_inv = pow(t, -1, p)
-            g_t = v * pow(t_inv, shift, p) % p
-            x.append(t)
-            y.append(g_t)
-            if c is not None and t > 1:
-                x.append(t_inv)
-                y.append(g_t * pow(t_inv, c, p) % p)
-        coeffs = _interpolate_mod(x[:n_coeffs], y[:n_coeffs], p)
+        inv2 = (p + 1) // 2
+        det = _batch_det_mod(evaluate(p), p)
+        g = det * _powers(pow(inv2, shift, p), n_evals, p) % p  # at t = 2**e
+        if c is None:
+            e0, y = 0, g
+        else:  # g(2**-e) = 2**-ec g(2**e), e = K - 1 .. 1, ahead of g(2**e)
+            mirror = g * _powers(pow(inv2, c, p), n_evals, p) % p
+            e0, y = 1 - n_evals, np.concatenate([mirror[:0:-1], g])[:n_coeffs]
+        coeffs = _interpolate_mod(e0, y, p)
         inv = pow(modulus % p, -1, p)
         for k, r in enumerate(coeffs):
             z = residues[k]
@@ -632,21 +694,25 @@ def poly_det(m) -> IntPoly:
       (-q)^d h(q^2) satisfy with a_i + b_j = 2r in q, then expanding det N
       over permutations gives t^(sum a + sum b) det N(1/t) = det N(t), so
       t^c g(1/t) = g(t) with c = sum a + sum b - 2 sum s.  The engine then
-      evaluates at t = 1 .. K with K = ceil((c + 2) / 2) and reads g(1/t) =
-      t^-c g(t) at the mirrored nodes, again about half the points.
+      evaluates at t = 2^0 .. 2^(K-1) with K = ceil((c + 2) / 2) and reads
+      g(2^-e) = 2^-ec g(2^e) at the mirrored nodes, again about half the
+      points.
 
-    The engine interpolates g itself from det N(t) / t^(sum s), at t = 1 ..
-    D - sum s + 1 without weights, D the sum of the row-maximum degrees of
-    N.  Each 31-bit prime takes one batched elimination at the points and
-    one Newton interpolation on the nodes, and CRT combines the primes until
-    their product exceeds 2H, with H = prod_i sqrt(sum_j ||M_ij||_1^2) the
-    Hadamard bound on the unit circle, which by Cauchy's estimate bounds
-    every coefficient; the symmetric lift is then g.  The transforms move
+    The engine interpolates g itself from det N(t) / t^(sum s), at t = 2^0
+    .. 2^(D - sum s) without weights, D the sum of the row-maximum degrees
+    of N.  The primes are as large as int64 arithmetic allows for the size
+    of N: every sum of m + 1 products of residues, m the larger of n and
+    the widest entry, must fit.  A prime where 2 has too small an order to
+    keep the nodes apart is skipped.  Each prime takes one batched
+    elimination at the points and one Newton interpolation on the nodes,
+    and CRT combines the primes until their product exceeds 2H, with H =
+    prod_i sqrt(sum_j ||M_ij||_1^2) the Hadamard bound on the unit circle,
+    which by Cauchy's estimate bounds every coefficient; the symmetric lift
+    is then g.  The transforms move
     coefficients but change none, so H is the same for N.  The prime count
     stays deterministic although H often overshoots (291 bits against 88 on
     one 84-tope S_q): stopping once the result settles would make it Monte
-    Carlo.  The nodes must stay distinct mod the smallest prime used: K < p
-    for 1 .. K, K^2 < p with the mirrored nodes; beyond that ValueError.
+    Carlo.
 
     As a certificate, the matrix exactly as passed in, without either
     transform, is taken at a random point modulo 2**61 - 1 and its

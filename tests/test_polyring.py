@@ -2,6 +2,7 @@ import random
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -399,14 +400,112 @@ class TestMirroredNodes:
         assert det.degree == 2 * c
 
     def test_node_precondition(self, monkeypatch):
-        mirrored = [[IntPoly([1] + [0] * 18 + [1])]]        # c = 19: K = 11, K^2 = 121
-        consecutive = [[IntPoly([1, 1] + [0] * 20 + [2])]]  # nodes 1 .. 23
-        for rows, ok, beyond in ((mirrored, 127, 113), (consecutive, 29, 23)):
-            monkeypatch.setattr(polyring, "_primes_31", lambda: iter([ok]))
+        """The nodes 2**e repeat modulo 8191 = 2**13 - 1, where 2 has order
+        13; a g with more than 13 coefficients must skip that prime."""
+        mirrored = [[IntPoly([1] + [0] * 18 + [1])]]        # c = 19: 20 coefficients
+        consecutive = [[IntPoly([1, 1] + [0] * 20 + [2])]]  # 23 coefficients
+        used = []
+        batch = polyring._batch_det_mod
+
+        def spy_batch(a, p):
+            used.append(p)
+            return batch(a, p)
+        monkeypatch.setattr(polyring, "_batch_det_mod", spy_batch)
+        monkeypatch.setattr(polyring, "_primes_below",
+                            lambda top: iter([8191, 1000003]))
+        for rows in (mirrored, consecutive):
+            used.clear()
             assert poly_det(rows) == rows[0][0]
-            monkeypatch.setattr(polyring, "_primes_31", lambda: iter([beyond]))
-            with pytest.raises(ValueError, match="evaluation points"):
-                poly_det(rows)
+            assert used == [1000003]
+
+
+class Stop(Exception):
+    pass
+
+
+def first_prime(monkeypatch, n, width):
+    """The first prime _modular_det takes for an n x n matrix of width width."""
+    tops = []
+
+    def capture(top):
+        tops.append(top)
+        raise Stop
+    rows = [[IntPoly([1] * width) if i == j else ZERO for j in range(n)]
+            for i in range(n)]
+    with monkeypatch.context() as m:
+        m.setattr(polyring, "_primes_below", capture)
+        with pytest.raises(Stop):
+            polyring._modular_det(rows, 0, None)
+    return next(polyring._primes_below(tops[0]))
+
+
+def points_last(a):
+    """a with the same shape, laid out in memory as _Evaluator lays it out."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def assert_kernel_matches(a, p):
+    expected = [polyring._det_mod([[int(x) for x in row] for row in m], p) for m in a]
+    assert polyring._batch_det_mod(a.copy(), p).tolist() == expected
+    assert polyring._batch_det_mod(points_last(a), p).tolist() == expected
+
+
+def edge_batch(rng, n_pts, n, p):
+    """Residues in [p - 2**20, p): every product is close to (p - 1)**2.
+
+    Point 1 has a zero column and point 2 a repeated row, so each has a
+    column without a pivot, the second only after some elimination steps.
+    """
+    a = rng.integers(p - 2 ** 20, p, size=(n_pts, n, n), dtype=np.int64)
+    if n_pts > 1:
+        a[1, :, rng.integers(n)] = 0
+    if n_pts > 2 and n > 1:
+        i, j = rng.choice(n, 2, replace=False)
+        a[2, j] = a[2, i]
+    return a
+
+
+class TestWordKernel:
+    """The int64 kernels near their overflow edge, against Python ints."""
+
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2 ** 32))
+    @settings(deadline=None, max_examples=40)
+    def test_lazy_elimination_at_the_edge(self, n, n_pts, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            p = first_prime(monkeypatch, n, 1)
+        assert_kernel_matches(edge_batch(np.random.default_rng(seed), n_pts, n, p), p)
+
+    def test_lazy_elimination_at_n_200(self, monkeypatch):
+        p = first_prime(monkeypatch, 200, 1)
+        assert_kernel_matches(edge_batch(np.random.default_rng(200), 2, 200, p), p)
+
+    def test_word_bound_of_the_first_prime(self, monkeypatch):
+        for n in (1, 2, 9, 84, 300):
+            for width in (1, 2, 6, 64, 500):
+                p = first_prime(monkeypatch, n, width)
+                assert (max(n, width) + 1) * (p - 1) ** 2 < 2 ** 63
+                assert p > 2 ** 26
+
+    @given(st.lists(st.one_of(st.just(0), st.integers(1, 2 ** 31 - 2)), max_size=20))
+    def test_batch_inverse_with_zeros(self, values):
+        p = 2 ** 31 - 1
+        inv = polyring._batch_inverse(np.array(values, dtype=np.int64), p).tolist()
+        assert [x * y % p for x, y in zip(values, inv)] == [int(x != 0) for x in values]
+        assert [y for x, y in zip(values, inv) if not x] == [0] * values.count(0)
+
+    def test_evaluator_keeps_wide_coefficients(self, monkeypatch):
+        rng = random.Random(5)
+        n, n_pts = 4, 6
+        rows = [[IntPoly([rng.randrange(-2 ** 80, 2 ** 80)
+                          for _ in range(rng.randrange(4))]) for _ in range(n)]
+                for _ in range(n)]
+        rows[0][0] = IntPoly([2 ** 64 + 1, -(2 ** 70), 3])
+        p = first_prime(monkeypatch, n, 3)
+        batch = polyring._Evaluator(rows, n_pts)(p)
+        for e in range(n_pts):
+            t = pow(2, e, p)
+            assert batch[e].tolist() == [[polyring._eval_mod(x, t, p) for x in row]
+                                         for row in rows]
 
 
 class TestPolyMatrix:
