@@ -11,7 +11,6 @@ with_offsets.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -76,7 +75,6 @@ class Arrangement:
         for h in self.hyperplanes:
             m = lcm(h.offset.denominator, *(x.denominator for x in h.normal))
             self.rows.append(tuple(int(x * m) for x in h.normal + (-h.offset,)))
-        self._chirotope: Optional[Chirotope] = None
         self._scan: Optional[tuple] = None
         self._compiled: Optional[AffineOrientedMatroid] = None
 
@@ -93,11 +91,6 @@ class Arrangement:
         except ValueError as exc:
             raise ValueError(f"malformed arrangement JSON: {exc}") from None
         return cls(dim, hyps)
-
-    @classmethod
-    def load(cls, path) -> "Arrangement":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
     def to_json(self) -> dict:
         return {
@@ -118,19 +111,7 @@ class Arrangement:
 
     def central_chirotope(self) -> Chirotope:
         """Sign of det of normal rows, in the fixed standard orientation."""
-        if self._chirotope is None:
-            n = len(self.hyperplanes)
-            signs = {}
-            essential = False
-            for sub in combinations(range(n), self.dim):
-                d = int_det([self.rows[i][:self.dim] for i in sub])
-                s = (d > 0) - (d < 0)
-                signs[sub] = s
-                essential = essential or s != 0
-            if not essential:
-                raise ValueError("arrangement is not essential: normals do not span")
-            self._chirotope = Chirotope(self.dim, self.ground, signs)
-        return self._chirotope
+        return self._vertex_scan()[0]
 
     def matroid(self) -> Matroid:
         return self.central_chirotope().to_matroid()
@@ -149,22 +130,33 @@ class Arrangement:
         coefficient and augmented ranks are both its size minus one.
         The check runs once per arrangement; compile() reuses it.
         """
-        return self._vertex_scan()[0]
+        return self._vertex_scan()[1]
 
-    def _vertex_scan(self) -> tuple[Optional[GenericityViolation], list[SignVector]]:
-        """First violation (or None) and the vertex sign vectors, in basis order.
+    def _vertex_scan(self) -> tuple[Chirotope, Optional[GenericityViolation],
+                                    list[SignVector]]:
+        """The chirotope, the first violation (or None) and the vertex sign
+        vectors in basis order, from one cofactor vector per r-subset.
 
-        The vertex x of basis b gives (x, 1), which spans the kernel of the
-        lifted rows R_b, as does their cofactor vector w.  Since R_e . w =
-        (-1)^r det[R_b; R_e] and w_r = (-1)^r det A_b, the sign at e is
-        chi(b) sign det[R_b; R_e], an integer minor that is zero for e in b.
+        The cofactor vector w of the lifted rows R_b has w_r = (-1)^r det A_b,
+        so chi(b) = (-1)^r sign w_r.  For a basis b, the vertex x gives (x, 1),
+        which spans the kernel of R_b, as does w.  Since R_e . w = (-1)^r
+        det[R_b; R_e], the sign at e is chi(b) sign det[R_b; R_e], an integer
+        minor that is zero for e in b.
         """
         if self._scan is None:
-            bases = self.matroid().bases
+            r = self.dim
+            subs = list(combinations(range(len(self.rows)), r))
+            cofactors = [_cofactors([self.rows[i] for i in sub], r + 1)
+                         for sub in subs]
+            chi_signs = {sub: (-1) ** r * ((w[-1] > 0) - (w[-1] < 0))
+                         for sub, w in zip(subs, cofactors)}
+            if not any(chi_signs.values()):
+                raise ValueError("arrangement is not essential: normals do not span")
+            chi = Chirotope(r, self.ground, chi_signs)
+            bases = chi.to_matroid().bases
             violation = None
             feasible = []
-            for sub in combinations(range(len(self.rows)), self.dim):
-                w = _cofactors([self.rows[i] for i in sub], self.dim + 1)
+            for sub, w in zip(subs, cofactors):
                 if not w[-1]:
                     continue  # dependent normals: not a basis
                 if w[-1] < 0:
@@ -183,7 +175,7 @@ class Arrangement:
                     violation = GenericityViolation(
                         tuple(sorted(circuit, key=self.ground.index)),
                         len(circuit) - 1, len(circuit) - 1)
-            self._scan = (violation, feasible)
+            self._scan = (chi, violation, feasible)
         return self._scan
 
     # -- compilation -------------------------------------------------------------
@@ -191,10 +183,10 @@ class Arrangement:
     def compile(self) -> AffineOrientedMatroid:
         """The affine oriented matroid, built once per arrangement."""
         if self._compiled is None:
-            violation, feasible = self._vertex_scan()
+            chi, violation, feasible = self._vertex_scan()
             if violation is not None:
                 raise ValueError(f"arrangement is not generic: {violation.describe()}")
-            self._compiled = AffineOrientedMatroid(self.central_chirotope(), feasible)
+            self._compiled = AffineOrientedMatroid(chi, feasible)
         return self._compiled
 
     def kernel_direction(self, idxs: Sequence[int]) -> tuple[int, ...]:

@@ -35,6 +35,8 @@ from .oriented_matroid import (AffineOrientedMatroid, ClosureCapExceeded,
 from .polyring import CertificateError, ExactDivisionError, IntPoly, poly_eval
 
 MATRIX_REPORT_LIMIT = 40
+NUDGE_ATTEMPTS = 64  # offset draws per --nudge before giving up
+RANDOM_ATTEMPTS = 400  # draws per random instance before it is skipped
 
 
 @dataclass
@@ -73,15 +75,15 @@ def load_instance(path: str, nudge: Optional[int] = None) -> Instance:
                      f"oriented matroid ('chirotope') document")
 
 
-def _nudge_offsets(arr: Arrangement, seed: int, attempts: int = 64) -> Arrangement:
+def _nudge_offsets(arr: Arrangement, seed: int) -> Arrangement:
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(NUDGE_ATTEMPTS):
         offsets = [h.offset + Fraction(rng.randint(-9, 9), rng.randint(101, 499))
                    for h in arr.hyperplanes]
         cand = arr.with_offsets(offsets)
         if cand.validate_generic() is None:
             return cand
-    raise ValueError(f"nudging offsets failed after {attempts} attempts; "
+    raise ValueError(f"nudging offsets failed after {NUDGE_ATTEMPTS} attempts; "
                      f"try a different --nudge seed")
 
 
@@ -328,10 +330,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 # -- random sweeps ------------------------------------------------------------------
 
-def generate_random_arrangement(rng: random.Random, dim: int, n: int,
-                                attempts: int = 400) -> Optional[Arrangement]:
+def generate_random_arrangement(rng: random.Random, dim: int,
+                                n: int) -> Optional[Arrangement]:
     """Random integer normals and rational offsets, retried until generic."""
-    for _ in range(attempts):
+    for _ in range(RANDOM_ATTEMPTS):
         hyps = []
         for i in range(1, n + 1):
             while True:
@@ -343,11 +345,10 @@ def generate_random_arrangement(rng: random.Random, dim: int, n: int,
                                         str(offset)))
         arr = Arrangement(dim, hyps)
         try:
-            arr.central_chirotope()
+            if arr.validate_generic() is None:
+                return arr
         except ValueError:
             continue  # inessential draw
-        if arr.validate_generic() is None:
-            return arr
     return None
 
 

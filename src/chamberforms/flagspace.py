@@ -129,25 +129,22 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
     the dual and the boundary kernel dimension all equal len(vectors), with
     every phi divisor 1.
     """
-    m = om.matroid()
-    order = {e: i for i, e in enumerate(m.ground)}
-    bases = sorted(m.bases, key=lambda b: sorted(order[e] for e in b))
+    bases = om.central.bases()
     flags = tuple(not boundary(om, v) for v in vectors)
     matrix = [[v.get(b, 0) for b in bases] for v in vectors]
     divisors = tuple(smith_divisors(matrix)) if matrix else ()
 
-    subsets = list(combinations(m.ground, om.central.rank - 1))
+    subsets = list(combinations(om.ground, om.central.rank - 1))
     col = {frozenset(s): j for j, s in enumerate(subsets)}
     bmatrix = []
     for b in bases:
         row = [0] * len(subsets)
-        elems = sorted(b, key=order.__getitem__)
-        for k, e in enumerate(elems):
-            row[col[b - {e}]] = 1 if k % 2 == 0 else -1
+        for face, c in boundary(om, {b: 1}).items():
+            row[col[face]] = c
         bmatrix.append(row)
     kernel_dim = len(bases) - len(smith_divisors(bmatrix)) if bmatrix else 0
 
-    mu_dual = m.tutte(0, 1)  # mu+ of the dual matroid
+    mu_dual = om.matroid().tutte(0, 1)  # mu+ of the dual matroid
     return KernelReport(len(vectors), len(bases), flags, divisors, len(divisors),
                         mu_dual, kernel_dim)
 
@@ -186,8 +183,10 @@ def _region_of_basis(arr: Arrangement, directions: dict, xi: Sequence[int],
     return SignVector.from_signs(arr.ground, signs)
 
 
-def build_y_matrix(arr: Arrangement, seed: int,
-                   max_draws: int = 64) -> YMatrixReport:
+_MAX_DRAWS = 64  # functionals drawn before build_y_matrix gives up
+
+
+def build_y_matrix(arr: Arrangement, seed: int) -> YMatrixReport:
     """Square sign matrix between functional-bounded regions and bases.
 
     Draws a generic integer linear functional from the seed (rejecting any
@@ -195,9 +194,8 @@ def build_y_matrix(arr: Arrangement, seed: int,
     bases to bounded regions, and certifies det y = +-1.
     """
     om = arr.compile()
-    m = om.matroid()
     order = {e: i for i, e in enumerate(arr.ground)}
-    bases = sorted(m.bases, key=lambda b: sorted(order[e] for e in b))
+    bases = om.central.bases()
 
     directions = {}
     for sub in combinations(range(len(arr.ground)), arr.dim - 1):
@@ -206,14 +204,14 @@ def build_y_matrix(arr: Arrangement, seed: int,
             directions[sub] = v
 
     rng = random.Random(seed)
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         xi = tuple(rng.randint(-10 ** 4, 10 ** 4) for _ in range(arr.dim))
         if any(xi) and all(sum(a * x for a, x in zip(xi, v)) != 0
                            for v in directions.values()):
             break
     else:
         raise ValueError(
-            f"no generic functional found in {max_draws} draws; try another seed")
+            f"no generic functional found in {_MAX_DRAWS} draws; try another seed")
 
     cocircuit = {b: om.basis_to_cocircuit(b) for b in bases}
     region_of = {b: _region_of_basis(arr, directions, xi, cocircuit[b])

@@ -6,8 +6,8 @@ easy to test.  The product formulas need coloop-free flats, Crapo's beta
 and mu+ of a matroid and of its dual.  The last three are read from one
 count of the bases by Tutte's internal and external activity: beta(M) is
 the coefficient of x in T_M(x, y), mu+(M) = T_M(1, 0) and mu+(M*) =
-T_M(0, 1).  Mobius values on the flat lattice are a second, independent
-route to mu+ and beta.
+T_M(0, 1).  The tests compute mu+ and beta by a second, independent
+route, from the mu function of the lattice of flats.
 
 Bases are trusted: minors, duals, uniform matroids and the matroid of a
 compiled arrangement (nonzero determinants) are matroids by construction.
@@ -48,7 +48,6 @@ class Matroid:
             raise ValueError("basis element outside ground set")
         self._rank_cache: dict[frozenset, int] = {}
         self._flats = None
-        self._mobius = None
         self._activities = None
 
     def check_exchange(self) -> None:
@@ -129,40 +128,6 @@ class Matroid:
             self._flats = sorted((Flat(s, r) for s, r in found.items()),
                                  key=lambda fl: (fl.rank, self._key(fl.elements)))
         return list(self._flats)
-
-    def _require_flat(self, k: Flat | Iterable) -> Flat:
-        s = k.elements if isinstance(k, Flat) else frozenset(k)
-        cl = self.closure(s)
-        if cl.elements != s:
-            raise ValueError(f"{set(s)} is not a flat (closure adds {set(cl.elements - s)})")
-        return cl
-
-    def mobius(self, k) -> int:
-        """Mobius value mu(bottom, K) on the lattice of flats."""
-        k = self._require_flat(k)
-        if self._mobius is None:
-            self._mobius = {}
-            for fl in self.flats():
-                below = sum(self._mobius[f.elements] for f in self.flats()
-                            if f.elements < fl.elements)
-                self._mobius[fl.elements] = 1 if fl.rank == self.flats()[0].rank else -below
-        return self._mobius[k.elements]
-
-    def mobius_plus(self, k) -> int:
-        """Unsigned Mobius value (-1)^r(K) mu(bottom, K); positive on flats."""
-        k = self._require_flat(k)
-        v = (-1) ** k.rank * self.mobius(k)
-        if v <= 0:
-            raise ValueError(f"mu+ of flat {set(k.elements)} is {v}; the bases "
-                             f"do not form a matroid")
-        return v
-
-    def beta_sum(self, k) -> int:
-        """(-1)^r(K) sum of mu(F) r(F) over flats F below K; equals beta of m|K."""
-        k = self._require_flat(k)
-        total = sum(self.mobius(f) * f.rank for f in self.flats()
-                    if f.elements <= k.elements)
-        return (-1) ** k.rank * total
 
     # -- basis activities --------------------------------------------------------
 

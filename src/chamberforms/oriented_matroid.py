@@ -147,14 +147,6 @@ def _composition_closure(gen: Sequence[int], odd: int, cap: int) -> set[int]:
     return states
 
 
-def compose(x: SignVector, y: SignVector) -> SignVector:
-    """(x o y)(e) = x(e) if x(e) != 0 else y(e)."""
-    if x.ground != y.ground:
-        raise ValueError("sign vectors live on different ground sets")
-    odd = _odd_mask(len(x.ground))
-    return SignVector(x.ground, x.bits | (y.bits & ~_nz2(x.bits, odd)))
-
-
 def conforms(x: SignVector, t: SignVector) -> bool:
     """True iff x(e) in {0, t(e)} for every e (x is a face candidate of t)."""
     if x.ground != t.ground:
@@ -303,10 +295,10 @@ class AffineOrientedMatroid:
     one canonical representative each.
     """
 
-    DEFAULT_CAP = 10 ** 6
+    cap = 10 ** 6  # most covectors one composition closure may hold
 
     def __init__(self, chirotope: Chirotope, feasible: Sequence[SignVector],
-                 g="g", cap: int = DEFAULT_CAP):
+                 g="g"):
         self.central = chirotope
         self.ground = chirotope.ground
         self.g = g
@@ -314,11 +306,9 @@ class AffineOrientedMatroid:
             raise ValueError("lift element must be distinct from the ground set")
         self.feasible = tuple(sorted(feasible, key=SignVector.key))
         self.infinite = tuple(cocircuits_from_chirotope(chirotope))
-        self.cap = cap
         self._bounded: Optional[tuple[SignVector, ...]] = None
         self._face_masks: dict[int, int] = {}
         self._by_zero_set: dict[frozenset, SignVector] = {}
-        self._rank_memo: dict[int, int] = {}
         self._meets: dict[tuple[int, int, int], Optional[FVector]] = {}
         self._validate()
 
@@ -351,43 +341,7 @@ class AffineOrientedMatroid:
             raise ValueError(f"no feasible cocircuit with zero set {set(b)}")
         return y
 
-    def cocircuit_pool(self) -> list[SignVector]:
-        """All cocircuits of the lift: feasible plus both infinite signs."""
-        out = list(self.feasible)
-        for y in self.infinite:
-            out.append(y)
-            out.append(-y)
-        return out
-
-    def _zero_rank(self, bits: int) -> int:
-        r = self._rank_memo.get(bits)
-        if r is None:
-            sv = SignVector(self.ground, bits)
-            r = self.matroid().rank(sv.zero_set())
-            self._rank_memo[bits] = r
-        return r
-
     # -- tope enumeration --------------------------------------------------------
-
-    def affine_covectors(self) -> list[SignVector]:
-        """All faces of the affine part, as sign vectors on the ground set.
-
-        Computed as the composition closure of every cocircuit of the lift,
-        keeping the covectors whose lift sign is +; the lift sign is tracked
-        explicitly, so central covectors (lift sign 0) are not conflated with
-        affine ones that restrict to the same signs.
-        """
-        n = len(self.ground)
-        odd = _odd_mask(n + 1)
-        g_plus = 1 << (2 * n)
-        gen = [y.bits | g_plus for y in self.feasible]
-        for y in self.infinite:
-            gen.append(y.bits)
-            gen.append((-y).bits)
-        states = _composition_closure(gen, odd, self.cap)
-        mask = g_plus - 1
-        return sorted((SignVector(self.ground, b & mask) for b in states
-                       if b & g_plus), key=SignVector.key)
 
     def bounded_topes(self) -> list[SignVector]:
         if self._bounded is None:
@@ -423,13 +377,10 @@ class AffineOrientedMatroid:
             mask ^= low
         return out
 
-    def cocircuit_faces(self, t: SignVector) -> list[SignVector]:
-        return [y for y in self.cocircuit_pool() if conforms(y, t)]
-
     # -- serialization -----------------------------------------------------------
 
     @classmethod
-    def from_json(cls, doc: dict, cap: int = DEFAULT_CAP) -> "AffineOrientedMatroid":
+    def from_json(cls, doc: dict) -> "AffineOrientedMatroid":
         try:
             rank = int(doc["rank"])
             elements = tuple(str(e) for e in doc["elements"])
@@ -441,7 +392,7 @@ class AffineOrientedMatroid:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed oriented-matroid JSON: missing {exc}") from None
         chi.to_matroid().check_exchange()  # the one check of outside bases
-        return cls(chi, feasible, g=g, cap=cap)
+        return cls(chi, feasible, g=g)
 
     def to_json(self) -> dict:
         return {
@@ -455,29 +406,31 @@ class AffineOrientedMatroid:
     def meet_faces(self, a: SignVector, b: SignVector) -> Optional[FVector]:
         """F-vector of the common face of bounded topes a and b, or None.
 
-        Faces are all compositions of cocircuits conforming to both topes;
-        the dimension of a face is r minus the central rank of its zero set.
-        Each unordered pair is closed once per instance and cap.
+        Faces are all compositions of the feasible cocircuits common to both
+        topes.  A face's zero set is the intersection of theirs, each a basis
+        by genericity, so it is independent and the face has dimension r
+        minus its size.  Each unordered pair is closed once per instance and cap.
         """
         ta, tb = sorted((a.bits, b.bits))
         key = (ta, tb, self.cap)  # a lowered cap must raise, not hit the cache
         if key in self._meets:
             return self._meets[key]
-        odd = _odd_mask(len(self.ground))
+        n = len(self.ground)
+        odd = _odd_mask(n)
         common = [y.bits for y in self.cocircuits_in(self.face_mask(a)
                                                      & self.face_mask(b))]
         if not common:
             self._meets[key] = None
             return None
         faces = _composition_closure(common, odd, self.cap)
-        r = self.central.rank
+        zero_dim = self.central.rank - n  # dimension = zero_dim + support size
         top = 0
         for y in common:
             top |= y
-        dim_top = r - self._zero_rank(top)
+        dim_top = zero_dim + ((top | top >> 1) & odd).bit_count()
         counts = [0] * (dim_top + 1)
         for x in faces:
-            counts[r - self._zero_rank(x)] += 1
+            counts[zero_dim + ((x | x >> 1) & odd).bit_count()] += 1
         if counts[dim_top] != 1:
             raise ValueError(
                 f"bounded topes {a.text()!r} and {b.text()!r} meet in "

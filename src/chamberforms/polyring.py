@@ -46,7 +46,6 @@ route: the determinant of the untransformed matrix at a random point modulo
 from __future__ import annotations
 
 import secrets
-from itertools import permutations
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -675,50 +674,16 @@ def _palindrome_weights(n: int, entries: Sequence[tuple[int, int, tuple[int, ...
 def poly_det(m) -> IntPoly:
     """Exact determinant over Z[q], certified at a random point.
 
-    Accepts a PolyMatrix or a plain square grid of IntPoly.  Constant
-    matrices go to int_det.  Otherwise two exact transforms and one
-    structure pass precede the modular engine:
+    m is a PolyMatrix or a square grid of IntPoly.  Constant matrices go to
+    int_det, all others to the modular engine of the module docstring.  The
+    result is exact: the engine's prime count is fixed by a coefficient
+    bound before any prime is used.  As a certificate, the matrix exactly
+    as passed in is evaluated at a random point modulo 2**61 - 1, and its
+    determinant there, by plain elimination, must equal the result's value;
+    a wrong result passes with probability at most deg / (2**61 - 1).
 
-    - Band order.  Rows and columns are permuted alike, by reverse
-      Cuthill-McKee on the symmetrised nonzero pattern.  det(P M P^T) =
-      det(P)^2 det(M) = det(M), sign included, and the narrower band shrinks
-      the block each elimination step updates.
-    - Grading.  If some 0/1 vector s gives every nonzero coefficient of
-      entry (i, j) an exponent of parity s_i + s_j, as (-q)^d h(q^2) does in
-      S_q, the engine runs on N_ij(t) = sum_k c_k t^((k + s_i + s_j) / 2).
-      Then N(q^2) = D M D with D = diag(q^s_i), so det N(t) = t^(sum s) g(t)
-      with det M(q) = g(q^2), at about half the evaluation points.  Without
-      such an s the engine runs on N = P M P^T itself (s = 0, t = q).
-    - Palindrome.  If integer row and column weights a, b give every
-      nonzero entry t^(a_i + b_j) N_ij(1/t) = N_ij(t), as S_q's entries
-      (-q)^d h(q^2) satisfy with a_i + b_j = 2r in q, then expanding det N
-      over permutations gives t^(sum a + sum b) det N(1/t) = det N(t), so
-      t^c g(1/t) = g(t) with c = sum a + sum b - 2 sum s.  The engine then
-      evaluates at t = 2^0 .. 2^(K-1) with K = ceil((c + 2) / 2) and reads
-      g(2^-e) = 2^-ec g(2^e) at the mirrored nodes, again about half the
-      points.
-
-    The engine interpolates g itself from det N(t) / t^(sum s), at t = 2^0
-    .. 2^(D - sum s) without weights, D the sum of the row-maximum degrees
-    of N.  The primes are as large as int64 arithmetic allows for the size
-    of N: every sum of m + 1 products of residues, m the larger of n and
-    the widest entry, must fit.  A prime where 2 has too small an order to
-    keep the nodes apart is skipped.  Each prime takes one batched
-    elimination at the points and one Newton interpolation on the nodes,
-    and CRT combines the primes until their product exceeds 2H, with H =
-    prod_i sqrt(sum_j ||M_ij||_1^2) the Hadamard bound on the unit circle,
-    which by Cauchy's estimate bounds every coefficient; the symmetric lift
-    is then g.  The transforms move
-    coefficients but change none, so H is the same for N.  The prime count
-    stays deterministic although H often overshoots (291 bits against 88 on
-    one 84-tope S_q): stopping once the result settles would make it Monte
-    Carlo.
-
-    As a certificate, the matrix exactly as passed in, without either
-    transform, is taken at a random point modulo 2**61 - 1 and its
-    determinant, found by plain elimination, must equal the result there;
-    a wrong result passes with probability at most deg / (2**61 - 1).  A
-    failed certificate raises CertificateError.
+    Raises ValueError on a matrix that is not square, and CertificateError
+    (or ExactDivisionError from int_det) on an internal arithmetic bug.
     """
     rows = m.entries if isinstance(m, PolyMatrix) else tuple(tuple(r) for r in m)
     n = len(rows)
@@ -753,16 +718,3 @@ def poly_det(m) -> IntPoly:
             f"{at_point} != {_eval_mod(det, point, _CERT_PRIME)}")
     return det
 
-
-def det_by_expansion(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Signed permutation-sum determinant; independent oracle for small n."""
-    n = len(rows)
-    total = ZERO
-    for perm in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if perm[i] > perm[j])
-        term = ONE
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + (term if inv % 2 == 0 else -term)
-    return total

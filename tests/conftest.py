@@ -1,23 +1,28 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 from pathlib import Path
+from typing import Optional, Sequence
 
 import pytest
 
 from chamberforms.arrangement import Arrangement
 # the fixture builders, re-exported to the test modules
 from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
-from chamberforms.matroid import Matroid
-from chamberforms.oriented_matroid import AffineOrientedMatroid, SignVector
+from chamberforms.matroid import Flat, Matroid
+from chamberforms.oriented_matroid import (AffineOrientedMatroid, FVector,
+                                           SignVector, _composition_closure,
+                                           _nz2, _odd_mask, conforms)
+from chamberforms.polyring import ONE, ZERO, IntPoly
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def random_arrangement(rng: random.Random, dim: int, n: int, attempts=400):
+def random_arrangement(rng: random.Random, dim: int, n: int):
     from chamberforms.cli import generate_random_arrangement
-    return generate_random_arrangement(rng, dim, n, attempts)
+    return generate_random_arrangement(rng, dim, n)
 
 
 def uniform_lines(rng: random.Random, n: int = 8) -> Arrangement:
@@ -138,6 +143,127 @@ def is_connected(m: Matroid) -> bool:
         components = [comp for comp in components if not comp & c]
         components.append(set().union(*touched))
     return len(components) <= 1
+
+
+# The Mobius function of the lattice of flats: a second route to mu+ and beta.
+
+def _require_flat(m: Matroid, k) -> Flat:
+    s = k.elements if isinstance(k, Flat) else frozenset(k)
+    cl = m.closure(s)
+    if cl.elements != s:
+        raise ValueError(f"{set(s)} is not a flat (closure adds {set(cl.elements - s)})")
+    return cl
+
+
+@cache
+def _mobius_values(m: Matroid) -> dict:
+    flats = m.flats()
+    values: dict = {}
+    for fl in flats:
+        below = sum(values[f.elements] for f in flats if f.elements < fl.elements)
+        values[fl.elements] = 1 if fl.rank == flats[0].rank else -below
+    return values
+
+
+def mobius(m: Matroid, k) -> int:
+    """Mobius value mu(bottom, K) on the lattice of flats."""
+    return _mobius_values(m)[_require_flat(m, k).elements]
+
+
+def mobius_plus(m: Matroid, k) -> int:
+    """Unsigned Mobius value (-1)^r(K) mu(bottom, K); positive on flats."""
+    k = _require_flat(m, k)
+    v = (-1) ** k.rank * mobius(m, k)
+    if v <= 0:
+        raise ValueError(f"mu+ of flat {set(k.elements)} is {v}; the bases "
+                         f"do not form a matroid")
+    return v
+
+
+def beta_sum(m: Matroid, k) -> int:
+    """(-1)^r(K) sum of mu(F) r(F) over flats F below K; equals beta of m|K."""
+    k = _require_flat(m, k)
+    total = sum(mobius(m, f) * f.rank for f in m.flats() if f.elements <= k.elements)
+    return (-1) ** k.rank * total
+
+
+# Sign-vector and face references for the packed closures of AffineOrientedMatroid.
+
+def compose(x: SignVector, y: SignVector) -> SignVector:
+    """(x o y)(e) = x(e) if x(e) != 0 else y(e)."""
+    if x.ground != y.ground:
+        raise ValueError("sign vectors live on different ground sets")
+    odd = _odd_mask(len(x.ground))
+    return SignVector(x.ground, x.bits | (y.bits & ~_nz2(x.bits, odd)))
+
+
+def cocircuit_pool(om: AffineOrientedMatroid) -> list[SignVector]:
+    """All cocircuits of the lift: feasible plus both infinite signs."""
+    out = list(om.feasible)
+    for y in om.infinite:
+        out.append(y)
+        out.append(-y)
+    return out
+
+
+def cocircuit_faces(om: AffineOrientedMatroid, t: SignVector) -> list[SignVector]:
+    return [y for y in cocircuit_pool(om) if conforms(y, t)]
+
+
+def affine_covectors(om: AffineOrientedMatroid) -> list[SignVector]:
+    """All faces of the affine part, as sign vectors on the ground set.
+
+    Computed as the composition closure of every cocircuit of the lift,
+    keeping the covectors whose lift sign is +; the lift sign is tracked
+    explicitly, so central covectors (lift sign 0) are not conflated with
+    affine ones that restrict to the same signs.
+    """
+    n = len(om.ground)
+    odd = _odd_mask(n + 1)
+    g_plus = 1 << (2 * n)
+    gen = [y.bits | g_plus for y in om.feasible]
+    for y in om.infinite:
+        gen.append(y.bits)
+        gen.append((-y).bits)
+    states = _composition_closure(gen, odd, om.cap)
+    mask = g_plus - 1
+    return sorted((SignVector(om.ground, b & mask) for b in states
+                   if b & g_plus), key=SignVector.key)
+
+
+def meet_f_vector_by_rank(om: AffineOrientedMatroid, a: SignVector,
+                          b: SignVector) -> Optional[FVector]:
+    """The f-vector of the meet of a and b, each face of dimension r minus
+    the matroid rank of its zero set."""
+    common = [y.bits for y in om.cocircuits_in(om.face_mask(a) & om.face_mask(b))]
+    if not common:
+        return None
+    m, r = om.matroid(), om.central.rank
+
+    def dim(bits: int) -> int:
+        return r - m.rank(SignVector(om.ground, bits).zero_set())
+
+    top = 0
+    for y in common:
+        top |= y
+    counts = [0] * (dim(top) + 1)
+    for x in _composition_closure(common, _odd_mask(len(om.ground)), om.cap):
+        counts[dim(x)] += 1
+    return FVector(dim(top), tuple(counts))
+
+
+def det_by_expansion(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
+    """Signed permutation-sum determinant; independent oracle for small n."""
+    n = len(rows)
+    total = ZERO
+    for perm in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n)
+                  if perm[i] > perm[j])
+        term = ONE
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + (term if inv % 2 == 0 else -term)
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,8 @@ from chamberforms.oriented_matroid import SignVector
 from chamberforms.polyring import (IntPoly, poly_det, poly_eval, poly_pow,
                                    q_integer)
 from conftest import (FIXTURE_DIR, example13_C, example13_Cprime,
-                      line_points, random_arrangement, uniform_lines)
+                      line_points, load_fixture, mobius_plus, random_arrangement,
+                      uniform_lines)
 
 
 def report(criterion, elapsed, detail=""):
@@ -74,7 +75,7 @@ def test_criterion_1_example_reproduction():
     }
     target_q = q_integer(4) * q_integer(2)
     for name, want_s in expectations.items():
-        arr = Arrangement.load(FIXTURE_DIR / name)
+        arr = Arrangement.from_json(load_fixture(name))
         om = arr.compile()
         s, sq = build_S(om), build_Sq(om)
         assert [[poly_eval(e, 1) for e in row] for row in s.matrix.entries] == want_s
@@ -146,7 +147,7 @@ def test_criterion_5_matroid_invariants():
              uniform_matroid(2, 8), example13_C().matroid(), v, v.dual()]
     for m in suite:
         for f in m.flats():
-            assert m.mobius_plus(f) == m.restrict(f.elements).tutte(1, 0)
+            assert mobius_plus(m, f) == m.restrict(f.elements).tutte(1, 0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(5, elapsed, "beta values, Vamos coloop-free flats, "

@@ -7,9 +7,9 @@ import pytest
 from chamberforms.arrangement import Arrangement, Hyperplane
 from chamberforms.forms import verify
 from chamberforms.oriented_matroid import SignVector, conforms
-from conftest import (circuits, example13_C, example13_Cprime, kernel_vector,
-                      line_points, point_signs, random_arrangement, row_reduce,
-                      vertices)
+from conftest import (circuits, cocircuit_faces, example13_C, example13_Cprime,
+                      kernel_vector, line_points, point_signs, random_arrangement,
+                      row_reduce, vertices)
 
 
 class TestHyperplane:
@@ -228,7 +228,7 @@ class TestCompile:
         om = arr.compile()
         verts = vertices(arr)
         for t in om.bounded_topes():
-            vs = [verts[y.zero_set()] for y in om.cocircuit_faces(t)]
+            vs = [verts[y.zero_set()] for y in cocircuit_faces(om, t)]
             centroid = tuple(sum(c) / len(vs) for c in zip(*vs))
             sv = point_signs(arr, centroid)
             hits = [u for u in om.bounded_topes() if conforms(sv, u)]

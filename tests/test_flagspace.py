@@ -5,8 +5,8 @@ from chamberforms.flagspace import (boundary, build_y_matrix,
                                     pairing, phi, smith_divisors)
 from chamberforms.forms import build_S
 from chamberforms.polyring import poly_eval
-from conftest import (example13_C, example13_Cprime, line_points,
-                      random_arrangement)
+from conftest import (cocircuit_faces, example13_C, example13_Cprime,
+                      line_points, random_arrangement)
 
 
 def phis(om):
@@ -30,7 +30,7 @@ class TestPhi:
         om = example13_Cprime().compile()
         for t in om.bounded_topes():
             v = phi(om, t)
-            assert pairing(v, v) == len(om.cocircuit_faces(t))
+            assert pairing(v, v) == len(cocircuit_faces(om, t))
 
 
 class TestPairing:

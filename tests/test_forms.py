@@ -10,8 +10,8 @@ from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import FVector
 from chamberforms.polyring import (IntPoly, ONE, poly_det, poly_eval, poly_pow,
                                    q_integer)
-from conftest import (FIXTURE_DIR, example13_C, example13_Cprime, line_points,
-                      random_arrangement, uniform_lines)
+from conftest import (FIXTURE_DIR, cocircuit_faces, example13_C, example13_Cprime,
+                      line_points, random_arrangement, uniform_lines)
 
 
 def ints(form):
@@ -53,7 +53,7 @@ class TestBuildS:
         om = example13_Cprime().compile()
         s = build_S(om)
         for i, t in enumerate(s.topes):
-            assert poly_eval(s.matrix[i, i], 1) == len(om.cocircuit_faces(t))
+            assert poly_eval(s.matrix[i, i], 1) == len(cocircuit_faces(om, t))
 
 
 class TestBuildSq:

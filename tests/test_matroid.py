@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from chamberforms.matroid import Flat, Matroid, uniform_matroid
 from chamberforms.oriented_matroid import AffineOrientedMatroid
-from conftest import (example13_C, is_connected, matroid_from_columns,
-                      nbc_count, row_reduce)
+from conftest import (beta_sum, example13_C, is_connected, matroid_from_columns,
+                      mobius, mobius_plus, nbc_count, row_reduce)
 
 U23 = uniform_matroid(2, 3)
 U12 = uniform_matroid(1, 2)
@@ -141,28 +141,28 @@ class TestFlats:
 class TestMobius:
     def test_empty_flat_is_one(self):
         for m in (U23, U12, U28, example13_matroid()):
-            assert m.mobius_plus(m.closure(())) == 1
+            assert mobius_plus(m, m.closure(())) == 1
 
     def test_u12_full(self):
-        assert U12.mobius_plus(U12.closure({1, 2})) == 1
+        assert mobius_plus(U12, U12.closure({1, 2})) == 1
 
     def test_example13_parallel_flat(self):
         m = example13_matroid()
-        assert m.mobius_plus(m.closure({"H1", "H2"})) == 1
+        assert mobius_plus(m, m.closure({"H1", "H2"})) == 1
 
     def test_non_flat_rejected(self):
         m = example13_matroid()
         with pytest.raises(ValueError, match="not a flat"):
-            m.mobius_plus(frozenset({"H1"}))
+            mobius_plus(m, frozenset({"H1"}))
 
     def test_mobius_telescopes_to_zero(self):
         for m in (U23, U28, example13_matroid(), vamos()):
-            assert sum(m.mobius(f) for f in m.flats()) == 0
+            assert sum(mobius(m, f) for f in m.flats()) == 0
 
     def test_equals_nbc_on_every_flat(self):
         for m in (U23, U12, U28, example13_matroid(), vamos(), vamos().dual()):
             for f in m.flats():
-                assert m.mobius_plus(f) == nbc_count(m, f), f
+                assert mobius_plus(m, f) == nbc_count(m, f), f
 
 
 class TestNbc:
@@ -248,16 +248,16 @@ class TestBeta:
         assert uniform_matroid(2, 2).beta() == 0
 
     def test_beta_sum_examples(self):
-        assert U23.beta_sum(U23.closure(())) == 0
-        assert U23.beta_sum(U23.closure({1, 2, 3})) == 1
+        assert beta_sum(U23, U23.closure(())) == 0
+        assert beta_sum(U23, U23.closure({1, 2, 3})) == 1
         u14 = uniform_matroid(1, 4)
-        assert u14.beta_sum(u14.closure({1, 2, 3, 4})) == 1
+        assert beta_sum(u14, u14.closure({1, 2, 3, 4})) == 1
 
     def test_beta_sum_equals_beta_of_restriction(self):
         for m in (U23, U28, example13_matroid(), vamos()):
             for f in m.flats():
                 if f.elements:
-                    assert m.beta_sum(f) == m.restrict(f.elements).beta(), f
+                    assert beta_sum(m, f) == m.restrict(f.elements).beta(), f
 
     @given(small_matrices)
     @settings(deadline=None, max_examples=30)
@@ -299,8 +299,8 @@ class TestActivities:
             rest = m.restrict(f.elements)
             assert rest.tutte(1, 0) == nbc_count(m, f), f
             if loopless:
-                assert rest.tutte(1, 0) == m.mobius_plus(f), f
-                assert rest.beta() == m.beta_sum(f), f
+                assert rest.tutte(1, 0) == mobius_plus(m, f), f
+                assert rest.beta() == beta_sum(m, f), f
         dual = m.dual()
         assert m.tutte(0, 1) == nbc_count(dual, dual.closure(dual.ground))
 

@@ -3,12 +3,16 @@ from itertools import combinations
 
 import pytest
 
+from chamberforms.arrangement import Arrangement, Hyperplane
+from chamberforms.make_fixtures import FIXTURES
 from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            ClosureCapExceeded, FVector,
                                            SignVector, cocircuits_from_chirotope,
-                                           compose, conforms, separation)
-from conftest import example13_C, line_points, random_arrangement
+                                           conforms, separation)
+from conftest import (affine_covectors, cocircuit_faces, compose, example13_C,
+                      line_points, load_fixture, meet_f_vector_by_rank,
+                      random_arrangement)
 
 
 def sv(text, ground=("1", "2", "3")):
@@ -198,38 +202,38 @@ class TestBoundedTopes:
             edges = sum(
                 sum(1 for b in m.bases if e in b) + 1 for e in arr.ground)
             chambers = 1 + n + V
-            assert len(om.affine_covectors()) == V + edges + chambers
+            assert len(affine_covectors(om)) == V + edges + chambers
 
 
 class TestCocircuitFaces:
     def test_triangle_has_three_vertices(self):
         om = om_example13()
         t = om.bounded_topes()[0]
-        faces = om.cocircuit_faces(t)
+        faces = cocircuit_faces(om, t)
         assert len(faces) == 3
         assert all(y.zero_set() in om.matroid().bases for y in faces)
 
     def test_square_chamber_has_four(self):
         from conftest import example13_Cprime
         om = example13_Cprime().compile()
-        counts = sorted(len(om.cocircuit_faces(t)) for t in om.bounded_topes())
+        counts = sorted(len(cocircuit_faces(om, t)) for t in om.bounded_topes())
         assert counts == [3, 4]
 
     def test_segment_has_two(self):
         om = line_points(2).compile()
         for t in om.bounded_topes():
-            assert len(om.cocircuit_faces(t)) == 2
+            assert len(cocircuit_faces(om, t)) == 2
 
     def test_face_masks_match_cocircuit_faces(self, vamos_om):
         for om in (vamos_om, om_example13(), line_points(4).compile()):
             for t in om.bounded_topes():
                 faces = om.cocircuits_in(om.face_mask(t))
-                assert faces == [y for y in om.feasible if y in om.cocircuit_faces(t)]
+                assert faces == [y for y in om.feasible if y in cocircuit_faces(om, t)]
 
     def test_bounded_topes_have_only_feasible_faces(self, vamos_om):
         feas = {y.bits for y in vamos_om.feasible}
         for t in vamos_om.bounded_topes()[:5]:
-            for y in vamos_om.cocircuit_faces(t):
+            for y in cocircuit_faces(vamos_om, t):
                 assert y.bits in feas
 
 
@@ -285,7 +289,46 @@ class TestMeetFaces:
     def test_diagonal_f0_matches_cocircuit_faces(self, vamos_om):
         for t in vamos_om.bounded_topes()[:6]:
             fv = vamos_om.meet_faces(t, t)
-            assert fv.f[0] == len(vamos_om.cocircuit_faces(t))
+            assert fv.f[0] == len(cocircuit_faces(vamos_om, t))
+
+
+class TestCountedDimensions:
+    """meet_faces counts a face's dimension from its support; the reference
+    asks Matroid.rank for the rank of its zero set."""
+
+    @staticmethod
+    def assert_every_pair_matches(om):
+        topes = om.bounded_topes()
+        for i, a in enumerate(topes):
+            for b in topes[i:]:
+                assert om.meet_faces(a, b) == meet_f_vector_by_rank(om, a, b), \
+                    (a.text(), b.text())
+
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_fixtures(self, name):
+        doc = load_fixture(name)
+        om = (Arrangement.from_json(doc).compile() if "hyperplanes" in doc
+              else AffineOrientedMatroid.from_json(doc))
+        self.assert_every_pair_matches(om)
+
+    def test_random_arrangements(self):
+        rng = random.Random(17)
+        checked = 0
+        while checked < 20:
+            dim = rng.randint(1, 3)
+            arr = random_arrangement(rng, dim, rng.randint(dim + 1, 8))
+            if arr is not None:
+                self.assert_every_pair_matches(arr.compile())
+                checked += 1
+
+    def test_uniform_rank_4_on_8(self):
+        # x0 + t x1 + t^2 x2 + t^3 x3 = t^4: four planes meet at the point
+        # whose quartic has their four roots t, so no fifth plane passes it
+        arr = Arrangement(4, [Hyperplane.make(f"H{t}", [1, t, t ** 2, t ** 3], t ** 4)
+                              for t in range(1, 9)])
+        om = arr.compile()
+        assert len(om.matroid().bases) == 70
+        self.assert_every_pair_matches(om)
 
 
 class TestBasisToCocircuit:

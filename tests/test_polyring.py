@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from chamberforms import polyring
 from chamberforms.polyring import (CertificateError, IntPoly, ONE, ZERO,
-                                   PolyMatrix, const, det_by_expansion, int_det,
-                                   poly_det, poly_eval, poly_pow, q_integer)
+                                   PolyMatrix, const, int_det, poly_det,
+                                   poly_eval, poly_pow, q_integer)
+from conftest import det_by_expansion
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
 

@@ -17,11 +17,10 @@ from pathlib import Path
 import pytest
 
 from chamberforms.cli import main
+from chamberforms.make_fixtures import FIXTURES
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
-FIXTURES = ("example13-C.json", "example13-Cprime.json", "line-n5.json",
-            "line-n10.json", "cyclic-r3-n7.json", "vamos.json")
 COMMANDS = ("check", "matrix", "det", "rhs", "invariants")
 
 CASES = [f"{cmd} --input fixtures/{name}" for name in FIXTURES for cmd in COMMANDS]
