@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .matroid import Matroid
 from .oriented_matroid import AffineOrientedMatroid, Chirotope, SignVector
-from .polyring import int_det
 
 
 class Hyperplane(NamedTuple):
@@ -51,10 +50,25 @@ def _cofactors(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
     """Signed maximal minors of a (width - 1) x width integer matrix.
 
     Entry j is (-1)^j det(rows without column j).  The vector is orthogonal
-    to every row, and it is zero exactly when the rows are dependent.
+    to every row, and it is zero exactly when the rows are dependent.  All
+    entries come from one pass: the minors of the leading t rows, keyed by
+    their column set, each expand along row t into the minors of the
+    leading t + 1 rows, so every sub-minor is computed once.
     """
-    return tuple((-1) ** j * int_det([row[:j] + row[j + 1:] for row in rows])
-                 for j in range(width))
+    minors = {0: 1}  # column bitmask -> minor of the leading rows on it
+    cols = range(width - 1, -1, -1)
+    for row in rows:
+        grown: dict[int, int] = {}
+        for mask, m in minors.items():
+            for c in cols:  # m takes the sign (-1)^(mask's columns above c)
+                bit = 1 << c
+                if mask & bit:
+                    m = -m
+                elif row[c]:
+                    grown[mask | bit] = grown.get(mask | bit, 0) + row[c] * m
+        minors = grown
+    full = (1 << width) - 1
+    return tuple((-1) ** j * minors.get(full ^ 1 << j, 0) for j in range(width))
 
 
 class Arrangement:

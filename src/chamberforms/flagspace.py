@@ -8,6 +8,20 @@ together they must form a Z-basis of that kernel (unit Smith divisors).
 
 For realizable inputs the module also builds the square sign matrix y
 indexed by generic-functional-bounded regions and bases.
+
+The unimodularity claims are certified in time linear in the nonzero
+entries, by the triangular order the proof uses.  _peel removes, one at a
+time, a row that is the only one left with a nonzero entry in some column,
+when that entry is +-1.  If every row goes, the peeled columns form a
+maximal minor that is triangular with a +-1 diagonal.  On the phi matrix
+that minor proves rank n_topes and unit Smith divisors; on the square y it
+gives det y as the sign of the row-to-column permutation times the product
+of the pivots.  The boundary kernel dimension is pinned from both sides: n
+independent phi vectors in the kernel bound it below by n, and the rank of
+the boundary matrix modulo a prime, never above its rank over Q, bounds it
+above.  Whenever a certificate does not hold, the exact computation runs
+instead (smith_divisors, int_det), so no value or verdict depends on which
+route was taken.
 """
 
 from __future__ import annotations
@@ -15,11 +29,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from math import prod
+from typing import Optional, Sequence
 
 from .arrangement import Arrangement
-from .oriented_matroid import AffineOrientedMatroid, SignVector, conforms, separation
-from .polyring import int_det
+from .oriented_matroid import (AffineOrientedMatroid, SignVector, _perm_parity,
+                               conforms, separation)
+from .polyring import _CERT_PRIME, _rank_mod, int_det
 
 
 def phi(om: AffineOrientedMatroid, tope: SignVector) -> dict:
@@ -110,6 +126,51 @@ def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
     return divisors
 
 
+def _peel(rows: Sequence) -> Optional[list[tuple[int, object, int]]]:
+    """Peel a triangular minor with a +-1 diagonal off an integer matrix.
+
+    Each row is a sequence of entries or a mapping from column to entry.
+    Repeatedly remove the one remaining row with a nonzero entry in some
+    column, when that entry is +-1.  Removing rows only shrinks column
+    supports, so the rows that can go do not depend on the order, and one
+    pass over the nonzero entries finds them all.  Returns the (row, column,
+    pivot) triples in peel order when every row goes, else None.  The
+    peeled columns then index a maximal minor that, in peel order, is upper
+    triangular with the pivots on its diagonal.
+    """
+    entries = [[(j, c) for j, c in (row.items() if isinstance(row, dict)
+                                    else enumerate(row)) if c]
+               for row in rows]
+    support: dict = {}
+    for i, row in enumerate(entries):
+        for j, _ in row:
+            support.setdefault(j, set()).add(i)
+    ready = [j for j, s in support.items() if len(s) == 1]
+    peeled = []
+    while ready:
+        j = ready.pop()
+        if not support[j]:
+            continue  # its one row went through another column
+        (i,) = support[j]
+        pivot = rows[i][j]
+        if pivot not in (1, -1):
+            continue  # stays so until its row goes, which empties the column
+        peeled.append((i, j, pivot))
+        for k, _ in entries[i]:
+            s = support[k]
+            s.discard(i)
+            if len(s) == 1:
+                ready.append(k)
+    return peeled if len(peeled) == len(rows) else None
+
+
+def _peeled_det(peeled: list[tuple[int, int, int]]) -> int:
+    """det of a square matrix whose rows all peeled: sgn(sigma) times the
+    product of the pivots, sigma mapping each row to its peeled column."""
+    return prod((p for _, _, p in peeled),
+                start=_perm_parity([j for _, j, _ in sorted(peeled)]))
+
+
 @dataclass(frozen=True)
 class KernelReport:
     n_topes: int
@@ -127,12 +188,24 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
 
     The clauses hold when every kernel flag is set and the phi rank, mu+ of
     the dual and the boundary kernel dimension all equal len(vectors), with
-    every phi divisor 1.
+    every phi divisor 1.  Each flag is the computed boundary of its vector.
+    When _peel removes every row of the phi matrix, a maximal minor is +-1,
+    so the rank is len(vectors) and every divisor is 1; otherwise
+    smith_divisors computes them.  The boundary kernel dimension is
+    len(vectors) when those vectors are certified independent and all in the
+    kernel, and the rank of the boundary matrix modulo a prime leaves a
+    kernel of exactly that dimension; otherwise smith_divisors gives the
+    rank of the boundary matrix.
     """
     bases = om.central.bases()
     flags = tuple(not boundary(om, v) for v in vectors)
-    matrix = [[v.get(b, 0) for b in bases] for v in vectors]
-    divisors = tuple(smith_divisors(matrix)) if matrix else ()
+    n = len(vectors)
+    phi_certified = _peel(vectors) is not None
+    if phi_certified:
+        divisors = (1,) * n
+    else:
+        divisors = tuple(smith_divisors([[v.get(b, 0) for b in bases]
+                                         for v in vectors]))
 
     subsets = list(combinations(om.ground, om.central.rank - 1))
     col = {frozenset(s): j for j, s in enumerate(subsets)}
@@ -142,10 +215,14 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
         for face, c in boundary(om, {b: 1}).items():
             row[col[face]] = c
         bmatrix.append(row)
-    kernel_dim = len(bases) - len(smith_divisors(bmatrix)) if bmatrix else 0
+    if (phi_certified and all(flags)
+            and len(bases) - _rank_mod(bmatrix, _CERT_PRIME) == n):
+        kernel_dim = n  # n independent kernel vectors; rank over Q >= rank mod p
+    else:
+        kernel_dim = len(bases) - len(smith_divisors(bmatrix))
 
     mu_dual = om.matroid().tutte(0, 1)  # mu+ of the dual matroid
-    return KernelReport(len(vectors), len(bases), flags, divisors, len(divisors),
+    return KernelReport(n, len(bases), flags, divisors, len(divisors),
                         mu_dual, kernel_dim)
 
 
@@ -191,7 +268,8 @@ def build_y_matrix(arr: Arrangement, seed: int) -> YMatrixReport:
 
     Draws a generic integer linear functional from the seed (rejecting any
     draw vanishing on an edge direction), builds the optimum bijection from
-    bases to bounded regions, and certifies det y = +-1.
+    bases to bounded regions, and certifies det y = +-1: by peeling y to a
+    triangular form with a +-1 diagonal, else by int_det.
     """
     om = arr.compile()
     order = {e: i for i, e in enumerate(arr.ground)}
@@ -227,7 +305,8 @@ def build_y_matrix(arr: Arrangement, seed: int) -> YMatrixReport:
         tuple((-1) ** separation(t, region_of[b]) if conforms(cocircuit[b], t) else 0
               for b in bases)
         for t in regions)
-    det_y = int_det(y_rows)
+    peeled = _peel(y_rows)
+    det_y = _peeled_det(peeled) if peeled is not None else int_det(y_rows)
     if det_y not in (1, -1):
         raise ValueError(f"det y = {det_y}, expected +-1")
     basis_tuples = tuple(tuple(sorted(b, key=order.__getitem__)) for b in bases)

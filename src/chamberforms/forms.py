@@ -27,8 +27,13 @@ class TheoremViolation(RuntimeError):
 _Q2_MINUS_1 = IntPoly((-1, 0, 1))
 
 
+@lru_cache(maxsize=1024)  # meets of one instance share few f-vectors
 def h_poly(fv: FVector) -> IntPoly:
-    """h-polynomial of a meet face, in q: sum f_i (q^2 - 1)^i."""
+    """h-polynomial of a meet face, in q: sum f_i (q^2 - 1)^i.
+
+    Cached per f-vector; an f-vector that breaks the Euler relation raises
+    on every call, since exceptions are not cached.
+    """
     acc = ZERO
     power = ONE
     for fi in fv.f:

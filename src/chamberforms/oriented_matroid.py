@@ -430,7 +430,11 @@ class AffineOrientedMatroid:
         dim_top = zero_dim + ((top | top >> 1) & odd).bit_count()
         counts = [0] * (dim_top + 1)
         for x in faces:
-            counts[zero_dim + ((x | x >> 1) & odd).bit_count()] += 1
+            d = zero_dim + ((x | x >> 1) & odd).bit_count()
+            if not 0 <= d <= dim_top:
+                d = self._dependent_face_dim(a, b, SignVector(self.ground, x),
+                                             d, dim_top)
+            counts[d] += 1
         if counts[dim_top] != 1:
             raise ValueError(
                 f"bounded topes {a.text()!r} and {b.text()!r} meet in "
@@ -438,3 +442,21 @@ class AffineOrientedMatroid:
         fv = FVector(dim_top, tuple(counts))
         self._meets[key] = fv
         return fv
+
+    def _dependent_face_dim(self, a: SignVector, b: SignVector, face: SignVector,
+                            counted: int, dim_top: int) -> int:
+        """Dimension of a meet face whose counted dimension is out of range.
+
+        Only a dependent zero set gets one, which validation rules out.  If
+        the face's rank gives it the top dimension, it is returned, and
+        meet_faces then reports a second top face; otherwise this raises.
+        """
+        z = face.zero_set()
+        d = self.central.rank - self.matroid().rank(z)
+        if d != dim_top:
+            raise ValueError(
+                f"bounded topes {a.text()!r} and {b.text()!r} meet in face "
+                f"{face.text()!r}, whose zero set "
+                f"{sorted(z, key=self.ground.index)} is dependent: counted "
+                f"dimension {counted} lies outside 0..{dim_top}")
+        return d

@@ -571,6 +571,28 @@ def _det_mod(rows: list[list[int]], m: int) -> int:
     return det % m
 
 
+def _rank_mod(rows: Sequence[Sequence[int]], m: int) -> int:
+    """Rank mod a prime m by Gaussian elimination on Python ints.
+
+    It is never above the rank over Q: a minor nonzero mod m is nonzero.
+    """
+    a = [[x % m for x in row] for row in rows]
+    rank = 0
+    for k in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][k]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        row_k = a[rank]
+        inv = pow(row_k[k], -1, m)
+        for i in range(rank + 1, len(a)):
+            f = a[i][k] * inv % m
+            if f:
+                a[i] = [(x - f * y) % m for x, y in zip(a[i], row_k)]
+        rank += 1
+    return rank
+
+
 def _band_order(n: int, pattern: Sequence[tuple[int, int]]) -> list[int]:
     """Reverse Cuthill-McKee order of the symmetrised nonzero pattern.
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chamberforms.arrangement import Arrangement, Hyperplane
+from chamberforms.arrangement import Arrangement, Hyperplane, _cofactors
+from chamberforms.polyring import int_det
 from chamberforms.forms import verify
 from chamberforms.oriented_matroid import SignVector, conforms
 from conftest import (circuits, cocircuit_faces, example13_C, example13_Cprime,
@@ -130,6 +132,22 @@ class TestIntegerMinors:
                     assert all(v[i] * u[j] == v[j] * u[i]
                                for i, j in combinations(range(dim), 2))
         assert seen_generic > 100 and seen_violation > 10 and seen_dependent > 10
+
+
+@st.composite
+def cofactor_inputs(draw):
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-20, 20), min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=width - 1, max_size=width - 1)), width
+
+
+@given(cofactor_inputs())
+@settings(deadline=None, max_examples=200)
+def test_cofactors_are_the_signed_maximal_minors(args):
+    rows, width = args
+    assert _cofactors(rows, width) == tuple(
+        (-1) ** j * int_det([row[:j] + row[j + 1:] for row in rows])
+        for j in range(width))
 
 
 class TestValidateGeneric:

@@ -1,11 +1,16 @@
 import random
 
-from chamberforms.flagspace import (boundary, build_y_matrix,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chamberforms import cli, flagspace
+from chamberforms.flagspace import (_peel, _peeled_det, boundary, build_y_matrix,
                                     check_basis_of_kernel, expansion_matches_y,
                                     pairing, phi, smith_divisors)
 from chamberforms.forms import build_S
-from chamberforms.polyring import poly_eval
-from conftest import (cocircuit_faces, example13_C, example13_Cprime,
+from chamberforms.make_fixtures import FIXTURES
+from chamberforms.polyring import int_det, poly_eval
+from conftest import (FIXTURE_DIR, cocircuit_faces, example13_C, example13_Cprime,
                       line_points, random_arrangement)
 
 
@@ -181,3 +186,79 @@ class TestYMatrix:
             assert rep.det_y in (1, -1)
             om = arr.compile()
             assert expansion_matches_y(om, rep, phis(om)) == []
+
+
+# Entries drawn mostly from 0 and +-1, so that peeling often succeeds.
+entries = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3])
+
+
+@st.composite
+def small_matrices(draw):
+    n_rows = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(n_rows, 6))
+    return draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+
+
+@st.composite
+def scrambled_triangular(draw):
+    """P T Q with T upper triangular, +-1 on its diagonal, P and Q permutations."""
+    n = draw(st.integers(1, 6))
+    t = [[draw(st.sampled_from([1, -1])) if j == i else
+          draw(entries) if j > i else 0 for j in range(n)] for i in range(n)]
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    return [[t[i][j] for j in cols] for i in rows]
+
+
+class TestPeel:
+    @given(small_matrices())
+    @settings(deadline=None, max_examples=200)
+    def test_peeled_matrix_is_unimodular(self, rows):
+        peeled = _peel(rows)
+        if peeled is None:
+            return
+        assert sorted(i for i, _, _ in peeled) == list(range(len(rows)))
+        assert smith_divisors(rows) == [1] * len(rows)
+        if len(rows) == len(rows[0]):
+            assert _peeled_det(peeled) == int_det(rows) in (1, -1)
+
+    @given(scrambled_triangular())
+    @settings(deadline=None, max_examples=200)
+    def test_scrambled_triangular_peels_to_its_det(self, rows):
+        peeled = _peel(rows)
+        assert peeled is not None
+        assert _peeled_det(peeled) == int_det(rows)
+
+    def test_mapping_rows(self):
+        rows = [{"a": 1, "b": 5}, {"b": -1}]
+        assert sorted(_peel(rows)) == [(0, "a", 1), (1, "b", -1)]
+
+    def test_no_unit_singleton_column_fails(self):
+        assert _peel([[1, 1], [0, 2]]) is None
+        assert _peel([[1, 1], [1, 2]]) is None
+
+    def test_fallback_when_peeling_fails(self, monkeypatch):
+        """[[1, 1], [1, 2]] is unimodular but has no unit singleton column;
+        check_basis_of_kernel then reads its divisors from smith_divisors."""
+        om = example13_C().compile()
+        b0, b1 = om.central.bases()[:2]
+        calls = []
+        monkeypatch.setattr(flagspace, "smith_divisors",
+                            lambda rows: calls.append(len(rows)) or smith_divisors(rows))
+        rep = check_basis_of_kernel(om, [{b0: 1, b1: 1}, {b0: 1, b1: 2}])
+        assert rep.phi_divisors == (1, 1) and rep.phi_rank == 2
+        assert rep.kernel_flags == (False, False)
+        assert calls[0] == 2  # the phi matrix, then the boundary matrix
+        assert rep.boundary_kernel_dim == rep.n_topes == 2
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_invariants_certifies_without_elimination(name, monkeypatch, tmp_path):
+    """On every fixture the certificates hold: no Smith form, no Bareiss."""
+    def forbidden(rows):
+        raise AssertionError("exact fallback called")
+    monkeypatch.setattr(flagspace, "smith_divisors", forbidden)
+    monkeypatch.setattr(flagspace, "int_det", forbidden)
+    assert cli.main(["invariants", "--input", str(FIXTURE_DIR / name),
+                     "--out", str(tmp_path / "report.json")]) == 0

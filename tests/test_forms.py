@@ -34,6 +34,15 @@ class TestHPoly:
             assert poly_eval(h_poly(fv), 1) == fv.f[0]
 
 
+    def test_cached_per_f_vector(self):
+        assert h_poly(FVector(2, (3, 3, 1))) is h_poly(FVector(2, (3, 3, 1)))
+
+    def test_euler_error_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Euler relation"):
+                h_poly(FVector(1, (3, 1)))
+
+
 class TestBuildS:
     def test_example13(self):
         assert ints(build_S(example13_C().compile())) == [[3, 1], [1, 3]]

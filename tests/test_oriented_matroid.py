@@ -286,6 +286,22 @@ class TestMeetFaces:
                                              "'-1 -2 3' meet in 2 faces of top"):
             om.meet_faces(sv("1 -2 3"), sv("-1 -2 3"))
 
+    def test_dependent_zero_set_raises_value_error(self, monkeypatch):
+        """Unreachable past validation: '-3' has zero set {1, 2}, which is
+        dependent in this rank-1 matroid, so its counted dimension is -1.
+        The two topes meet in '-3' alone, whose top dimension also counts
+        -1: the face gets no slot, and the error names it."""
+        chi = Chirotope.from_text(1, ("1", "2", "3"), "+++")
+        feasible = [sv(t) for t in ("-2 -3", "-3", "1 2")]
+        with pytest.raises(ValueError, match="genericity"):
+            AffineOrientedMatroid(chi, feasible)
+        monkeypatch.setattr(AffineOrientedMatroid, "_validate", lambda self: None)
+        om = AffineOrientedMatroid(chi, feasible)
+        with pytest.raises(ValueError, match=r"bounded topes '1 2 -3' and "
+                                             r"'1 -2 -3' meet in face '-3', whose "
+                                             r"zero set \['1', '2'\] is dependent"):
+            om.meet_faces(sv("1 2 -3"), sv("1 -2 -3"))
+
     def test_diagonal_f0_matches_cocircuit_faces(self, vamos_om):
         for t in vamos_om.bounded_topes()[:6]:
             fv = vamos_om.meet_faces(t, t)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 from unittest import mock
 
@@ -10,7 +11,7 @@ from chamberforms import polyring
 from chamberforms.polyring import (CertificateError, IntPoly, ONE, ZERO,
                                    PolyMatrix, const, int_det, poly_det,
                                    poly_eval, poly_pow, q_integer)
-from conftest import det_by_expansion
+from conftest import det_by_expansion, row_reduce
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
 
@@ -524,3 +525,22 @@ class TestPolyMatrix:
 def test_poly_pow():
     assert poly_pow(q_integer(2), 3) == q_integer(2) * q_integer(2) * q_integer(2)
     assert poly_pow(q_integer(5), 0) == ONE
+
+
+small_int_matrices = st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), max_size=7))
+
+
+class TestRankMod:
+    @given(small_int_matrices)
+    @settings(deadline=None, max_examples=150)
+    def test_equals_rational_rank_below_the_modulus(self, rows):
+        # every minor is far below 2**61 - 1, so none vanishes only mod p
+        expected = row_reduce([[Fraction(x) for x in row] for row in rows])
+        assert polyring._rank_mod(rows, polyring._CERT_PRIME) == expected
+
+    def test_never_above_the_rational_rank(self):
+        rows = [[1, 1], [1, -1]]  # det -2
+        assert polyring._rank_mod(rows, 2) == 1
+        assert polyring._rank_mod(rows, 3) == 2
+        assert rows == [[1, 1], [1, -1]]  # the input is left as it was

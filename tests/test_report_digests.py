@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from chamberforms import flagspace
 from chamberforms.cli import main
 from chamberforms.make_fixtures import FIXTURES
 
@@ -45,6 +46,20 @@ def test_every_case_is_pinned(pinned):
 
 @pytest.mark.parametrize("case", CASES)
 def test_report_matches_pinned_digest(case, pinned, tmp_path):
+    assert run_case(case, tmp_path) == pinned[case]
+
+
+# The flag-space oracle certifies by peeling and by a rank mod p; when those
+# fail it falls back to exact elimination, which must give the same reports.
+FALLBACKS = {"peel": ("_peel", lambda rows: None),
+             "rank_mod": ("_rank_mod", lambda rows, m: 0)}
+
+
+@pytest.mark.parametrize("broken", sorted(FALLBACKS))
+@pytest.mark.parametrize("case", [c for c in CASES if c.startswith("invariants")])
+def test_invariants_digest_holds_through_the_fallback(case, broken, pinned,
+                                                      tmp_path, monkeypatch):
+    monkeypatch.setattr(flagspace, *FALLBACKS[broken])
     assert run_case(case, tmp_path) == pinned[case]
 
 
