@@ -7,7 +7,7 @@ the determinant engine below multiplies no polynomials.
 
 Determinants over Z[q] come from one modular engine (Abbott, Bronstein and
 Mulders, ISSAC 1999), preceded by two exact transforms that keep the
-determinant and one pass that reads its symmetry:
+determinant and two passes that read its symmetries:
 
 - Band order: rows and columns are permuted alike by reverse Cuthill-McKee
   on the symmetrised nonzero pattern.  A symmetric permutation P M P^T has
@@ -22,6 +22,14 @@ determinant and one pass that reads its symmetry:
   entry t^(a_i + b_j) N_ij(1/t) = N_ij(t), as S_q's entries (-q)^d h(q^2)
   do, then t^c g(1/t) = g(t) with c = sum a + sum b - 2 sum s.  Each value
   g(t) then also gives g(1/t) = t^-c g(t), again about half the points.
+- Symmetry: both transforms act alike on rows and columns, so N is
+  symmetric exactly when M is, as S_q is.  The engine then evaluates only
+  the upper triangle of N and eliminates it with diagonal pivots, reading
+  and updating only the upper triangle, at about half the work.  If a
+  diagonal pivot vanishes at some point, that prime and every later one
+  run on the whole of N with row pivoting instead.  int_det eliminates a
+  symmetric integer matrix, such as S, on its upper triangle in the same
+  way.
 
 The engine interpolates g itself from det N(t) / t^(sum s) at powers of 2
 with consecutive exponents.  It evaluates at t = 2^0 .. 2^(K-1).  On a
@@ -31,9 +39,10 @@ sum to D, and the nodes are the evaluation points.  The primes lie below
 sqrt((2^63 - 1) / (m + 1)), m the larger of n and the widest entry of N, so
 that every sum of m + 1 products of residues fits in an int64: the numpy
 passes reduce mod p only where a product could overflow.  Modulo each prime
-the K determinants come from one int64 batch of eliminations, and Newton
-interpolation on the geometric nodes recovers g mod p.  A prime where 2 has
-order below the coefficient count would repeat a node and is skipped.
+the K determinants come from int64 batches of eliminations, as many points
+at a time as a fixed byte budget allows, and Newton interpolation on the
+geometric nodes recovers g mod p.  A prime where 2 has order below the
+coefficient count would repeat a node and is skipped.
 Primes are combined by CRT until their product exceeds twice the
 coefficient bound H = prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on the unit
 circle with Cauchy's estimate), and the symmetric lift is the exact g.  The
@@ -242,13 +251,55 @@ class PolyMatrix:
         return self.entries[i][j]
 
 
+def _is_symmetric(rows: Sequence[Sequence]) -> bool:
+    n = len(rows)
+    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def _symmetric_bareiss(rows: Sequence[Sequence[int]]) -> int | None:
+    """det of a symmetric matrix by Bareiss on its upper triangle, or None.
+
+    Step k sets m_ij <- (m_kk m_ij - m_ki m_kj) / m_(k-1)(k-1) for
+    k < i <= j, reading m_ik as m_ki: the trailing matrix of each step is
+    symmetric again, so the lower triangle is never read or written.  The
+    pivots are the diagonal entries; None when one vanishes before the last.
+    """
+    n = len(rows)
+    m = [list(r) for r in rows]
+    prev = 1
+    for k in range(n - 1):
+        row_k = m[k]
+        pivot = row_k[k]
+        if not pivot:
+            return None
+        for i in range(k + 1, n):
+            row_i, mki = m[i], row_k[i]
+            for j in range(i, n):
+                q, r = divmod(pivot * row_i[j] - mki * row_k[j], prev)
+                if r:
+                    raise ExactDivisionError("Bareiss integer division was inexact")
+                row_i[j] = q
+        prev = pivot
+    return m[n - 1][n - 1]
+
+
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
+    """Exact integer determinant by Bareiss fraction-free elimination.
+
+    A symmetric matrix, such as S, is eliminated on its upper triangle with
+    diagonal pivots (_symmetric_bareiss), at about half the cost.  Any other
+    matrix, and a symmetric one whose diagonal pivot vanishes, takes the
+    elimination with row pivoting, from the matrix as passed.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("int_det requires a square grid")
     if n == 0:
         return 1
+    if _is_symmetric(rows):
+        det = _symmetric_bareiss(rows)
+        if det is not None:
+            return det
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -343,6 +394,12 @@ def _batch_inverse(v: np.ndarray, p: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+# One evaluated batch of points and its entry values take at most about
+# this many bytes; a matrix with more points is evaluated and eliminated in
+# chunks of points, one after the other.
+_BATCH_BYTES = 1 << 26
+
+
 class _Evaluator:
     """Evaluates a Z[t] matrix at t = 2**0 .. 2**(n_points - 1) modulo a prime.
 
@@ -350,33 +407,45 @@ class _Evaluator:
     one int64 product of the node-power table (points x width) with the
     coefficient table (width x entries), reduced once.  Each sum has at most
     width products of residues, so the prime must keep width (p - 1)**2 in
-    an int64.  The (points, n, n) batch is allocated once and refilled.
+    an int64.  With upper set, only the entries (i, j) with j >= i are
+    computed and the rest of each matrix is 0: that is all the symmetric
+    elimination of _batch_det_mod reads.  The points are evaluated in
+    chunks of step points, starting at lo, whose (points, n, n) batch and
+    entry values fit in _BATCH_BYTES; every chunk refills one buffer,
+    allocated once.
     """
 
-    def __init__(self, rows, n_points: int):
+    def __init__(self, rows, n_points: int, upper: bool = False):
+        n = len(rows)
         entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
-                   for j, e in enumerate(row) if e.coeffs]
+                   for j, e in enumerate(row) if e.coeffs and (j >= i or not upper)]
         self.rows = np.array([i for i, _, _ in entries], dtype=np.intp)
         self.cols = np.array([j for _, j, _ in entries], dtype=np.intp)
         self.width = max(len(c) for _, _, c in entries)
         # coeffs[k][m] is the coefficient of t**k in the m-th nonzero entry
         self.coeffs = [[c[k] if k < len(c) else 0 for _, _, c in entries]
                        for k in range(self.width)]
+        self.n_points = n_points
+        per_point = 8 * (n * n + len(entries))
+        self.step = max(1, min(n_points, _BATCH_BYTES // per_point))
         # (points, n, n), laid out points-last for _batch_det_mod
-        self.batch = np.zeros((len(rows), len(rows), n_points),
-                              dtype=np.int64).transpose(2, 0, 1)
+        self.batch = np.zeros((n, n, self.step), dtype=np.int64).transpose(2, 0, 1)
 
-    def __call__(self, p: int) -> np.ndarray:
-        nodes = _powers(2, self.batch.shape[0], p)
-        table = np.empty((len(nodes), self.width), dtype=np.int64)
+    def __call__(self, p: int, lo: int = 0) -> np.ndarray:
+        """The batch of the points lo .. lo + step - 1, or up to the last."""
+        count = min(self.step, self.n_points - lo)
+        nodes = _powers(2, count, p) * pow(2, lo, p) % p
+        table = np.empty((count, self.width), dtype=np.int64)
         table[:, 0] = 1
         for k in range(1, self.width):
             table[:, k] = table[:, k - 1] * nodes % p
         coeffs = np.array([[c % p for c in layer] for layer in self.coeffs],
                           dtype=np.int64)
-        self.batch.fill(0)
-        self.batch[:, self.rows, self.cols] = table @ coeffs % p
-        return self.batch
+        values = table @ coeffs
+        batch = self.batch[:count]
+        batch.fill(0)
+        batch[:, self.rows, self.cols] = np.remainder(values, p, out=values)
+        return batch
 
 
 # The block update forms factor x pivot row in row chunks of at most this
@@ -384,58 +453,97 @@ class _Evaluator:
 _CHUNK = 1 << 18
 
 
-def _batch_det_mod(a: np.ndarray, p: int) -> np.ndarray:
+def _runs(idx: list[int]) -> list[list[int]]:
+    """The maximal runs of consecutive integers in sorted idx, as [lo, hi)."""
+    runs: list[list[int]] = []
+    for i in idx:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    return runs
+
+
+def _batch_det_mod(a: np.ndarray, p: int, symmetric: bool = False):
     """det mod p of each matrix in a (points, n, n) batch; a is overwritten.
 
-    Gaussian elimination over GF(p) with a pivot row chosen per matrix, so a
-    pivot that vanishes at some evaluation points costs nothing extra.  Each
-    step updates only the block spanned by the rows with a nonzero entry
-    below the pivot and the columns with a nonzero entry right of it, at any
-    point; on banded matrices such as the line's S_q that block is tiny.
-    The work runs on the (n, n, points) view of a, which is contiguous when
-    a is laid out points-last, as _Evaluator lays it out.
+    Gaussian elimination over GF(p).  The work runs on the (n, n, points)
+    view of a, which is contiguous when a is laid out points-last, as
+    _Evaluator lays it out.  Each step updates only the rows and columns
+    with a nonzero entry, at any point, below and right of the pivot; on
+    banded matrices such as the line's S_q those are few.
 
-    Reduction is lazy.  Entries start in [0, p); step k reduces only column
-    k (rows >= k) and then the pivot row, and the block update subtracts
-    products below p**2 with no remainder.  An entry is updated at most
-    n - 1 times before it is reduced, so entries stay above -(n - 1) p**2:
-    the prime must keep n (p - 1)**2 in an int64.  The pivots of all points
-    are inverted together (_batch_inverse); a point without a pivot has
-    det 0 already, and its factors are 0.
+    With symmetric set, every matrix must be symmetric and only its upper
+    triangle is read.  Step k reduces row k from the diagonal and takes the
+    diagonal entry as pivot.  The columns nz right of it that are nonzero
+    at any point are, by symmetry, also the rows to update; nz splits into
+    runs [lo, hi) of consecutive indices, and each run updates
+    a[lo:hi, lo:end] with the factors a[k, lo:hi] / pivot, end the last of
+    nz plus one.  The trailing matrix stays symmetric, so its upper
+    triangle is all the next step needs; the entries of a run's block
+    below the diagonal are updated but never read.  When a diagonal pivot
+    before the last is 0 at some point, the batch is given up and the
+    result is None.
+
+    Otherwise, a pivot row is chosen per matrix, so a pivot that vanishes
+    at some evaluation points costs nothing extra.  Step k updates the
+    rectangle spanned by the rows with a nonzero entry below the pivot and
+    the columns with a nonzero entry right of it.
+
+    Reduction is lazy.  Entries start in [0, p); step k reduces only the
+    pivot row and, with row pivoting, column k (rows >= k), and the block
+    update subtracts products below p**2 with no remainder.  An entry is
+    updated at most n - 1 times before it is reduced, so entries stay above
+    -(n - 1) p**2: the prime must keep n (p - 1)**2 in an int64.  The
+    pivots of all points are inverted together (_batch_inverse); a point
+    without a pivot has det 0 already, and its factors are 0.
     """
     n_pts, n = a.shape[0], a.shape[1]
     a = a.transpose(1, 2, 0)
     det = np.ones(n_pts, dtype=np.int64)
     pts = np.arange(n_pts)
     for k in range(n):
-        column = a[k:, k]
-        np.remainder(column, p, out=column)
-        piv = (column != 0).argmax(axis=0) + k
-        swap = piv != k
-        if swap.any():
-            row_piv = a[piv, :, pts].copy()
-            a[piv, :, pts] = a[k].T.copy()
-            a[k] = row_piv.T
-            det = np.where(swap, p - det, det)
+        if symmetric:
+            row = a[k, k:]
+            np.remainder(row, p, out=row)
+            if k < n - 1 and not row[0].all():
+                return None  # a diagonal pivot vanished before the last
+        else:
+            column = a[k:, k]
+            np.remainder(column, p, out=column)
+            piv = (column != 0).argmax(axis=0) + k
+            swap = piv != k
+            if swap.any():
+                row_piv = a[piv, :, pts].copy()
+                a[piv, :, pts] = a[k].T.copy()
+                a[k] = row_piv.T
+                det = np.where(swap, p - det, det)
         pivot = a[k, k]  # zero exactly where the column has no pivot
         det = det * pivot % p
         if k == n - 1:
             break
         row = a[k, k + 1:]
-        np.remainder(row, p, out=row)
-        rows = np.flatnonzero(a[k + 1:, k].any(axis=1)) + k + 1
+        if not symmetric:
+            np.remainder(row, p, out=row)
         cols = np.flatnonzero(row.any(axis=1)) + k + 1
+        if symmetric:
+            source, rows = a[k], cols  # row k is column k
+        else:
+            source = a[:, k]
+            rows = np.flatnonzero(a[k + 1:, k].any(axis=1)) + k + 1
         if not rows.size or not cols.size:
             continue
-        top, bottom = rows[0], rows[-1] + 1
-        c = slice(cols[0], cols[-1] + 1)
-        factor = a[top:bottom, k] * _batch_inverse(pivot, p) % p
-        pivot_row = a[k, c]
-        step = max(1, _CHUNK // pivot_row.size)
-        for lo in range(top, bottom, step):
-            hi = min(lo + step, bottom)
-            block = a[lo:hi, c]  # a view: the update happens in place
-            block -= factor[lo - top:hi - top, None] * pivot_row
+        blocks = ([(lo, hi, lo) for lo, hi in _runs(rows.tolist())] if symmetric
+                  else [(rows[0], rows[-1] + 1, cols[0])])
+        first, end = blocks[0][0], cols[-1] + 1
+        factor = source[first:blocks[-1][1]] * _batch_inverse(pivot, p) % p
+        for top, bottom, left in blocks:
+            pivot_row = a[k, left:end]
+            step = max(1, _CHUNK // pivot_row.size)
+            for lo in range(top, bottom, step):
+                hi = min(lo + step, bottom)
+                block = a[lo:hi, left:end]  # a view: the update happens in place
+                block -= factor[lo - first:hi - first, None] * pivot_row
     return det
 
 
@@ -499,8 +607,11 @@ def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
     sqrt((2**63 - 1) / (m + 1)), m the larger of n and the widest entry of
     N, so that every sum of m + 1 products of residues fits in an int64; a
     prime where 2 has order below the coefficient count would repeat a node
-    and is skipped.  Each prime takes one batched elimination at the K
-    points, one Newton interpolation, and one CRT step.
+    and is skipped.  Each prime takes batched eliminations at the K points,
+    one Newton interpolation, and one CRT step.  When N is symmetric the
+    eliminations use diagonal pivots on the upper triangle; after one of
+    them meets a vanishing pivot, the prime starts again, and it and the
+    later primes evaluate all of N and pivot by rows.
     """
     degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
     if min(degrees) < 0:
@@ -520,12 +631,22 @@ def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
             continue  # 2 has order below n_coeffs: the nodes repeat
         primes.append(p)
         modulus *= p
-    evaluate = _Evaluator(rows, n_evals)
+    symmetric = _is_symmetric(rows)
+    evaluate = _Evaluator(rows, n_evals, symmetric)
     residues: list[int] = [0] * n_coeffs
     modulus = 1
     for p in primes:
         inv2 = (p + 1) // 2
-        det = _batch_det_mod(evaluate(p), p)
+        parts, lo = [], 0
+        while lo < n_evals:
+            part = _batch_det_mod(evaluate(p, lo), p, symmetric)
+            if part is None:  # a diagonal pivot vanished: pivot from here on
+                symmetric, parts, lo = False, [], 0
+                evaluate = _Evaluator(rows, n_evals, symmetric)
+                continue
+            parts.append(part)
+            lo += evaluate.step
+        det = np.concatenate(parts)
         g = det * _powers(pow(inv2, shift, p), n_evals, p) % p  # at t = 2**e
         if c is None:
             e0, y = 0, g

@@ -344,9 +344,9 @@ def traced_det(rows):
         cs.append(c)
         return engine(rows, shift, c)
 
-    def spy_batch(a, p):
+    def spy_batch(a, p, symmetric):
         points.add(a.shape[0])
-        return batch(a, p)
+        return batch(a, p, symmetric)
     with mock.patch.object(polyring, "_modular_det", spy_engine), \
             mock.patch.object(polyring, "_batch_det_mod", spy_batch):
         return poly_det(rows), cs, points
@@ -409,9 +409,9 @@ class TestMirroredNodes:
         used = []
         batch = polyring._batch_det_mod
 
-        def spy_batch(a, p):
+        def spy_batch(a, p, symmetric):
             used.append(p)
-            return batch(a, p)
+            return batch(a, p, symmetric)
         monkeypatch.setattr(polyring, "_batch_det_mod", spy_batch)
         monkeypatch.setattr(polyring, "_primes_below",
                             lambda top: iter([8191, 1000003]))
@@ -508,6 +508,156 @@ class TestWordKernel:
             t = pow(2, e, p)
             assert batch[e].tolist() == [[polyring._eval_mod(x, t, p) for x in row]
                                          for row in rows]
+
+
+def symmetric_edge_batch(rng, n_pts, n, p):
+    """Symmetric residues in [p - 2**20, p).
+
+    Point 1 repeats row and column 0 as the last ones, so only its last
+    diagonal pivot vanishes: det 0, and no reason to give up.
+    """
+    a = rng.integers(p - 2 ** 20, p, size=(n_pts, n, n), dtype=np.int64)
+    a = np.triu(a) + np.triu(a, 1).transpose(0, 2, 1)
+    if n_pts > 1 and n > 1:
+        a[1, -1] = a[1, 0]
+        a[1, :, -1] = a[1, :, 0]
+    return a
+
+
+def assert_symmetric_kernel_matches(a, p):
+    expected = [polyring._det_mod([[int(x) for x in row] for row in m], p) for m in a]
+    upper = np.triu(a)  # the symmetric kernel reads nothing below the diagonal
+    assert polyring._batch_det_mod(upper.copy(), p, True).tolist() == expected
+    assert polyring._batch_det_mod(points_last(upper), p, True).tolist() == expected
+
+
+def spied_det(rows):
+    """poly_det(rows), and per batched elimination its mode and whether it
+    gave up on a vanishing diagonal pivot."""
+    calls = []
+    batch = polyring._batch_det_mod
+
+    def spy_batch(a, p, symmetric):
+        out = batch(a, p, symmetric)
+        calls.append((symmetric, out is None))
+        return out
+    with mock.patch.object(polyring, "_batch_det_mod", spy_batch):
+        return poly_det(rows), calls
+
+
+def uniform_arrangement(rng, r, n):
+    """A generic arrangement whose normal matroid is U(r, n), like `dense`'s."""
+    from conftest import random_arrangement
+    while True:
+        arr = random_arrangement(rng, r, n)
+        if arr is not None and len(arr.matroid().bases) == comb(n, r):
+            return arr
+
+
+def symmetric_matrices(entry, max_n):
+    """Square matrices of entries drawn from entry, symmetric by construction."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        entry, min_size=n * n, max_size=n * n).map(
+            lambda v: [[v[min(i, j) * n + max(i, j)] for j in range(n)]
+                       for i in range(n)]))
+
+
+class TestSymmetricElimination:
+    """Diagonal pivots on the upper triangle, and the fallback to pivoting."""
+
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2 ** 32))
+    @settings(deadline=None, max_examples=40)
+    def test_lazy_elimination_at_the_edge(self, n, n_pts, seed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            p = first_prime(monkeypatch, n, 1)
+        rng = np.random.default_rng(seed)
+        assert_symmetric_kernel_matches(symmetric_edge_batch(rng, n_pts, n, p), p)
+
+    def test_lazy_elimination_at_n_200(self, monkeypatch):
+        p = first_prime(monkeypatch, 200, 1)
+        rng = np.random.default_rng(200)
+        assert_symmetric_kernel_matches(symmetric_edge_batch(rng, 2, 200, p), p)
+
+    def test_vanishing_pivot_at_one_point_gives_up(self):
+        p = 1000003
+        a = np.array([[[2, 1], [1, 3]], [[0, 1], [1, 3]], [[5, 2], [2, 1]]],
+                     dtype=np.int64)
+        assert polyring._batch_det_mod(points_last(a), p, True) is None
+        assert polyring._batch_det_mod(points_last(a), p).tolist() == [5, p - 1, 1]
+        swap = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
+        assert polyring._batch_det_mod(swap.copy(), p, True) is None
+
+    @given(symmetric_matrices(
+        st.lists(st.integers(-4, 4), max_size=3).map(IntPoly), 4))
+    @settings(deadline=None, max_examples=60)
+    def test_symmetric_matches_expansion(self, rows):
+        assert poly_det(rows) == det_by_expansion(rows)
+
+    def test_pivot_vanishing_at_one_point_falls_back(self):
+        q4 = IntPoly([-4, 1])  # 0 at t = 4, the last of the points 1, 2, 4
+        rows = [[q4, ONE], [ONE, q4]]
+        det, calls = spied_det(rows)
+        assert det == det_by_expansion(rows)
+        assert calls[0] == (True, True) and len(calls) > 1
+        assert set(calls[1:]) == {(False, False)}
+
+    def test_zero_diagonal_falls_back(self):
+        q = IntPoly([0, 1])
+        det, calls = spied_det([[ZERO, q], [q, ZERO]])
+        assert det == IntPoly([0, 0, -1])
+        assert calls[0] == (True, True) and len(calls) > 1
+        assert set(calls[1:]) == {(False, False)}
+
+    def test_points_in_chunks(self, monkeypatch):
+        q4 = IntPoly([-4, 1])
+        rows = [[q4, ONE, ZERO], [ONE, q4, q4], [ZERO, q4, const(3)]]
+        whole, whole_calls = spied_det(rows)
+        monkeypatch.setattr(polyring, "_BATCH_BYTES", 1)  # a point per batch
+        det, calls = spied_det(rows)
+        assert det == whole == det_by_expansion(rows)
+        assert len(calls) > len(whole_calls)
+        gave_up = calls.index((True, True))
+        assert set(calls[:gave_up]) == {(True, False)}
+        assert set(calls[gave_up + 1:]) == {(False, False)}
+
+    @given(symmetric_matrices(st.integers(-6, 6), 5))
+    @settings(deadline=None)
+    def test_int_det_matches_permutation_sum(self, rows):
+        expected = det_by_expansion([[const(x) for x in row] for row in rows])
+        assert const(int_det(rows)) == expected
+
+    def test_int_det_zero_diagonal_falls_back(self):
+        assert polyring._symmetric_bareiss([[0, 2], [2, 0]]) is None
+        assert int_det([[0, 2], [2, 0]]) == -4
+        rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]  # the second pivot is 0
+        assert polyring._symmetric_bareiss(rows) is None
+        assert int_det(rows) == -1
+
+    def test_int_det_against_row_pivoting(self):
+        rng = random.Random(7)
+        for n in (6, 12, 20):
+            upper = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+                     for _ in range(n)]
+            rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            assert polyring._symmetric_bareiss(rows) is not None
+            swapped = [rows[1], rows[0]] + rows[2:]  # not symmetric: pivoting
+            assert int_det(rows) == -int_det(swapped) != 0
+
+    def test_commands_take_the_symmetric_path(self):
+        """On the fixtures and a `dense`-shaped arrangement, no diagonal pivot
+        of S or S_q vanishes: the pivoting kernel is never called."""
+        from chamberforms.cli import load_instance
+        from chamberforms.forms import build_S, build_Sq
+        from chamberforms.make_fixtures import FIXTURES
+        from conftest import FIXTURE_DIR
+        oms = [load_instance(str(FIXTURE_DIR / name)).om for name in FIXTURES]
+        oms.append(uniform_arrangement(random.Random(1), 3, 9).compile())
+        assert len(oms) == 7 and len(oms[-1].bounded_topes()) == comb(8, 3)
+        for om in oms:
+            _, calls = spied_det(build_Sq(om).matrix)
+            assert calls and set(calls) == {(True, False)}
+            s = [[e[0] for e in row] for row in build_S(om).matrix.entries]
+            assert polyring._symmetric_bareiss(s) is not None
 
 
 class TestPolyMatrix:
