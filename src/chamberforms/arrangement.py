@@ -100,9 +100,11 @@ class Arrangement:
             dim = doc["dim"]
             hyps = [Hyperplane.make(h["label"], h["normal"], h["offset"])
                     for h in doc["hyperplanes"]]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"malformed arrangement JSON: missing {exc}") from None
-        except ValueError as exc:
+        except ZeroDivisionError as exc:
+            raise ValueError(f"malformed arrangement JSON: zero denominator in {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed arrangement JSON: {exc}") from None
         return cls(dim, hyps)
 

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .arrangement import Arrangement
 from .oriented_matroid import (AffineOrientedMatroid, SignVector, _perm_parity,
                                conforms, separation)
-from .polyring import _CERT_PRIME, _rank_mod, int_det
+from .polyring import _CERT_PRIME, _eliminate_mod, int_det
 
 
 def phi(om: AffineOrientedMatroid, tope: SignVector) -> dict:
@@ -216,7 +216,7 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
             row[col[face]] = c
         bmatrix.append(row)
     if (phi_certified and all(flags)
-            and len(bases) - _rank_mod(bmatrix, _CERT_PRIME) == n):
+            and len(bases) - _eliminate_mod(bmatrix, _CERT_PRIME)[0] == n):
         kernel_dim = n  # n independent kernel vectors; rank over Q >= rank mod p
     else:
         kernel_dim = len(bases) - len(smith_divisors(bmatrix))

@@ -22,7 +22,10 @@ _CHAR = {0: "0", 1: "+", 2: "-"}
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Composition closure grew past the configured covector cap."""
+    """Composition closure grew past _CLOSURE_CAP covectors."""
+
+
+_CLOSURE_CAP = 10 ** 6  # most covectors one composition closure may hold
 
 
 def _odd_mask(n: int) -> int:
@@ -124,11 +127,11 @@ def _nz2(bits: int, odd: int) -> int:
     return nz | (nz << 1)
 
 
-def _composition_closure(gen: Sequence[int], odd: int, cap: int) -> set[int]:
+def _composition_closure(gen: Sequence[int], odd: int) -> set[int]:
     """Every composition of one or more generators, as packed sign vectors.
 
     odd is the _odd_mask of the generators' length; ClosureCapExceeded is
-    raised once the closure holds more than cap vectors.
+    raised once the closure holds more than _CLOSURE_CAP vectors.
     """
     states = set(gen)
     frontier = list(gen)
@@ -141,8 +144,9 @@ def _composition_closure(gen: Sequence[int], odd: int, cap: int) -> set[int]:
                 if z not in states:
                     states.add(z)
                     nxt.append(z)
-            if len(states) > cap:
-                raise ClosureCapExceeded(f"covector closure exceeded cap {cap}")
+            if len(states) > _CLOSURE_CAP:
+                raise ClosureCapExceeded(
+                    f"covector closure exceeded cap {_CLOSURE_CAP}")
         frontier = nxt
     return states
 
@@ -295,8 +299,6 @@ class AffineOrientedMatroid:
     one canonical representative each.
     """
 
-    cap = 10 ** 6  # most covectors one composition closure may hold
-
     def __init__(self, chirotope: Chirotope, feasible: Sequence[SignVector],
                  g="g"):
         self.central = chirotope
@@ -309,7 +311,7 @@ class AffineOrientedMatroid:
         self._bounded: Optional[tuple[SignVector, ...]] = None
         self._face_masks: dict[int, int] = {}
         self._by_zero_set: dict[frozenset, SignVector] = {}
-        self._meets: dict[tuple[int, int, int], Optional[FVector]] = {}
+        self._meets: dict[tuple[int, int], Optional[FVector]] = {}
         self._validate()
 
     def _validate(self):
@@ -351,7 +353,7 @@ class AffineOrientedMatroid:
             inf_bits += [(-y).bits for y in self.infinite]
             topes = []
             gen = [y.bits for y in self.feasible]
-            for x in _composition_closure(gen, odd, self.cap):
+            for x in _composition_closure(gen, odd):
                 if ((x | x >> 1) & odd) != odd:
                     continue  # not full support
                 if any((x & _nz2(y, odd)) == y for y in inf_bits):
@@ -386,11 +388,17 @@ class AffineOrientedMatroid:
             elements = tuple(str(e) for e in doc["elements"])
             chi = Chirotope.from_text(rank, elements, doc["chirotope"])
             lift = doc["lift"]
+            if not isinstance(lift, dict):
+                raise TypeError("lift must be an object")
             g = str(lift.get("g", "g"))
-            feasible = [SignVector.from_text(elements, t)
-                        for t in lift["feasible_cocircuits"]]
-        except (KeyError, TypeError) as exc:
+            texts = lift["feasible_cocircuits"]
+            if not all(isinstance(t, str) for t in texts):
+                raise TypeError("feasible cocircuits must be strings")
+            feasible = [SignVector.from_text(elements, t) for t in texts]
+        except KeyError as exc:
             raise ValueError(f"malformed oriented-matroid JSON: missing {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed oriented-matroid JSON: {exc}") from None
         chi.to_matroid().check_exchange()  # the one check of outside bases
         return cls(chi, feasible, g=g)
 
@@ -409,10 +417,9 @@ class AffineOrientedMatroid:
         Faces are all compositions of the feasible cocircuits common to both
         topes.  A face's zero set is the intersection of theirs, each a basis
         by genericity, so it is independent and the face has dimension r
-        minus its size.  Each unordered pair is closed once per instance and cap.
+        minus its size.  Each unordered pair is closed once per instance.
         """
-        ta, tb = sorted((a.bits, b.bits))
-        key = (ta, tb, self.cap)  # a lowered cap must raise, not hit the cache
+        key = tuple(sorted((a.bits, b.bits)))
         if key in self._meets:
             return self._meets[key]
         n = len(self.ground)
@@ -422,7 +429,7 @@ class AffineOrientedMatroid:
         if not common:
             self._meets[key] = None
             return None
-        faces = _composition_closure(common, odd, self.cap)
+        faces = _composition_closure(common, odd)
         zero_dim = self.central.rank - n  # dimension = zero_dim + support size
         top = 0
         for y in common:

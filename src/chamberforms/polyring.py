@@ -23,13 +23,14 @@ determinant and two passes that read its symmetries:
   do, then t^c g(1/t) = g(t) with c = sum a + sum b - 2 sum s.  Each value
   g(t) then also gives g(1/t) = t^-c g(t), again about half the points.
 - Symmetry: both transforms act alike on rows and columns, so N is
-  symmetric exactly when M is, as S_q is.  The engine then evaluates only
-  the upper triangle of N and eliminates it with diagonal pivots, reading
-  and updating only the upper triangle, at about half the work.  If a
-  diagonal pivot vanishes at some point, that prime and every later one
-  run on the whole of N with row pivoting instead.  int_det eliminates a
-  symmetric integer matrix, such as S, on its upper triangle in the same
-  way.
+  symmetric exactly when M is, as S and S_q are.  The engine evaluates
+  only the upper triangle of N and eliminates it with diagonal pivots,
+  reading and updating only the upper triangle.  S_q(0) = I, so every
+  leading principal minor of S_q is a nonzero polynomial and a diagonal
+  pivot vanishes only at isolated points.  Such a point, and every point
+  of a matrix that is not symmetric, takes plain elimination instead.
+  int_det eliminates a symmetric integer matrix, such as S, on its upper
+  triangle in the same way, and hands any other to the engine.
 
 The engine interpolates g itself from det N(t) / t^(sum s) at powers of 2
 with consecutive exponents.  It evaluates at t = 2^0 .. 2^(K-1).  On a
@@ -284,12 +285,13 @@ def _symmetric_bareiss(rows: Sequence[Sequence[int]]) -> int | None:
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination.
+    """Exact integer determinant.
 
-    A symmetric matrix, such as S, is eliminated on its upper triangle with
-    diagonal pivots (_symmetric_bareiss), at about half the cost.  Any other
-    matrix, and a symmetric one whose diagonal pivot vanishes, takes the
-    elimination with row pivoting, from the matrix as passed.
+    A symmetric matrix, such as S, is eliminated by Bareiss on its upper
+    triangle with diagonal pivots (_symmetric_bareiss).  Any other matrix,
+    and a symmetric one whose diagonal pivot vanishes, goes to the modular
+    engine as a constant matrix: one point per prime, plain elimination,
+    and CRT up to the Hadamard bound, so the result is exact.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -300,27 +302,7 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
         det = _symmetric_bareiss(rows)
         if det is not None:
             return det
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot, row_k = m[k][k], m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                q, r = divmod(pivot * row_i[j] - mik * row_k[j], prev)
-                if r:
-                    raise ExactDivisionError("Bareiss integer division was inexact")
-                row_i[j] = q
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    return _modular_det([[const(x) for x in row] for row in rows], 0, None)[0]
 
 
 # -- modular determinant engine over Z[q] ---------------------------------------
@@ -401,24 +383,24 @@ _BATCH_BYTES = 1 << 26
 
 
 class _Evaluator:
-    """Evaluates a Z[t] matrix at t = 2**0 .. 2**(n_points - 1) modulo a prime.
+    """Evaluates the upper triangle of a symmetric Z[t] matrix at
+    t = 2**0 .. 2**(n_points - 1) modulo a prime.
 
-    Only the nonzero entries are computed, so sparse matrices cost little:
-    one int64 product of the node-power table (points x width) with the
-    coefficient table (width x entries), reduced once.  Each sum has at most
-    width products of residues, so the prime must keep width (p - 1)**2 in
-    an int64.  With upper set, only the entries (i, j) with j >= i are
-    computed and the rest of each matrix is 0: that is all the symmetric
-    elimination of _batch_det_mod reads.  The points are evaluated in
-    chunks of step points, starting at lo, whose (points, n, n) batch and
-    entry values fit in _BATCH_BYTES; every chunk refills one buffer,
+    Only the nonzero entries (i, j) with j >= i are computed, so sparse
+    matrices cost little: one int64 product of the node-power table
+    (points x width) with the coefficient table (width x entries), reduced
+    once.  Each sum has at most width products of residues, so the prime
+    must keep width (p - 1)**2 in an int64.  Below the diagonal each matrix
+    is 0, and _batch_det_mod reads nothing there.  The points are evaluated
+    in chunks of step points, starting at lo, whose (points, n, n) batch
+    and entry values fit in _BATCH_BYTES; every chunk refills one buffer,
     allocated once.
     """
 
-    def __init__(self, rows, n_points: int, upper: bool = False):
+    def __init__(self, rows, n_points: int):
         n = len(rows)
         entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
-                   for j, e in enumerate(row) if e.coeffs and (j >= i or not upper)]
+                   for j, e in enumerate(row) if e.coeffs and j >= i]
         self.rows = np.array([i for i, _, _ in entries], dtype=np.intp)
         self.cols = np.array([j for _, j, _ in entries], dtype=np.intp)
         self.width = max(len(c) for _, _, c in entries)
@@ -464,87 +446,61 @@ def _runs(idx: list[int]) -> list[list[int]]:
     return runs
 
 
-def _batch_det_mod(a: np.ndarray, p: int, symmetric: bool = False):
-    """det mod p of each matrix in a (points, n, n) batch; a is overwritten.
+def _batch_det_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """det mod p of each symmetric matrix in a (points, n, n) batch, and
+    the mask of the points whose det it could not give; a is overwritten.
 
-    Gaussian elimination over GF(p).  The work runs on the (n, n, points)
-    view of a, which is contiguous when a is laid out points-last, as
-    _Evaluator lays it out.  Each step updates only the rows and columns
-    with a nonzero entry, at any point, below and right of the pivot; on
-    banded matrices such as the line's S_q those are few.
+    Gaussian elimination over GF(p) with diagonal pivots, reading only the
+    upper triangle.  The work runs on the (n, n, points) view of a, which
+    is contiguous when a is laid out points-last, as _Evaluator lays it
+    out.  Step k reduces row k from the diagonal and takes the diagonal
+    entry as pivot.  The columns nz right of it that are nonzero at any
+    point are, by symmetry, also the rows to update; nz splits into runs
+    [lo, hi) of consecutive indices, and each run updates a[lo:hi, lo:end]
+    with the factors a[k, lo:hi] / pivot, end the last of nz plus one.  The
+    trailing matrix stays symmetric, so its upper triangle is all the next
+    step needs; the entries of a run's block below the diagonal are updated
+    but never read.  On banded matrices such as the line's S_q the runs
+    are short.
 
-    With symmetric set, every matrix must be symmetric and only its upper
-    triangle is read.  Step k reduces row k from the diagonal and takes the
-    diagonal entry as pivot.  The columns nz right of it that are nonzero
-    at any point are, by symmetry, also the rows to update; nz splits into
-    runs [lo, hi) of consecutive indices, and each run updates
-    a[lo:hi, lo:end] with the factors a[k, lo:hi] / pivot, end the last of
-    nz plus one.  The trailing matrix stays symmetric, so its upper
-    triangle is all the next step needs; the entries of a run's block
-    below the diagonal are updated but never read.  When a diagonal pivot
-    before the last is 0 at some point, the batch is given up and the
-    result is None.
-
-    Otherwise, a pivot row is chosen per matrix, so a pivot that vanishes
-    at some evaluation points costs nothing extra.  Step k updates the
-    rectangle spanned by the rows with a nonzero entry below the pivot and
-    the columns with a nonzero entry right of it.
+    The pivots of all points are inverted together (_batch_inverse), which
+    gives a zero pivot the factor 0: that point's matrix is left as it is
+    and its det comes out 0.  The mask marks the points where a diagonal
+    pivot before the last vanished; their true det needs pivoting, and the
+    other points stay exact.
 
     Reduction is lazy.  Entries start in [0, p); step k reduces only the
-    pivot row and, with row pivoting, column k (rows >= k), and the block
-    update subtracts products below p**2 with no remainder.  An entry is
-    updated at most n - 1 times before it is reduced, so entries stay above
-    -(n - 1) p**2: the prime must keep n (p - 1)**2 in an int64.  The
-    pivots of all points are inverted together (_batch_inverse); a point
-    without a pivot has det 0 already, and its factors are 0.
+    pivot row, and the block update subtracts products below p**2 with no
+    remainder.  An entry is updated at most n - 1 times before it is
+    reduced, so entries stay above -(n - 1) p**2: the prime must keep
+    n (p - 1)**2 in an int64.
     """
     n_pts, n = a.shape[0], a.shape[1]
     a = a.transpose(1, 2, 0)
     det = np.ones(n_pts, dtype=np.int64)
-    pts = np.arange(n_pts)
+    marked = np.zeros(n_pts, dtype=bool)
     for k in range(n):
-        if symmetric:
-            row = a[k, k:]
-            np.remainder(row, p, out=row)
-            if k < n - 1 and not row[0].all():
-                return None  # a diagonal pivot vanished before the last
-        else:
-            column = a[k:, k]
-            np.remainder(column, p, out=column)
-            piv = (column != 0).argmax(axis=0) + k
-            swap = piv != k
-            if swap.any():
-                row_piv = a[piv, :, pts].copy()
-                a[piv, :, pts] = a[k].T.copy()
-                a[k] = row_piv.T
-                det = np.where(swap, p - det, det)
-        pivot = a[k, k]  # zero exactly where the column has no pivot
+        row = a[k, k:]
+        np.remainder(row, p, out=row)
+        pivot = row[0]
         det = det * pivot % p
         if k == n - 1:
             break
-        row = a[k, k + 1:]
-        if not symmetric:
-            np.remainder(row, p, out=row)
-        cols = np.flatnonzero(row.any(axis=1)) + k + 1
-        if symmetric:
-            source, rows = a[k], cols  # row k is column k
-        else:
-            source = a[:, k]
-            rows = np.flatnonzero(a[k + 1:, k].any(axis=1)) + k + 1
-        if not rows.size or not cols.size:
+        marked |= pivot == 0
+        cols = np.flatnonzero(row[1:].any(axis=1)) + k + 1
+        if not cols.size:
             continue
-        blocks = ([(lo, hi, lo) for lo, hi in _runs(rows.tolist())] if symmetric
-                  else [(rows[0], rows[-1] + 1, cols[0])])
-        first, end = blocks[0][0], cols[-1] + 1
-        factor = source[first:blocks[-1][1]] * _batch_inverse(pivot, p) % p
-        for top, bottom, left in blocks:
-            pivot_row = a[k, left:end]
+        runs = _runs(cols.tolist())
+        first, end = runs[0][0], cols[-1] + 1
+        factor = a[k, first:runs[-1][1]] * _batch_inverse(pivot, p) % p
+        for top, bottom in runs:
+            pivot_row = a[k, top:end]
             step = max(1, _CHUNK // pivot_row.size)
             for lo in range(top, bottom, step):
                 hi = min(lo + step, bottom)
-                block = a[lo:hi, left:end]  # a view: the update happens in place
+                block = a[lo:hi, top:end]  # a view: the update happens in place
                 block -= factor[lo - first:hi - first, None] * pivot_row
-    return det
+    return det, marked
 
 
 def _interpolate_mod(e0: int, y: np.ndarray, p: int) -> list[int]:
@@ -609,9 +565,9 @@ def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
     prime where 2 has order below the coefficient count would repeat a node
     and is skipped.  Each prime takes batched eliminations at the K points,
     one Newton interpolation, and one CRT step.  When N is symmetric the
-    eliminations use diagonal pivots on the upper triangle; after one of
-    them meets a vanishing pivot, the prime starts again, and it and the
-    later primes evaluate all of N and pivot by rows.
+    batches are its upper triangles, eliminated with diagonal pivots; a
+    point they mark, and every point of an N that is not symmetric, takes
+    plain elimination of N evaluated there.
     """
     degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
     if min(degrees) < 0:
@@ -631,22 +587,21 @@ def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
             continue  # 2 has order below n_coeffs: the nodes repeat
         primes.append(p)
         modulus *= p
-    symmetric = _is_symmetric(rows)
-    evaluate = _Evaluator(rows, n_evals, symmetric)
+    evaluate = _Evaluator(rows, n_evals) if _is_symmetric(rows) else None
     residues: list[int] = [0] * n_coeffs
     modulus = 1
     for p in primes:
         inv2 = (p + 1) // 2
-        parts, lo = [], 0
-        while lo < n_evals:
-            part = _batch_det_mod(evaluate(p, lo), p, symmetric)
-            if part is None:  # a diagonal pivot vanished: pivot from here on
-                symmetric, parts, lo = False, [], 0
-                evaluate = _Evaluator(rows, n_evals, symmetric)
-                continue
-            parts.append(part)
-            lo += evaluate.step
-        det = np.concatenate(parts)
+        det = np.zeros(n_evals, dtype=np.int64)
+        plain = np.ones(n_evals, dtype=bool)
+        if evaluate is not None:
+            for lo in range(0, n_evals, evaluate.step):
+                hi = min(lo + evaluate.step, n_evals)
+                det[lo:hi], plain[lo:hi] = _batch_det_mod(evaluate(p, lo), p)
+        for e in np.flatnonzero(plain).tolist():
+            t = pow(2, e, p)
+            det[e] = _eliminate_mod([[_eval_mod(x, t, p) for x in row]
+                                     for row in rows], p)[1]
         g = det * _powers(pow(inv2, shift, p), n_evals, p) % p  # at t = 2**e
         if c is None:
             e0, y = 0, g
@@ -670,48 +625,32 @@ def _eval_mod(p: IntPoly, x: int, m: int) -> int:
     return acc
 
 
-def _det_mod(rows: list[list[int]], m: int) -> int:
-    """det mod a prime m by plain Gaussian elimination on Python ints."""
-    n = len(rows)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        row_k = rows[k]
-        det = det * row_k[k] % m
-        inv = pow(row_k[k], -1, m)
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            f = row_i[k] * inv % m
-            if f:
-                rows[i] = [(x - f * y) % m for x, y in zip(row_i, row_k)]
-    return det % m
+def _eliminate_mod(rows: Sequence[Sequence[int]], m: int) -> tuple[int, int]:
+    """Rank and determinant mod a prime m by Gaussian elimination with row
+    pivoting on Python ints; rows is left as it was.
 
-
-def _rank_mod(rows: Sequence[Sequence[int]], m: int) -> int:
-    """Rank mod a prime m by Gaussian elimination on Python ints.
-
-    It is never above the rank over Q: a minor nonzero mod m is nonzero.
+    The determinant is that of a square grid, and 0 below full rank.  The
+    rank is never above the rank over Q: a minor nonzero mod m is nonzero.
     """
     a = [[x % m for x in row] for row in rows]
-    rank = 0
+    rank, det = 0, 1
     for k in range(len(a[0]) if a else 0):
         piv = next((i for i in range(rank, len(a)) if a[i][k]), None)
         if piv is None:
+            det = 0
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
         row_k = a[rank]
+        det = det * row_k[k] % m
         inv = pow(row_k[k], -1, m)
         for i in range(rank + 1, len(a)):
             f = a[i][k] * inv % m
             if f:
                 a[i] = [(x - f * y) % m for x, y in zip(a[i], row_k)]
         rank += 1
-    return rank
+    return rank, det % m
 
 
 def _band_order(n: int, pattern: Sequence[tuple[int, int]]) -> list[int]:
@@ -853,8 +792,8 @@ def poly_det(m) -> IntPoly:
     # below t**0 to check; the certificate below catches any wrong value.
     det = g if s is None else IntPoly(c for x in g.coeffs for c in (x, 0))
     point = secrets.randbelow(_CERT_PRIME)
-    at_point = _det_mod([[_eval_mod(e, point, _CERT_PRIME) for e in row]
-                         for row in rows], _CERT_PRIME)
+    at_point = _eliminate_mod([[_eval_mod(e, point, _CERT_PRIME) for e in row]
+                               for row in rows], _CERT_PRIME)[1]
     if at_point != _eval_mod(det, point, _CERT_PRIME):
         raise CertificateError(
             f"determinant certificate failed at q={point} mod 2**61-1: "

@@ -225,7 +225,7 @@ def affine_covectors(om: AffineOrientedMatroid) -> list[SignVector]:
     for y in om.infinite:
         gen.append(y.bits)
         gen.append((-y).bits)
-    states = _composition_closure(gen, odd, om.cap)
+    states = _composition_closure(gen, odd)
     mask = g_plus - 1
     return sorted((SignVector(om.ground, b & mask) for b in states
                    if b & g_plus), key=SignVector.key)
@@ -247,7 +247,7 @@ def meet_f_vector_by_rank(om: AffineOrientedMatroid, a: SignVector,
     for y in common:
         top |= y
     counts = [0] * (dim(top) + 1)
-    for x in _composition_closure(common, _odd_mask(len(om.ground)), om.cap):
+    for x in _composition_closure(common, _odd_mask(len(om.ground))):
         counts[dim(x)] += 1
     return FVector(dim(top), tuple(counts))
 

@@ -152,6 +152,21 @@ class TestErrors:
         assert cli.main(["check", "--input", str(p)]) == 1
         assert "expected an arrangement" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"dim": 1, "hyperplanes": [{"label": "H1", "normal": ["1"], "offset": "1/0"}]},
+        {"dim": 1, "hyperplanes": [{"label": "H1", "normal": ["1/0"], "offset": "0"}]},
+        {"rank": 1, "elements": ["1", "2"], "chirotope": "++", "lift": []},
+        {"rank": 1, "elements": ["1", "2"], "chirotope": "++",
+         "lift": {"feasible_cocircuits": [1, 2]}},
+    ], ids=["zero-offset-denominator", "zero-normal-denominator", "lift-list",
+            "cocircuit-ints"])
+    def test_malformed_document_exits_1(self, doc, tmp_path, capsys):
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["check", "--input", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and "Traceback" not in err
+
     def test_genericity_violation_names_circuit(self, tmp_path, capsys):
         doc = {"dim": 2, "hyperplanes": [
             {"label": "H1", "normal": ["1", "0"], "offset": "0"},

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from chamberforms import oriented_matroid
 from chamberforms.arrangement import Arrangement, Hyperplane
 from chamberforms.make_fixtures import FIXTURES
 from chamberforms.matroid import uniform_matroid
@@ -174,19 +175,18 @@ class TestBoundedTopes:
                     acc = compose(acc, y)
                 assert acc == t
 
-    def test_closure_cap(self):
+    def test_closure_cap(self, monkeypatch):
         om = line_points(5).compile()
-        om.cap = 3
+        monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 3)
         with pytest.raises(ClosureCapExceeded):
             om.bounded_topes()
 
-    def test_meet_closure_cap(self):
+    def test_meet_closure_cap(self, monkeypatch):
         om = line_points(5).compile()
         t = om.bounded_topes()[0]
-        assert om.meet_faces(t, t).f == (2, 1)
-        om.cap = 2
+        monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 2)
         with pytest.raises(ClosureCapExceeded):
-            om.meet_faces(t, t)
+            om.meet_faces(t, t)  # its three faces: two vertices and an edge
 
     def test_closure_matches_geometric_face_count(self):
         # simple 2-dimensional arrangements: #faces = V + sum(k_i + 1) + (1 + n + V)

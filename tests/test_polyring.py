@@ -1,4 +1,5 @@
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -335,21 +336,33 @@ def traced_det(rows):
     """poly_det(rows), the c of each engine call, and the point counts.
 
     c is the palindrome degree poly_det passes to _modular_det (None without
-    weights); the point counts are those of the batched eliminations.
+    weights); an engine call on a constant matrix comes from int_det, which
+    has no c to pass, and is not listed.  The point counts are those of
+    each prime: the points whose det a batched elimination gave, plus those
+    eliminated plain.
     """
-    cs, points = [], set()
+    cs, points = [], Counter()
     engine, batch = polyring._modular_det, polyring._batch_det_mod
+    eliminate = polyring._eliminate_mod
 
     def spy_engine(rows, shift, c):
-        cs.append(c)
+        if any(len(e.coeffs) > 1 for row in rows for e in row):
+            cs.append(c)
         return engine(rows, shift, c)
 
-    def spy_batch(a, p, symmetric):
-        points.add(a.shape[0])
-        return batch(a, p, symmetric)
+    def spy_batch(a, p):
+        det, marked = batch(a, p)
+        points[p] += int((~marked).sum())
+        return det, marked
+
+    def spy_plain(rows, m):
+        if m != polyring._CERT_PRIME:
+            points[m] += 1
+        return eliminate(rows, m)
     with mock.patch.object(polyring, "_modular_det", spy_engine), \
-            mock.patch.object(polyring, "_batch_det_mod", spy_batch):
-        return poly_det(rows), cs, points
+            mock.patch.object(polyring, "_batch_det_mod", spy_batch), \
+            mock.patch.object(polyring, "_eliminate_mod", spy_plain):
+        return poly_det(rows), cs, set(points.values())
 
 
 EVEN_C = [[IntPoly([0, 2, 2]), ZERO],               # a = (0, -1), b = (3, 2)
@@ -409,9 +422,9 @@ class TestMirroredNodes:
         used = []
         batch = polyring._batch_det_mod
 
-        def spy_batch(a, p, symmetric):
+        def spy_batch(a, p):
             used.append(p)
-            return batch(a, p, symmetric)
+            return batch(a, p)
         monkeypatch.setattr(polyring, "_batch_det_mod", spy_batch)
         monkeypatch.setattr(polyring, "_primes_below",
                             lambda top: iter([8191, 1000003]))
@@ -446,40 +459,9 @@ def points_last(a):
     return np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
-def assert_kernel_matches(a, p):
-    expected = [polyring._det_mod([[int(x) for x in row] for row in m], p) for m in a]
-    assert polyring._batch_det_mod(a.copy(), p).tolist() == expected
-    assert polyring._batch_det_mod(points_last(a), p).tolist() == expected
-
-
-def edge_batch(rng, n_pts, n, p):
-    """Residues in [p - 2**20, p): every product is close to (p - 1)**2.
-
-    Point 1 has a zero column and point 2 a repeated row, so each has a
-    column without a pivot, the second only after some elimination steps.
-    """
-    a = rng.integers(p - 2 ** 20, p, size=(n_pts, n, n), dtype=np.int64)
-    if n_pts > 1:
-        a[1, :, rng.integers(n)] = 0
-    if n_pts > 2 and n > 1:
-        i, j = rng.choice(n, 2, replace=False)
-        a[2, j] = a[2, i]
-    return a
-
-
 class TestWordKernel:
-    """The int64 kernels near their overflow edge, against Python ints."""
-
-    @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2 ** 32))
-    @settings(deadline=None, max_examples=40)
-    def test_lazy_elimination_at_the_edge(self, n, n_pts, seed):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            p = first_prime(monkeypatch, n, 1)
-        assert_kernel_matches(edge_batch(np.random.default_rng(seed), n_pts, n, p), p)
-
-    def test_lazy_elimination_at_n_200(self, monkeypatch):
-        p = first_prime(monkeypatch, 200, 1)
-        assert_kernel_matches(edge_batch(np.random.default_rng(200), 2, 200, p), p)
+    """The word-size primes, batch inversion and evaluation, against Python
+    ints."""
 
     def test_word_bound_of_the_first_prime(self, monkeypatch):
         for n in (1, 2, 9, 84, 300):
@@ -506,8 +488,9 @@ class TestWordKernel:
         batch = polyring._Evaluator(rows, n_pts)(p)
         for e in range(n_pts):
             t = pow(2, e, p)
-            assert batch[e].tolist() == [[polyring._eval_mod(x, t, p) for x in row]
-                                         for row in rows]
+            assert batch[e].tolist() == [  # the upper triangle, 0 below it
+                [polyring._eval_mod(x, t, p) if j >= i else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
 
 
 def symmetric_edge_batch(rng, n_pts, n, p):
@@ -525,24 +508,41 @@ def symmetric_edge_batch(rng, n_pts, n, p):
 
 
 def assert_symmetric_kernel_matches(a, p):
-    expected = [polyring._det_mod([[int(x) for x in row] for row in m], p) for m in a]
+    expected = [polyring._eliminate_mod([[int(x) for x in row] for row in m], p)[1]
+                for m in a]
     upper = np.triu(a)  # the symmetric kernel reads nothing below the diagonal
-    assert polyring._batch_det_mod(upper.copy(), p, True).tolist() == expected
-    assert polyring._batch_det_mod(points_last(upper), p, True).tolist() == expected
+    for batch in (upper.copy(), points_last(upper)):
+        det, marked = polyring._batch_det_mod(batch, p)
+        assert det.tolist() == expected and not marked.any()
 
 
 def spied_det(rows):
-    """poly_det(rows), and per batched elimination its mode and whether it
-    gave up on a vanishing diagonal pivot."""
-    calls = []
-    batch = polyring._batch_det_mod
+    """poly_det(rows), and per batched elimination its prime and the points
+    it marked.
 
-    def spy_batch(a, p, symmetric):
-        out = batch(a, p, symmetric)
-        calls.append((symmetric, out is None))
-        return out
-    with mock.patch.object(polyring, "_batch_det_mod", spy_batch):
-        return poly_det(rows), calls
+    It asserts that plain elimination ran at exactly the marked points:
+    each prime's plain matrices are those of its batches at their marks.
+    """
+    calls, plain, marked_matrices = [], defaultdict(list), defaultdict(list)
+    batch, eliminate = polyring._batch_det_mod, polyring._eliminate_mod
+
+    def spy_batch(a, p):
+        whole = a + np.triu(a, 1).transpose(0, 2, 1)  # a holds the upper triangle
+        det, marked = batch(a, p)
+        calls.append((p, marked.tolist()))
+        if marked.any():
+            marked_matrices[p] += whole[marked].tolist()
+        return det, marked
+
+    def spy_plain(rows, m):
+        if m != polyring._CERT_PRIME:
+            plain[m].append([list(row) for row in rows])
+        return eliminate(rows, m)
+    with mock.patch.object(polyring, "_batch_det_mod", spy_batch), \
+            mock.patch.object(polyring, "_eliminate_mod", spy_plain):
+        det = poly_det(rows)
+    assert plain == marked_matrices
+    return det, calls
 
 
 def uniform_arrangement(rng, r, n):
@@ -563,7 +563,8 @@ def symmetric_matrices(entry, max_n):
 
 
 class TestSymmetricElimination:
-    """Diagonal pivots on the upper triangle, and the fallback to pivoting."""
+    """Diagonal pivots on the upper triangle, and plain elimination at the
+    points where one vanishes."""
 
     @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2 ** 32))
     @settings(deadline=None, max_examples=40)
@@ -582,10 +583,11 @@ class TestSymmetricElimination:
         p = 1000003
         a = np.array([[[2, 1], [1, 3]], [[0, 1], [1, 3]], [[5, 2], [2, 1]]],
                      dtype=np.int64)
-        assert polyring._batch_det_mod(points_last(a), p, True) is None
-        assert polyring._batch_det_mod(points_last(a), p).tolist() == [5, p - 1, 1]
+        det, marked = polyring._batch_det_mod(points_last(a), p)
+        assert marked.tolist() == [False, True, False]
+        assert det[[0, 2]].tolist() == [5, 1]
         swap = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
-        assert polyring._batch_det_mod(swap.copy(), p, True) is None
+        assert polyring._batch_det_mod(swap.copy(), p)[1].tolist() == [True]
 
     @given(symmetric_matrices(
         st.lists(st.integers(-4, 4), max_size=3).map(IntPoly), 4))
@@ -598,15 +600,13 @@ class TestSymmetricElimination:
         rows = [[q4, ONE], [ONE, q4]]
         det, calls = spied_det(rows)
         assert det == det_by_expansion(rows)
-        assert calls[0] == (True, True) and len(calls) > 1
-        assert set(calls[1:]) == {(False, False)}
+        assert calls and all(marked == [False, False, True] for _, marked in calls)
 
     def test_zero_diagonal_falls_back(self):
         q = IntPoly([0, 1])
         det, calls = spied_det([[ZERO, q], [q, ZERO]])
         assert det == IntPoly([0, 0, -1])
-        assert calls[0] == (True, True) and len(calls) > 1
-        assert set(calls[1:]) == {(False, False)}
+        assert calls and all(all(marked) for _, marked in calls)
 
     def test_points_in_chunks(self, monkeypatch):
         q4 = IntPoly([-4, 1])
@@ -616,9 +616,10 @@ class TestSymmetricElimination:
         det, calls = spied_det(rows)
         assert det == whole == det_by_expansion(rows)
         assert len(calls) > len(whole_calls)
-        gave_up = calls.index((True, True))
-        assert set(calls[:gave_up]) == {(True, False)}
-        assert set(calls[gave_up + 1:]) == {(False, False)}
+        assert {len(marked) for _, marked in calls} == {1}
+        for p, marked in whole_calls:  # t = 4 is the third point
+            assert marked[2] and sum(marked) == 1
+            assert [m for q, ms in calls if q == p for m in ms] == marked
 
     @given(symmetric_matrices(st.integers(-6, 6), 5))
     @settings(deadline=None)
@@ -640,12 +641,12 @@ class TestSymmetricElimination:
                      for _ in range(n)]
             rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
             assert polyring._symmetric_bareiss(rows) is not None
-            swapped = [rows[1], rows[0]] + rows[2:]  # not symmetric: pivoting
+            swapped = [rows[1], rows[0]] + rows[2:]  # not symmetric: modular
             assert int_det(rows) == -int_det(swapped) != 0
 
     def test_commands_take_the_symmetric_path(self):
         """On the fixtures and a `dense`-shaped arrangement, no diagonal pivot
-        of S or S_q vanishes: the pivoting kernel is never called."""
+        of S or S_q vanishes: no point is marked or eliminated plain."""
         from chamberforms.cli import load_instance
         from chamberforms.forms import build_S, build_Sq
         from chamberforms.make_fixtures import FIXTURES
@@ -655,7 +656,7 @@ class TestSymmetricElimination:
         assert len(oms) == 7 and len(oms[-1].bounded_topes()) == comb(8, 3)
         for om in oms:
             _, calls = spied_det(build_Sq(om).matrix)
-            assert calls and set(calls) == {(True, False)}
+            assert calls and not any(any(marked) for _, marked in calls)
             s = [[e[0] for e in row] for row in build_S(om).matrix.entries]
             assert polyring._symmetric_bareiss(s) is not None
 
@@ -687,10 +688,10 @@ class TestRankMod:
     def test_equals_rational_rank_below_the_modulus(self, rows):
         # every minor is far below 2**61 - 1, so none vanishes only mod p
         expected = row_reduce([[Fraction(x) for x in row] for row in rows])
-        assert polyring._rank_mod(rows, polyring._CERT_PRIME) == expected
+        assert polyring._eliminate_mod(rows, polyring._CERT_PRIME)[0] == expected
 
     def test_never_above_the_rational_rank(self):
         rows = [[1, 1], [1, -1]]  # det -2
-        assert polyring._rank_mod(rows, 2) == 1
-        assert polyring._rank_mod(rows, 3) == 2
+        assert polyring._eliminate_mod(rows, 2) == (1, 0)
+        assert polyring._eliminate_mod(rows, 3) == (2, 1)
         assert rows == [[1, 1], [1, -1]]  # the input is left as it was

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from chamberforms import flagspace
+from chamberforms import flagspace, polyring
 from chamberforms.cli import main
 from chamberforms.make_fixtures import FIXTURES
 
@@ -52,7 +52,7 @@ def test_report_matches_pinned_digest(case, pinned, tmp_path):
 # The flag-space oracle certifies by peeling and by a rank mod p; when those
 # fail it falls back to exact elimination, which must give the same reports.
 FALLBACKS = {"peel": ("_peel", lambda rows: None),
-             "rank_mod": ("_rank_mod", lambda rows, m: 0)}
+             "rank_mod": ("_eliminate_mod", lambda rows, m: (0, 0))}
 
 
 @pytest.mark.parametrize("broken", sorted(FALLBACKS))
@@ -60,6 +60,15 @@ FALLBACKS = {"peel": ("_peel", lambda rows: None),
 def test_invariants_digest_holds_through_the_fallback(case, broken, pinned,
                                                       tmp_path, monkeypatch):
     monkeypatch.setattr(flagspace, *FALLBACKS[broken])
+    assert run_case(case, tmp_path) == pinned[case]
+
+
+# With no matrix taken as symmetric, int_det hands S to the modular engine
+# and every point of S_q takes plain elimination; the reports stay the same.
+@pytest.mark.parametrize("case", [c for c in CASES
+                                  if c.split()[0] in ("check", "det", "random")])
+def test_digest_holds_through_the_plain_route(case, pinned, tmp_path, monkeypatch):
+    monkeypatch.setattr(polyring, "_is_symmetric", lambda rows: False)
     assert run_case(case, tmp_path) == pinned[case]
 
 
