@@ -98,6 +98,8 @@ class Arrangement:
     def from_json(cls, doc: dict) -> "Arrangement":
         try:
             dim = doc["dim"]
+            if type(dim) is not int or dim < 1:  # JSON true would read as 1
+                raise TypeError(f"dim must be an integer >= 1, got {dim!r}")
             hyps = [Hyperplane.make(h["label"], h["normal"], h["offset"])
                     for h in doc["hyperplanes"]]
         except KeyError as exc:

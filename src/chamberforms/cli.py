@@ -6,7 +6,7 @@ byte-identical output (timings are only included on request).
 
 Exit codes: 0 all identities matched (for invariants: every check passed);
 2 q-identity mismatch, a finding reported with a full witness; 1 anything
-else: a usage error, invalid input, a closure past its cap, a failed
+else: a usage error, invalid input, vertex stars past their cap, a failed
 invariant, or an internal inconsistency.
 """
 

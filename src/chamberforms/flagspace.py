@@ -33,8 +33,8 @@ from math import prod
 from typing import Optional, Sequence
 
 from .arrangement import Arrangement
-from .oriented_matroid import (AffineOrientedMatroid, SignVector, _perm_parity,
-                               conforms, separation)
+from .oriented_matroid import (AffineOrientedMatroid, SignVector, _fillings,
+                               _odd_mask, _perm_parity, separation)
 from .polyring import _CERT_PRIME, _eliminate_mod, int_det
 
 
@@ -295,16 +295,21 @@ def build_y_matrix(arr: Arrangement, seed: int) -> YMatrixReport:
     region_of = {b: _region_of_basis(arr, directions, xi, cocircuit[b])
                  for b in bases}
     regions = sorted(region_of.values(), key=SignVector.key)
-    if len({t.bits for t in regions}) != len(bases):
+    row_of = {t.bits: i for i, t in enumerate(regions)}
+    if len(row_of) != len(bases):
         raise ValueError("optimum map is not injective: functional not generic")
-    bounded = set(t.bits for t in om.bounded_topes())
-    if not bounded <= {t.bits for t in regions}:
+    if not {t.bits for t in om.bounded_topes()} <= row_of.keys():
         raise ValueError("a bounded tope is missing from the functional-bounded set")
 
-    y_rows = tuple(
-        tuple((-1) ** separation(t, region_of[b]) if conforms(cocircuit[b], t) else 0
-              for b in bases)
-        for t in regions)
+    # y[t][b] is nonzero exactly when region t is a filling of cocircuit[b]
+    odd = _odd_mask(len(arr.ground))
+    rows = [[0] * len(bases) for _ in regions]
+    for j, b in enumerate(bases):
+        for x in _fillings(cocircuit[b].bits, odd):
+            i = row_of.get(x)
+            if i is not None:
+                rows[i][j] = (-1) ** separation(regions[i], region_of[b])
+    y_rows = tuple(map(tuple, rows))
     peeled = _peel(y_rows)
     det_y = _peeled_det(peeled) if peeled is not None else int_det(y_rows)
     if det_y not in (1, -1):

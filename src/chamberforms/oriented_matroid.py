@@ -1,10 +1,12 @@
 """Sign-vector combinatorics: chirotopes, cocircuits, topes and face counts.
 
 Sign vectors are packed two bits per element into a single int (00 zero,
-01 plus, 10 minus), so composition, conformity and separation are a few
-machine-word operations even for long ground sets.  The affine structure
-keeps the lift element implicit: feasible cocircuits and topes carry lift
-sign +, infinite cocircuits carry lift sign 0.
+01 plus, 10 minus), so conformity and separation are a few machine-word
+operations even for long ground sets.  The affine structure keeps the lift
+element implicit: feasible cocircuits and topes carry lift sign +, infinite
+cocircuits carry lift sign 0.  Faces come from vertex stars: by genericity
+each feasible cocircuit's zero set is a basis, and every face of a bounded
+tope is one of its vertices with some zeros filled in by the tope's signs.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ _CHAR = {0: "0", 1: "+", 2: "-"}
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Composition closure grew past _CLOSURE_CAP covectors."""
+    """The vertex stars would hold more than _CLOSURE_CAP sign vectors."""
 
 
-_CLOSURE_CAP = 10 ** 6  # most covectors one composition closure may hold
+_CLOSURE_CAP = 10 ** 6  # most sign vectors all vertex stars may hold
 
 
 def _odd_mask(n: int) -> int:
@@ -127,36 +129,23 @@ def _nz2(bits: int, odd: int) -> int:
     return nz | (nz << 1)
 
 
-def _composition_closure(gen: Sequence[int], odd: int) -> set[int]:
-    """Every composition of one or more generators, as packed sign vectors.
+def _subsets(mask: int):
+    """Every s with s & ~mask == 0, from mask itself down to 0."""
+    s = mask
+    while s:
+        yield s
+        s = (s - 1) & mask
+    yield 0
 
-    odd is the _odd_mask of the generators' length; ClosureCapExceeded is
-    raised once the closure holds more than _CLOSURE_CAP vectors.
+
+def _fillings(y: int, odd: int):
+    """The topes around vertex y: each zero slot of y filled with + or -.
+
+    odd is the _odd_mask of y's length; s picks the slots that get +.
     """
-    states = set(gen)
-    frontier = list(gen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            x_keep = ~_nz2(x, odd)
-            for y in gen:
-                z = x | (y & x_keep)
-                if z not in states:
-                    states.add(z)
-                    nxt.append(z)
-            if len(states) > _CLOSURE_CAP:
-                raise ClosureCapExceeded(
-                    f"covector closure exceeded cap {_CLOSURE_CAP}")
-        frontier = nxt
-    return states
-
-
-def conforms(x: SignVector, t: SignVector) -> bool:
-    """True iff x(e) in {0, t(e)} for every e (x is a face candidate of t)."""
-    if x.ground != t.ground:
-        raise ValueError("sign vectors live on different ground sets")
-    odd = _odd_mask(len(x.ground))
-    return (t.bits & _nz2(x.bits, odd)) == x.bits
+    z = odd & ~(y | y >> 1)
+    for s in _subsets(z):
+        yield y | s | (z ^ s) << 1
 
 
 def separation(a: SignVector, b: SignVector) -> int:
@@ -346,21 +335,31 @@ class AffineOrientedMatroid:
     # -- tope enumeration --------------------------------------------------------
 
     def bounded_topes(self) -> list[SignVector]:
+        """The bounded topes, sorted by SignVector.key, from the vertex stars.
+
+        A tope's feasible faces are the vertices it fills, so the same pass
+        gives its face mask.  The cap, |feasible| * 2^r, also bounds every
+        meet, which has at most |common| * 2^dim faces.
+        """
         if self._bounded is None:
-            n = len(self.ground)
-            odd = _odd_mask(n)
-            inf_bits = [y.bits for y in self.infinite]
-            inf_bits += [(-y).bits for y in self.infinite]
+            r = self.central.rank
+            if len(self.feasible) << r > _CLOSURE_CAP:
+                raise ClosureCapExceeded(
+                    f"{len(self.feasible)} vertex stars of 2^{r} topes exceed "
+                    f"the cap {_CLOSURE_CAP}")
+            odd = _odd_mask(len(self.ground))
+            masks: dict[int, int] = {}
+            for k, y in enumerate(self.feasible):
+                for x in _fillings(y.bits, odd):
+                    masks[x] = masks.get(x, 0) | 1 << k
+            inf_nz = [(y, _nz2(y, odd)) for v in self.infinite
+                      for y in (v.bits, (-v).bits)]
             topes = []
-            gen = [y.bits for y in self.feasible]
-            for x in _composition_closure(gen, odd):
-                if ((x | x >> 1) & odd) != odd:
-                    continue  # not full support
-                if any((x & _nz2(y, odd)) == y for y in inf_bits):
+            for x, mask in masks.items():
+                if any((x & nz) == y for y, nz in inf_nz):
                     continue  # an infinite cocircuit is a face: unbounded
                 topes.append(SignVector(self.ground, x))
-                self._face_masks[x] = sum(1 << k for k, y in enumerate(gen)
-                                          if (x & _nz2(y, odd)) == y)
+                self._face_masks[x] = mask
             self._bounded = tuple(sorted(topes, key=SignVector.key))
         return list(self._bounded)
 
@@ -384,7 +383,9 @@ class AffineOrientedMatroid:
     @classmethod
     def from_json(cls, doc: dict) -> "AffineOrientedMatroid":
         try:
-            rank = int(doc["rank"])
+            rank = doc["rank"]
+            if type(rank) is not int or rank < 1:  # JSON true would read as 1
+                raise TypeError(f"rank must be an integer >= 1, got {rank!r}")
             elements = tuple(str(e) for e in doc["elements"])
             chi = Chirotope.from_text(rank, elements, doc["chirotope"])
             lift = doc["lift"]
@@ -414,56 +415,28 @@ class AffineOrientedMatroid:
     def meet_faces(self, a: SignVector, b: SignVector) -> Optional[FVector]:
         """F-vector of the common face of bounded topes a and b, or None.
 
-        Faces are all compositions of the feasible cocircuits common to both
-        topes.  A face's zero set is the intersection of theirs, each a basis
-        by genericity, so it is independent and the face has dimension r
-        minus its size.  Each unordered pair is closed once per instance.
+        Every face is a common vertex Y with some of its zeros filled in by
+        the signs of the top face, which composes all common vertices.  Its
+        zero set lies inside Y's, a basis by genericity, so the face has
+        dimension r minus its size.  Each pair is counted once per instance.
         """
         key = tuple(sorted((a.bits, b.bits)))
         if key in self._meets:
             return self._meets[key]
-        n = len(self.ground)
-        odd = _odd_mask(n)
         common = [y.bits for y in self.cocircuits_in(self.face_mask(a)
                                                      & self.face_mask(b))]
         if not common:
             self._meets[key] = None
             return None
-        faces = _composition_closure(common, odd)
-        zero_dim = self.central.rank - n  # dimension = zero_dim + support size
+        odd = _odd_mask(len(self.ground))
         top = 0
         for y in common:
             top |= y
-        dim_top = zero_dim + ((top | top >> 1) & odd).bit_count()
-        counts = [0] * (dim_top + 1)
+        faces = {y | s for y in common for s in _subsets(top & ~_nz2(y, odd))}
+        zero_dim = self.central.rank - len(self.ground)  # + support size
+        counts = [0] * (zero_dim + ((top | top >> 1) & odd).bit_count() + 1)
         for x in faces:
-            d = zero_dim + ((x | x >> 1) & odd).bit_count()
-            if not 0 <= d <= dim_top:
-                d = self._dependent_face_dim(a, b, SignVector(self.ground, x),
-                                             d, dim_top)
-            counts[d] += 1
-        if counts[dim_top] != 1:
-            raise ValueError(
-                f"bounded topes {a.text()!r} and {b.text()!r} meet in "
-                f"{counts[dim_top]} faces of top dimension {dim_top}, not one")
-        fv = FVector(dim_top, tuple(counts))
+            counts[zero_dim + ((x | x >> 1) & odd).bit_count()] += 1
+        fv = FVector(len(counts) - 1, tuple(counts))  # top is the one face of top dim
         self._meets[key] = fv
         return fv
-
-    def _dependent_face_dim(self, a: SignVector, b: SignVector, face: SignVector,
-                            counted: int, dim_top: int) -> int:
-        """Dimension of a meet face whose counted dimension is out of range.
-
-        Only a dependent zero set gets one, which validation rules out.  If
-        the face's rank gives it the top dimension, it is returned, and
-        meet_faces then reports a second top face; otherwise this raises.
-        """
-        z = face.zero_set()
-        d = self.central.rank - self.matroid().rank(z)
-        if d != dim_top:
-            raise ValueError(
-                f"bounded topes {a.text()!r} and {b.text()!r} meet in face "
-                f"{face.text()!r}, whose zero set "
-                f"{sorted(z, key=self.ground.index)} is dependent: counted "
-                f"dimension {counted} lies outside 0..{dim_top}")
-        return d

@@ -13,8 +13,7 @@ from chamberforms.arrangement import Arrangement
 from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
 from chamberforms.matroid import Flat, Matroid
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, FVector,
-                                           SignVector, _composition_closure,
-                                           _nz2, _odd_mask, conforms)
+                                           SignVector, _nz2, _odd_mask)
 from chamberforms.polyring import ONE, ZERO, IntPoly
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -187,7 +186,57 @@ def beta_sum(m: Matroid, k) -> int:
     return (-1) ** k.rank * total
 
 
-# Sign-vector and face references for the packed closures of AffineOrientedMatroid.
+# Sign-vector and face references for the vertex stars of AffineOrientedMatroid:
+# composition closures, which the package no longer computes.
+
+def _composition_closure(gen: Sequence[int], odd: int) -> set[int]:
+    """Every composition of one or more generators, as packed sign vectors.
+
+    odd is the _odd_mask of the generators' length.
+    """
+    states = set(gen)
+    frontier = list(gen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            x_keep = ~_nz2(x, odd)
+            for y in gen:
+                z = x | (y & x_keep)
+                if z not in states:
+                    states.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return states
+
+
+def conforms(x: SignVector, t: SignVector) -> bool:
+    """True iff x(e) in {0, t(e)} for every e (x is a face candidate of t)."""
+    if x.ground != t.ground:
+        raise ValueError("sign vectors live on different ground sets")
+    odd = _odd_mask(len(x.ground))
+    return (t.bits & _nz2(x.bits, odd)) == x.bits
+
+
+def bounded_topes_by_closure(om: AffineOrientedMatroid) -> tuple[list, dict]:
+    """The bounded topes in canonical order and each one's face mask.
+
+    Closes the feasible cocircuits under composition, keeps the full-support
+    covectors to which no infinite cocircuit conforms, and sets bit k of a
+    tope's mask when feasible cocircuit k conforms to it.
+    """
+    odd = _odd_mask(len(om.ground))
+    inf_bits = [y.bits for y in om.infinite] + [(-y).bits for y in om.infinite]
+    gen = [y.bits for y in om.feasible]
+    topes, masks = [], {}
+    for x in _composition_closure(gen, odd):
+        if ((x | x >> 1) & odd) != odd:
+            continue  # not full support
+        if any((x & _nz2(y, odd)) == y for y in inf_bits):
+            continue  # an infinite cocircuit is a face: unbounded
+        topes.append(SignVector(om.ground, x))
+        masks[x] = sum(1 << k for k, y in enumerate(gen) if (x & _nz2(y, odd)) == y)
+    return sorted(topes, key=SignVector.key), masks
+
 
 def compose(x: SignVector, y: SignVector) -> SignVector:
     """(x o y)(e) = x(e) if x(e) != 0 else y(e)."""

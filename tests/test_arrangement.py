@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from chamberforms.arrangement import Arrangement, Hyperplane, _cofactors
 from chamberforms.polyring import int_det
 from chamberforms.forms import verify
-from chamberforms.oriented_matroid import SignVector, conforms
-from conftest import (circuits, cocircuit_faces, example13_C, example13_Cprime,
-                      kernel_vector, line_points, point_signs, random_arrangement,
-                      row_reduce, vertices)
+from chamberforms.oriented_matroid import SignVector
+from conftest import (circuits, cocircuit_faces, conforms, example13_C,
+                      example13_Cprime, kernel_vector, line_points, point_signs,
+                      random_arrangement, row_reduce, vertices)
 
 
 class TestHyperplane:

@@ -88,21 +88,6 @@ class TestCheck:
         doc = json.loads((FIXTURE_DIR / name).read_text())
         assert len(calls) == (1 if "chirotope" in doc else 0)
 
-    def test_meet_with_two_top_faces_exits_1(self, tmp_path, monkeypatch, capsys):
-        """The zero set {1, 2} of '-3' is not a basis, which validation would
-        reject; past it, the self-meet of '-1 -2 -3' has two vertices."""
-        from chamberforms.oriented_matroid import AffineOrientedMatroid
-        monkeypatch.setattr(AffineOrientedMatroid, "_validate", lambda self: None)
-        p = tmp_path / "two-tops.json"
-        p.write_text(json.dumps({
-            "rank": 1, "elements": ["1", "2", "3"], "chirotope": "-++",
-            "lift": {"g": "g", "feasible_cocircuits": ["-3", "-2 -3", "-1 3"]}}))
-        code, _ = run_main(["check", "--input", str(p)])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: bounded topes '-1 -2 -3' and '-1 -2 -3' meet in 2 faces of "
-            "top dimension 0, not one\n")
-
     def test_timings_excluded_by_default(self):
         _, rep = run_main(["check", "--input",
                            str(FIXTURE_DIR / "example13-C.json")])
@@ -152,20 +137,31 @@ class TestErrors:
         assert cli.main(["check", "--input", str(p)]) == 1
         assert "expected an arrangement" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [
-        {"dim": 1, "hyperplanes": [{"label": "H1", "normal": ["1"], "offset": "1/0"}]},
-        {"dim": 1, "hyperplanes": [{"label": "H1", "normal": ["1/0"], "offset": "0"}]},
-        {"rank": 1, "elements": ["1", "2"], "chirotope": "++", "lift": []},
-        {"rank": 1, "elements": ["1", "2"], "chirotope": "++",
-         "lift": {"feasible_cocircuits": [1, 2]}},
+    @pytest.mark.parametrize("doc, named", [
+        ({"dim": 1, "hyperplanes": [{"label": "H1", "normal": ["1"],
+                                     "offset": "1/0"}]}, "zero denominator"),
+        ({"dim": 1, "hyperplanes": [{"label": "H1", "normal": ["1/0"],
+                                     "offset": "0"}]}, "zero denominator"),
+        ({"rank": 1, "elements": ["1", "2"], "chirotope": "++", "lift": []},
+         "lift"),
+        ({"rank": 1, "elements": ["1", "2"], "chirotope": "++",
+          "lift": {"feasible_cocircuits": [1, 2]}}, "cocircuits"),
+        *(({"rank": rank, "elements": ["1"], "chirotope": "+",
+            "lift": {"feasible_cocircuits": []}}, "rank")
+          for rank in (0, True, 4.7, "2")),
+        *(({"dim": dim, "hyperplanes": [{"label": "H1", "normal": ["1"],
+                                         "offset": "1"}]}, "dim")
+          for dim in (0, True, 4.7, "2")),
     ], ids=["zero-offset-denominator", "zero-normal-denominator", "lift-list",
-            "cocircuit-ints"])
-    def test_malformed_document_exits_1(self, doc, tmp_path, capsys):
+            "cocircuit-ints", "rank-0", "rank-true", "rank-float", "rank-string",
+            "dim-0", "dim-true", "dim-float", "dim-string"])
+    def test_malformed_document_exits_1(self, doc, named, tmp_path, capsys):
         p = tmp_path / "malformed.json"
         p.write_text(json.dumps(doc))
         assert cli.main(["check", "--input", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed ") and "Traceback" not in err
+        assert named in err
 
     def test_genericity_violation_names_circuit(self, tmp_path, capsys):
         doc = {"dim": 2, "hyperplanes": [

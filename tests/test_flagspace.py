@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberforms import cli, flagspace
+from chamberforms.arrangement import Arrangement
 from chamberforms.flagspace import (_peel, _peeled_det, boundary, build_y_matrix,
                                     check_basis_of_kernel, expansion_matches_y,
                                     pairing, phi, smith_divisors)
 from chamberforms.forms import build_S
-from chamberforms.make_fixtures import FIXTURES
+from chamberforms.make_fixtures import FIXTURES, cyclic_r3
+from chamberforms.oriented_matroid import separation
 from chamberforms.polyring import int_det, poly_eval
-from conftest import (FIXTURE_DIR, cocircuit_faces, example13_C, example13_Cprime,
-                      line_points, random_arrangement)
+from conftest import (FIXTURE_DIR, cocircuit_faces, conforms, example13_C,
+                      example13_Cprime, line_points, load_fixture,
+                      random_arrangement)
 
 
 def phis(om):
@@ -175,6 +178,21 @@ class TestYMatrix:
         a = build_y_matrix(example13_C(), seed=42)
         b = build_y_matrix(example13_C(), seed=42)
         assert a.xi == b.xi and a.y == b.y
+
+    @pytest.mark.parametrize("name", [name for name in FIXTURES
+                                      if "hyperplanes" in load_fixture(name)]
+                             + ["uniform-r3-n8"])
+    def test_rows_match_conformity(self, name):
+        """y(t, b) is nonzero exactly where cocircuit b conforms to region t."""
+        arr = (cyclic_r3(8) if name == "uniform-r3-n8"
+               else Arrangement.from_json(load_fixture(name)))
+        om = arr.compile()
+        rep = build_y_matrix(arr, seed=1)
+        assert rep.y == tuple(
+            tuple((-1) ** separation(t, rep.region_of_basis[frozenset(b)])
+                  if conforms(om.basis_to_cocircuit(b), t) else 0
+                  for b in rep.bases)
+            for t in rep.regions)
 
     def test_random_arrangements(self):
         rng = random.Random(18)

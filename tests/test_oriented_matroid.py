@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chamberforms import oriented_matroid
 from chamberforms.arrangement import Arrangement, Hyperplane
@@ -10,8 +11,9 @@ from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            ClosureCapExceeded, FVector,
                                            SignVector, cocircuits_from_chirotope,
-                                           conforms, separation)
-from conftest import (affine_covectors, cocircuit_faces, compose, example13_C,
+                                           separation)
+from conftest import (affine_covectors, bounded_topes_by_closure,
+                      cocircuit_faces, compose, conforms, example13_C,
                       line_points, load_fixture, meet_f_vector_by_rank,
                       random_arrangement)
 
@@ -149,6 +151,12 @@ def om_example13() -> AffineOrientedMatroid:
     return example13_C().compile()
 
 
+def fixture_om(name: str) -> AffineOrientedMatroid:
+    doc = load_fixture(name)
+    return (Arrangement.from_json(doc).compile() if "hyperplanes" in doc
+            else AffineOrientedMatroid.from_json(doc))
+
+
 class TestBoundedTopes:
     def test_example13_two_chambers(self):
         assert len(om_example13().bounded_topes()) == 2
@@ -181,12 +189,22 @@ class TestBoundedTopes:
         with pytest.raises(ClosureCapExceeded):
             om.bounded_topes()
 
-    def test_meet_closure_cap(self, monkeypatch):
+    def test_cap_boundary_before_enumeration(self, monkeypatch):
+        # six vertices on a line, each with a star of 2^1 fillings: 12
+        def no_enumeration(*_):
+            raise AssertionError("enumerated past the cap")
         om = line_points(5).compile()
-        t = om.bounded_topes()[0]
-        monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 2)
-        with pytest.raises(ClosureCapExceeded):
-            om.meet_faces(t, t)  # its three faces: two vertices and an edge
+        monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 11)
+        monkeypatch.setattr(oriented_matroid, "_subsets", no_enumeration)
+        with pytest.raises(ClosureCapExceeded, match="6 vertex stars"):
+            om.bounded_topes()
+        monkeypatch.undo()
+        monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 12)
+        topes = om.bounded_topes()
+        assert len(topes) == 5
+        for a in topes:
+            for b in topes:
+                om.meet_faces(a, b)  # the cap on the stars bounds every meet
 
     def test_closure_matches_geometric_face_count(self):
         # simple 2-dimensional arrangements: #faces = V + sum(k_i + 1) + (1 + n + V)
@@ -203,6 +221,29 @@ class TestBoundedTopes:
                 sum(1 for b in m.bases if e in b) + 1 for e in arr.ground)
             chambers = 1 + n + V
             assert len(affine_covectors(om)) == V + edges + chambers
+
+
+class TestVertexStars:
+    """bounded_topes fills in the zeros of each vertex; the reference closes
+    the feasible cocircuits under composition."""
+
+    @staticmethod
+    def assert_matches_closure(om):
+        topes, masks = bounded_topes_by_closure(om)
+        assert om.bounded_topes() == topes
+        assert {t.bits: om.face_mask(t) for t in topes} == masks
+
+    @pytest.mark.parametrize("name", list(FIXTURES))
+    def test_fixtures(self, name):
+        self.assert_matches_closure(fixture_om(name))
+
+    @given(st.integers(1, 3).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(r, 8))), st.integers(0, 2 ** 32))
+    @settings(deadline=None, max_examples=40)
+    def test_random_arrangements(self, shape, seed):
+        arr = random_arrangement(random.Random(seed), *shape)
+        if arr is not None:
+            self.assert_matches_closure(arr.compile())
 
 
 class TestCocircuitFaces:
@@ -270,38 +311,6 @@ class TestMeetFaces:
                 fv = vamos_om.meet_faces(topes[i], topes[j])
                 assert fv is None or fv.euler_ok()
 
-    def test_two_top_faces_raise_value_error(self, monkeypatch):
-        """Unreachable past validation: when every zero set is a basis, two
-        faces of one tope with equal dimension have equal zero sets, so they
-        are equal.  Here '-2' has zero set {1, 3}, which is not a basis of
-        this rank-1 matroid, and '-2 3' and '-2' are both faces of dimension
-        0 common to the two topes."""
-        chi = Chirotope.from_text(1, ("1", "2", "3"), "+++")
-        feasible = [sv(t) for t in ("-2 3", "-1 3", "1 -2", "-2")]
-        with pytest.raises(ValueError, match="genericity"):
-            AffineOrientedMatroid(chi, feasible)
-        monkeypatch.setattr(AffineOrientedMatroid, "_validate", lambda self: None)
-        om = AffineOrientedMatroid(chi, feasible)
-        with pytest.raises(ValueError, match="bounded topes '1 -2 3' and "
-                                             "'-1 -2 3' meet in 2 faces of top"):
-            om.meet_faces(sv("1 -2 3"), sv("-1 -2 3"))
-
-    def test_dependent_zero_set_raises_value_error(self, monkeypatch):
-        """Unreachable past validation: '-3' has zero set {1, 2}, which is
-        dependent in this rank-1 matroid, so its counted dimension is -1.
-        The two topes meet in '-3' alone, whose top dimension also counts
-        -1: the face gets no slot, and the error names it."""
-        chi = Chirotope.from_text(1, ("1", "2", "3"), "+++")
-        feasible = [sv(t) for t in ("-2 -3", "-3", "1 2")]
-        with pytest.raises(ValueError, match="genericity"):
-            AffineOrientedMatroid(chi, feasible)
-        monkeypatch.setattr(AffineOrientedMatroid, "_validate", lambda self: None)
-        om = AffineOrientedMatroid(chi, feasible)
-        with pytest.raises(ValueError, match=r"bounded topes '1 2 -3' and "
-                                             r"'1 -2 -3' meet in face '-3', whose "
-                                             r"zero set \['1', '2'\] is dependent"):
-            om.meet_faces(sv("1 2 -3"), sv("1 -2 -3"))
-
     def test_diagonal_f0_matches_cocircuit_faces(self, vamos_om):
         for t in vamos_om.bounded_topes()[:6]:
             fv = vamos_om.meet_faces(t, t)
@@ -322,10 +331,7 @@ class TestCountedDimensions:
 
     @pytest.mark.parametrize("name", list(FIXTURES))
     def test_fixtures(self, name):
-        doc = load_fixture(name)
-        om = (Arrangement.from_json(doc).compile() if "hyperplanes" in doc
-              else AffineOrientedMatroid.from_json(doc))
-        self.assert_every_pair_matches(om)
+        self.assert_every_pair_matches(fixture_om(name))
 
     def test_random_arrangements(self):
         rng = random.Random(17)
@@ -387,9 +393,14 @@ class TestValidation:
             AffineOrientedMatroid(chi, feas)
 
     def test_genericity_rejected(self):
-        chi = Chirotope.from_text(2, ("1", "2", "3"), "++0")
-        feas = [SignVector.from_text(("1", "2", "3"), "3"),
-                SignVector.from_text(("1", "2", "3"), "1 2"),
-                SignVector.from_text(("1", "2", "3"), "-1 2")]
-        with pytest.raises(ValueError, match="genericity"):
-            AffineOrientedMatroid(chi, feas)
+        ground = ("1", "2", "3")
+        for rank, chi, feasible in [
+                (2, "++0", ["3", "1 2", "-1 2"]),
+                # '-2' has zero set {1, 3}, two elements in a rank-1 matroid
+                (1, "+++", ["-2 3", "-1 3", "1 -2", "-2"]),
+                # '-3' has the dependent zero set {1, 2}
+                (1, "+++", ["-2 -3", "-3", "1 2"])]:
+            with pytest.raises(ValueError, match="genericity"):
+                AffineOrientedMatroid(Chirotope.from_text(rank, ground, chi),
+                                      [SignVector.from_text(ground, t)
+                                       for t in feasible])

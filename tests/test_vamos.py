@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from chamberforms import vamos
+from chamberforms import cli, vamos
 from chamberforms.oriented_matroid import AffineOrientedMatroid, SignVector
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, load_fixture
 
 
 class TestCocircuitData:
@@ -79,3 +79,35 @@ class TestFixtureFile:
             json.loads((FIXTURE_DIR / "vamos.json").read_text()))
         assert [t.key() for t in om.bounded_topes()] == \
             [t.key() for t in vamos_om.bounded_topes()]
+
+
+def single_flips():
+    """The fixture with one chirotope sign, or the first sign of one
+    feasible cocircuit, flipped."""
+    doc = load_fixture("vamos.json")
+    chi = doc["chirotope"]
+    quads = list(combinations(doc["elements"], doc["rank"]))
+    for i, (quad, ch) in enumerate(zip(quads, chi)):
+        if ch != "0":
+            flipped = json.loads(json.dumps(doc))
+            flipped["chirotope"] = chi[:i] + "+-"[ch == "+"] + chi[i + 1:]
+            # this flip is no chirotope, yet check exits 0: ingest does not
+            # yet validate the lifted chirotope (ROADMAP item 1)
+            marks = ([pytest.mark.xfail(strict=True, reason="passes ingest")]
+                     if quad == ("4", "5", "6", "7") else [])
+            yield pytest.param(flipped, id="chi-" + "".join(quad), marks=marks)
+    for k, text in enumerate(doc["lift"]["feasible_cocircuits"]):
+        flipped = json.loads(json.dumps(doc))
+        first, *rest = text.split()
+        first = first[1:] if first.startswith("-") else "-" + first
+        flipped["lift"]["feasible_cocircuits"][k] = " ".join([first, *rest])
+        yield pytest.param(flipped, id=f"cocircuit-{k}")
+
+
+@pytest.mark.parametrize("doc", single_flips())
+def test_single_flip_exits_1(doc, tmp_path, capsys):
+    p = tmp_path / "flipped.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["check", "--input", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
