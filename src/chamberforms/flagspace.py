@@ -27,10 +27,9 @@ route was taken.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arrangement import Arrangement
 from .oriented_matroid import (AffineOrientedMatroid, SignVector, _fillings,
@@ -171,8 +170,7 @@ def _peeled_det(peeled: list[tuple[int, int, int]]) -> int:
                 start=_perm_parity([j for _, j, _ in sorted(peeled)]))
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     n_topes: int
     n_bases: int
     kernel_flags: tuple[bool, ...]
@@ -226,8 +224,7 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
                         mu_dual, kernel_dim)
 
 
-@dataclass(frozen=True)
-class YMatrixReport:
+class YMatrixReport(NamedTuple):
     xi: tuple[int, ...]
     bases: tuple[tuple, ...]
     regions: tuple[SignVector, ...]

@@ -10,7 +10,6 @@ are products over coloop-free proper flats K of the central matroid of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -45,8 +44,7 @@ def h_poly(fv: FVector) -> IntPoly:
     return acc
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(NamedTuple):
     topes: tuple[SignVector, ...]
     matrix: PolyMatrix
 
@@ -61,8 +59,7 @@ class Factor(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class DeterminantVerdict:
+class DeterminantVerdict(NamedTuple):
     lhs: IntPoly
     rhs: IntPoly
     factors: tuple[Factor, ...]

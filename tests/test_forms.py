@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chamberforms import polyring
+from chamberforms import modular
 from chamberforms.cli import load_instance
 from chamberforms.forms import (TheoremViolation, build_S, build_Sq, h_poly,
                                 rhs_classical, rhs_q, verify)
@@ -122,8 +122,8 @@ class TestBuildSq:
         n = len(rows)
         entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
                    for j, e in enumerate(row) if e.coeffs]
-        assert polyring._grading(n, entries) is not None
-        order = polyring._band_order(n, [(i, j) for i, j, _ in entries])
+        assert modular._grading(n, entries) is not None
+        order = modular._band_order(n, [(i, j) for i, j, _ in entries])
         pos = {v: k for k, v in enumerate(order)}
         banded = max(abs(pos[i] - pos[j]) for i, j, _ in entries)
         assert banded <= max(abs(i - j) for i, j, _ in entries)

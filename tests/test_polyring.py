@@ -1,14 +1,15 @@
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import comb
+from itertools import islice
+from math import comb, isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chamberforms import polyring
+from chamberforms import modular, polyring
 from chamberforms.polyring import (CertificateError, IntPoly, ONE, ZERO,
                                    PolyMatrix, const, int_det, poly_det,
                                    poly_eval, poly_pow, q_integer)
@@ -175,8 +176,8 @@ class TestPolyDet:
 
 def graded(rows):
     n = len(rows)
-    return polyring._grading(n, [(i, j, e.coeffs) for i, row in enumerate(rows)
-                                 for j, e in enumerate(row) if e.coeffs]) is not None
+    return modular._grading(n, [(i, j, e.coeffs) for i, row in enumerate(rows)
+                                for j, e in enumerate(row) if e.coeffs]) is not None
 
 
 def graded_matrices(max_n=5):
@@ -237,13 +238,13 @@ class TestModularEngine:
         assert poly_det([[q, q + ONE], [q, q]]) == -q
 
     def test_certificate_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(polyring, "_modular_det", wrong_g)
+        monkeypatch.setattr(modular, "_modular_det", wrong_g)
         q = IntPoly([0, 1])
         with pytest.raises(CertificateError):
             poly_det([[q, ONE], [ONE, q]])
 
     def test_certificate_failure_raises_on_graded_path(self, monkeypatch):
-        monkeypatch.setattr(polyring, "_modular_det", wrong_g)
+        monkeypatch.setattr(modular, "_modular_det", wrong_g)
         q, q2 = IntPoly([0, 1]), IntPoly([0, 0, 1])
         for mat in ([[ONE, q], [q, ONE]],      # s = (0, 1)
                     [[ONE, q2], [q2, ONE]]):  # s = (0, 0)
@@ -285,7 +286,7 @@ class TestModularEngine:
                     [ZERO, ZERO, q2 - ONE]]
         assert graded(lopsided)
         assert poly_det(lopsided) == det_by_expansion(lopsided)
-        order = polyring._band_order(3, [(0, 0), (0, 2), (1, 0), (1, 1), (2, 2)])
+        order = modular._band_order(3, [(0, 0), (0, 2), (1, 0), (1, 1), (2, 2)])
         assert sorted(order) == [0, 1, 2]
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -339,11 +340,12 @@ def traced_det(rows):
     weights); an engine call on a constant matrix comes from int_det, which
     has no c to pass, and is not listed.  The point counts are those of
     each prime: the points whose det a batched elimination gave, plus those
-    eliminated plain.
+    the engine eliminated plain (the certificate's elimination in polyring
+    is not seen).
     """
     cs, points = [], Counter()
-    engine, batch = polyring._modular_det, polyring._batch_det_mod
-    eliminate = polyring._eliminate_mod
+    engine, batch = modular._modular_det, modular._batch_det_mod
+    eliminate = modular._eliminate_mod
 
     def spy_engine(rows, shift, c):
         if any(len(e.coeffs) > 1 for row in rows for e in row):
@@ -356,12 +358,11 @@ def traced_det(rows):
         return det, marked
 
     def spy_plain(rows, m):
-        if m != polyring._CERT_PRIME:
-            points[m] += 1
+        points[m] += 1
         return eliminate(rows, m)
-    with mock.patch.object(polyring, "_modular_det", spy_engine), \
-            mock.patch.object(polyring, "_batch_det_mod", spy_batch), \
-            mock.patch.object(polyring, "_eliminate_mod", spy_plain):
+    with mock.patch.object(modular, "_modular_det", spy_engine), \
+            mock.patch.object(modular, "_batch_det_mod", spy_batch), \
+            mock.patch.object(modular, "_eliminate_mod", spy_plain):
         return poly_det(rows), cs, set(points.values())
 
 
@@ -420,13 +421,13 @@ class TestMirroredNodes:
         mirrored = [[IntPoly([1] + [0] * 18 + [1])]]        # c = 19: 20 coefficients
         consecutive = [[IntPoly([1, 1] + [0] * 20 + [2])]]  # 23 coefficients
         used = []
-        batch = polyring._batch_det_mod
+        batch = modular._batch_det_mod
 
         def spy_batch(a, p):
             used.append(p)
             return batch(a, p)
-        monkeypatch.setattr(polyring, "_batch_det_mod", spy_batch)
-        monkeypatch.setattr(polyring, "_primes_below",
+        monkeypatch.setattr(modular, "_batch_det_mod", spy_batch)
+        monkeypatch.setattr(modular, "_primes_below",
                             lambda top: iter([8191, 1000003]))
         for rows in (mirrored, consecutive):
             used.clear()
@@ -448,10 +449,10 @@ def first_prime(monkeypatch, n, width):
     rows = [[IntPoly([1] * width) if i == j else ZERO for j in range(n)]
             for i in range(n)]
     with monkeypatch.context() as m:
-        m.setattr(polyring, "_primes_below", capture)
+        m.setattr(modular, "_primes_below", capture)
         with pytest.raises(Stop):
-            polyring._modular_det(rows, 0, None)
-    return next(polyring._primes_below(tops[0]))
+            modular._modular_det(rows, 0, None)
+    return next(modular._primes_below(tops[0]))
 
 
 def points_last(a):
@@ -470,10 +471,33 @@ class TestWordKernel:
                 assert (max(n, width) + 1) * (p - 1) ** 2 < 2 ** 63
                 assert p > 2 ** 26
 
+    def test_primes_are_searched_once(self, monkeypatch):
+        top = 10 ** 6 + 1
+        expected = [p for p in range(top - 2, 2, -2)
+                    if all(p % d for d in range(3, isqrt(p) + 1, 2))][:30]
+        tested = Counter()
+        is_prime = modular._is_prime
+
+        def spy(p):
+            tested[p] += 1
+            return is_prime(p)
+        monkeypatch.setattr(modular, "_PRIMES", {})
+        monkeypatch.setattr(modular, "_is_prime", spy)
+        assert list(islice(modular._primes_below(top), 10)) == expected[:10]
+        assert min(tested) == expected[9]  # the search stops at the last prime taken
+        first, second = modular._primes_below(top), modular._primes_below(top)
+        assert [next(g) for _ in range(30) for g in (first, second)] == [
+            p for p in expected for _ in range(2)]
+        assert list(islice(modular._primes_below(top), 30)) == expected
+        assert set(tested.values()) == {1} and min(tested) == expected[-1]
+        assert list(modular._primes_below(12)) == [11, 7, 5, 3]
+        assert list(modular._primes_below(11)) == [7, 5, 3]
+        assert list(modular._primes_below(12)) == [11, 7, 5, 3]
+
     @given(st.lists(st.one_of(st.just(0), st.integers(1, 2 ** 31 - 2)), max_size=20))
     def test_batch_inverse_with_zeros(self, values):
         p = 2 ** 31 - 1
-        inv = polyring._batch_inverse(np.array(values, dtype=np.int64), p).tolist()
+        inv = modular._batch_inverse(np.array(values, dtype=np.int64), p).tolist()
         assert [x * y % p for x, y in zip(values, inv)] == [int(x != 0) for x in values]
         assert [y for x, y in zip(values, inv) if not x] == [0] * values.count(0)
 
@@ -485,7 +509,7 @@ class TestWordKernel:
                 for _ in range(n)]
         rows[0][0] = IntPoly([2 ** 64 + 1, -(2 ** 70), 3])
         p = first_prime(monkeypatch, n, 3)
-        batch = polyring._Evaluator(rows, n_pts)(p)
+        batch = modular._Evaluator(rows, n_pts)(p)
         for e in range(n_pts):
             t = pow(2, e, p)
             assert batch[e].tolist() == [  # the upper triangle, 0 below it
@@ -512,7 +536,7 @@ def assert_symmetric_kernel_matches(a, p):
                 for m in a]
     upper = np.triu(a)  # the symmetric kernel reads nothing below the diagonal
     for batch in (upper.copy(), points_last(upper)):
-        det, marked = polyring._batch_det_mod(batch, p)
+        det, marked = modular._batch_det_mod(batch, p)
         assert det.tolist() == expected and not marked.any()
 
 
@@ -524,7 +548,7 @@ def spied_det(rows):
     each prime's plain matrices are those of its batches at their marks.
     """
     calls, plain, marked_matrices = [], defaultdict(list), defaultdict(list)
-    batch, eliminate = polyring._batch_det_mod, polyring._eliminate_mod
+    batch, eliminate = modular._batch_det_mod, modular._eliminate_mod
 
     def spy_batch(a, p):
         whole = a + np.triu(a, 1).transpose(0, 2, 1)  # a holds the upper triangle
@@ -535,11 +559,10 @@ def spied_det(rows):
         return det, marked
 
     def spy_plain(rows, m):
-        if m != polyring._CERT_PRIME:
-            plain[m].append([list(row) for row in rows])
+        plain[m].append([list(row) for row in rows])
         return eliminate(rows, m)
-    with mock.patch.object(polyring, "_batch_det_mod", spy_batch), \
-            mock.patch.object(polyring, "_eliminate_mod", spy_plain):
+    with mock.patch.object(modular, "_batch_det_mod", spy_batch), \
+            mock.patch.object(modular, "_eliminate_mod", spy_plain):
         det = poly_det(rows)
     assert plain == marked_matrices
     return det, calls
@@ -583,11 +606,11 @@ class TestSymmetricElimination:
         p = 1000003
         a = np.array([[[2, 1], [1, 3]], [[0, 1], [1, 3]], [[5, 2], [2, 1]]],
                      dtype=np.int64)
-        det, marked = polyring._batch_det_mod(points_last(a), p)
+        det, marked = modular._batch_det_mod(points_last(a), p)
         assert marked.tolist() == [False, True, False]
         assert det[[0, 2]].tolist() == [5, 1]
         swap = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
-        assert polyring._batch_det_mod(swap.copy(), p)[1].tolist() == [True]
+        assert modular._batch_det_mod(swap.copy(), p)[1].tolist() == [True]
 
     @given(symmetric_matrices(
         st.lists(st.integers(-4, 4), max_size=3).map(IntPoly), 4))
@@ -612,7 +635,7 @@ class TestSymmetricElimination:
         q4 = IntPoly([-4, 1])
         rows = [[q4, ONE, ZERO], [ONE, q4, q4], [ZERO, q4, const(3)]]
         whole, whole_calls = spied_det(rows)
-        monkeypatch.setattr(polyring, "_BATCH_BYTES", 1)  # a point per batch
+        monkeypatch.setattr(modular, "_BATCH_BYTES", 1)  # a point per batch
         det, calls = spied_det(rows)
         assert det == whole == det_by_expansion(rows)
         assert len(calls) > len(whole_calls)

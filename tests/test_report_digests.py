@@ -12,11 +12,12 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from chamberforms import flagspace, polyring
+from chamberforms import flagspace, modular, polyring
 from chamberforms.cli import main
 from chamberforms.make_fixtures import FIXTURES
 
@@ -65,11 +66,27 @@ def test_invariants_digest_holds_through_the_fallback(case, broken, pinned,
 
 # With no matrix taken as symmetric, int_det hands S to the modular engine
 # and every point of S_q takes plain elimination; the reports stay the same.
+# polyring and the engine each read their own binding of _is_symmetric.
 @pytest.mark.parametrize("case", [c for c in CASES
                                   if c.split()[0] in ("check", "det", "random")])
 def test_digest_holds_through_the_plain_route(case, pinned, tmp_path, monkeypatch):
-    monkeypatch.setattr(polyring, "_is_symmetric", lambda rows: False)
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, spy)
+    for module in (polyring, modular):
+        monkeypatch.setattr(module, "_is_symmetric", lambda rows: False)
+    counted(polyring, "_symmetric_bareiss")
+    counted(modular, "_batch_det_mod")
+    counted(modular, "_eliminate_mod")
     assert run_case(case, tmp_path) == pinned[case]
+    assert calls["_symmetric_bareiss"] == calls["_batch_det_mod"] == 0
+    assert calls["_eliminate_mod"] > 0
 
 
 if __name__ == "__main__":
