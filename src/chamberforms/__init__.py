@@ -8,11 +8,11 @@ against the closed matroid-theoretic product formulas.
 
 __version__ = "0.1.0"
 
-from .polyring import IntPoly, PolyMatrix, int_det, poly_det, poly_eval, q_integer
+from .polyring import IntPoly, int_det, poly_det, poly_eval, q_integer
 from .matroid import Matroid, Flat
 
 __all__ = [
     "__version__",
-    "IntPoly", "PolyMatrix", "int_det", "poly_det", "poly_eval", "q_integer",
+    "IntPoly", "int_det", "poly_det", "poly_eval", "q_integer",
     "Matroid", "Flat",
 ]

@@ -100,13 +100,22 @@ class Arrangement:
             dim = doc["dim"]
             if type(dim) is not int or dim < 1:  # JSON true would read as 1
                 raise TypeError(f"dim must be an integer >= 1, got {dim!r}")
-            hyps = [Hyperplane.make(h["label"], h["normal"], h["offset"])
-                    for h in doc["hyperplanes"]]
+            entries = doc["hyperplanes"]
+            if not isinstance(entries, list):
+                raise TypeError("hyperplanes must be an array")
+            hyps = []
+            for h in entries:
+                normal, offset = h["normal"], h["offset"]
+                if not isinstance(normal, list):  # a string would read per character
+                    raise TypeError(f"normal of {h['label']!r} must be an array")
+                if type(offset) is bool or any(type(x) is bool for x in normal):
+                    raise TypeError(f"hyperplane {h['label']!r} has a boolean coordinate")
+                hyps.append(Hyperplane.make(h["label"], normal, offset))
         except KeyError as exc:
             raise ValueError(f"malformed arrangement JSON: missing {exc}") from None
         except ZeroDivisionError as exc:
             raise ValueError(f"malformed arrangement JSON: zero denominator in {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # 1e999 reads as inf
             raise ValueError(f"malformed arrangement JSON: {exc}") from None
         return cls(dim, hyps)
 

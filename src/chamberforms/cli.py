@@ -2,7 +2,9 @@
 
 Commands: check, matrix, det, rhs, invariants, random.  Reports are JSON
 documents with canonical key order; identical input and seed produce
-byte-identical output (timings are only included on request).
+byte-identical output (timings are only included on request).  main loads
+the input of every single-input command, runs it, and emits its report,
+which _report wraps in one envelope; random writes one line per instance.
 
 check, det and random take determinants over Z[q], whose word-size engine
 (chamberforms.modular) is the one module that imports numpy; matrix, rhs
@@ -40,8 +42,7 @@ from .forms import (IntersectionForm, TheoremViolation, build_S, build_Sq,
                     h_poly, rhs_classical, rhs_q, verify)
 from .oriented_matroid import (AffineOrientedMatroid, ClosureCapExceeded,
                                separation)
-from .polyring import (CertificateError, ExactDivisionError, IntPoly, poly_det,
-                       poly_eval)
+from .polyring import CertificateError, ExactDivisionError, poly_det, poly_eval
 
 MATRIX_REPORT_LIMIT = 40
 NUDGE_ATTEMPTS = 64  # offset draws per --nudge before giving up
@@ -97,10 +98,6 @@ def _nudge_offsets(arr: Arrangement, seed: int) -> Arrangement:
 
 # -- report assembly ----------------------------------------------------------
 
-def _poly_json(p: IntPoly) -> list[str]:
-    return p.coeff_strings()
-
-
 def _factors_json(factors) -> list[dict]:
     return [{"flat": list(f.flat), "base": f.base, "exponent": f.exponent}
             for f in factors]
@@ -111,8 +108,8 @@ def _verdict_json(s_form, vs, vq) -> dict:
         "n_topes": s_form.n,
         "det_S": str(poly_eval(vs.lhs, 1)),
         "rhs_S": str(poly_eval(vs.rhs, 1)),
-        "det_Sq": _poly_json(vq.lhs),
-        "rhs_Sq": _poly_json(vq.rhs),
+        "det_Sq": vq.lhs.coeff_strings(),
+        "rhs_Sq": vq.rhs.coeff_strings(),
         "factors": _factors_json(vq.factors),
         "theorem_match": vs.match,
         "conjecture_match": vq.match,
@@ -122,24 +119,23 @@ def _verdict_json(s_form, vs, vq) -> dict:
 def _matrices_json(s: IntersectionForm, sq: IntersectionForm) -> dict:
     return {
         "topes": [t.text() for t in s.topes],
-        "S": [[str(poly_eval(e, 1)) for e in row] for row in s.matrix.entries],
-        "S_q": [[_poly_json(e) for e in row] for row in sq.matrix.entries],
+        "S": [[str(poly_eval(e, 1)) for e in row] for row in s.matrix],
+        "S_q": [[e.coeff_strings() for e in row] for row in sq.matrix],
     }
 
 
-def _instance_json(inst: Instance) -> dict:
+def _report(inst: Instance, fields: dict) -> dict:
+    """The envelope of a single-input report: instance first, then fields,
+    then version and input digest, the key order its bytes are pinned in."""
     om = inst.om
-    return {
-        "type": inst.kind,
-        "n": len(om.ground),
-        "r": om.central.rank,
-        "elements": list(om.ground),
-        "n_bounded_topes": len(om.bounded_topes()),
-    }
+    instance = {"type": inst.kind, "n": len(om.ground), "r": om.central.rank,
+                "elements": list(om.ground),
+                "n_bounded_topes": len(om.bounded_topes())}
+    return {"instance": instance, **fields,
+            "version": __version__, "input_digest": inst.digest}
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -162,71 +158,33 @@ def run_check(inst: Instance, args: argparse.Namespace, matrices: str = "auto",
         include = s.n <= MATRIX_REPORT_LIMIT
     else:
         include = not vq.match
-    report = {
-        "instance": _instance_json(inst),
+    return _report(inst, {
         "verdict": _verdict_json(s, vs, vq),
         "matrices": _matrices_json(s, sq) if include else None,
         "timings": {"forms_s": round(t_forms - t0, 6),
                     "verify_s": round(t_verify - t_forms, 6)} if args.timings else None,
-        "version": __version__,
-        "input_digest": inst.digest,
-    }
-    return report, 0 if vq.match else 2
+    }), 0 if vq.match else 2
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.nudge)
-    report, code = run_check(inst, args)
-    _emit(report, args.out)
-    return code
+def run_matrix(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:
+    return _report(inst, {"matrices": _matrices_json(build_S(inst.om),
+                                                     build_Sq(inst.om))}), 0
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.nudge)
-    s = build_S(inst.om)
-    sq = build_Sq(inst.om)
-    report = {
-        "instance": _instance_json(inst),
-        "matrices": _matrices_json(s, sq),
-        "version": __version__,
-        "input_digest": inst.digest,
-    }
-    _emit(report, args.out)
-    return 0
+def run_det(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:
+    det_s = poly_det(build_S(inst.om).matrix)
+    det_sq = poly_det(build_Sq(inst.om).matrix)
+    return _report(inst, {"det_S": str(poly_eval(det_s, 1)),
+                          "det_Sq": det_sq.coeff_strings()}), 0
 
 
-def cmd_det(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.nudge)
-    s = build_S(inst.om)
-    sq = build_Sq(inst.om)
-    det_s = poly_det(s.matrix)
-    det_sq = poly_det(sq.matrix)
-    report = {
-        "instance": _instance_json(inst),
-        "det_S": str(poly_eval(det_s, 1)),
-        "det_Sq": _poly_json(det_sq),
-        "version": __version__,
-        "input_digest": inst.digest,
-    }
-    _emit(report, args.out)
-    return 0
-
-
-def cmd_rhs(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.nudge)
+def run_rhs(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:
     m = inst.om.matroid()
     value, factors = rhs_classical(m)
     value_q, _ = rhs_q(m)
-    report = {
-        "instance": _instance_json(inst),
-        "rhs_S": str(value),
-        "rhs_Sq": _poly_json(value_q),
-        "factors": _factors_json(factors),
-        "version": __version__,
-        "input_digest": inst.digest,
-    }
-    _emit(report, args.out)
-    return 0
+    return _report(inst, {"rhs_S": str(value),
+                          "rhs_Sq": value_q.coeff_strings(),
+                          "factors": _factors_json(factors)}), 0
 
 
 # -- invariants ------------------------------------------------------------------
@@ -253,7 +211,7 @@ def structural_invariants(inst: Instance, seed: int) -> list[dict]:
     s = build_S(om)
     sq = build_Sq(om)
     n = s.n
-    ent_s, ent_q = s.matrix.entries, sq.matrix.entries
+    ent_s, ent_q = s.matrix, sq.matrix
 
     symmetric_s = all(ent_s[i][j] == ent_s[j][i]
                       for i in range(n) for j in range(n))
@@ -323,19 +281,10 @@ def structural_invariants(inst: Instance, seed: int) -> list[dict]:
     return results
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.nudge)
+def run_invariants(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:
     results = structural_invariants(inst, args.seed)
     ok = all(r["pass"] for r in results)
-    report = {
-        "instance": _instance_json(inst),
-        "invariants": results,
-        "all_pass": ok,
-        "version": __version__,
-        "input_digest": inst.digest,
-    }
-    _emit(report, args.out)
-    return 0 if ok else 1
+    return _report(inst, {"invariants": results, "all_pass": ok}), 0 if ok else 1
 
 
 # -- random sweeps ------------------------------------------------------------------
@@ -367,6 +316,8 @@ def cmd_random(args: argparse.Namespace) -> int:
         raise ValueError("random sweeps support --dim between 1 and 4")
     if not (args.dim <= args.n <= 10):
         raise ValueError("random sweeps support --n between dim and 10")
+    if args.count < 0:
+        raise ValueError("random sweeps support --count of at least 0")
     lines = []
     matches = 0
     mismatches = 0
@@ -388,11 +339,7 @@ def cmd_random(args: argparse.Namespace) -> int:
         else:
             mismatches += 1
         lines.append(json.dumps(report, separators=(",", ":")))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + ("\n" if lines else ""), args.out)
     print(f"instances: {args.count - skipped}  matches: {matches}  "
           f"mismatches: {mismatches}  skipped: {skipped}", file=sys.stderr)
     return 2 if mismatches else 0
@@ -439,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The single-input commands: each maps an instance to its report and exit code.
 COMMANDS = {
-    "check": cmd_check,
-    "matrix": cmd_matrix,
-    "det": cmd_det,
-    "rhs": cmd_rhs,
-    "invariants": cmd_invariants,
-    "random": cmd_random,
+    "check": run_check,
+    "matrix": run_matrix,
+    "det": run_det,
+    "rhs": run_rhs,
+    "invariants": run_invariants,
 }
 
 
@@ -459,7 +406,12 @@ def main(argv=None) -> int:
         # at dispatch, so --timings and the first det do not time numpy's import
         from . import modular  # noqa: F401
     try:
-        return COMMANDS[args.command](args)
+        if args.command == "random":
+            return cmd_random(args)
+        report, code = COMMANDS[args.command](
+            load_instance(args.input, args.nudge), args)
+        _write(json.dumps(report, indent=2) + "\n", args.out)
+        return code
     except (ValueError, OSError, ClosureCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

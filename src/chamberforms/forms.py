@@ -15,8 +15,8 @@ from typing import NamedTuple, Optional
 
 from .matroid import Matroid
 from .oriented_matroid import AffineOrientedMatroid, FVector, SignVector, separation
-from .polyring import (IntPoly, PolyMatrix, ONE, ZERO, const, poly_det,
-                       poly_eval, poly_pow, q_integer)
+from .polyring import (IntPoly, ONE, ZERO, const, poly_det, poly_eval,
+                       poly_pow, q_integer)
 
 
 class TheoremViolation(RuntimeError):
@@ -46,7 +46,7 @@ def h_poly(fv: FVector) -> IntPoly:
 
 class IntersectionForm(NamedTuple):
     topes: tuple[SignVector, ...]
-    matrix: PolyMatrix
+    matrix: tuple[tuple[IntPoly, ...], ...]  # rows and columns in tope order
 
     @property
     def n(self) -> int:
@@ -73,8 +73,7 @@ def _pair_entries(om: AffineOrientedMatroid, entry_fn):
     for i in range(n):
         for j in range(i, n):
             grid[i][j] = grid[j][i] = entry_fn(topes[i], topes[j])
-    labels = tuple(t.key() for t in topes)
-    return IntersectionForm(tuple(topes), PolyMatrix(labels, grid))
+    return IntersectionForm(tuple(topes), tuple(map(tuple, grid)))
 
 
 def build_S(om: AffineOrientedMatroid) -> IntersectionForm:

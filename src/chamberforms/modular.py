@@ -1,9 +1,10 @@
 """Word-size modular engine for determinants over Z[q].
 
-This is the one module of chamberforms that imports numpy.  polyring
-imports it inside the functions that call it, and the cli when it dispatches
-a command that takes a determinant over Z[q], so a process that takes none
-never loads numpy.
+This is the one module of chamberforms that imports numpy, and det is its
+one entry point: no other module reads its private names.  polyring imports
+det inside poly_det and int_det, and the cli imports the module when it
+dispatches a command that takes a determinant over Z[q], so a process that
+takes none never loads numpy.
 
 Determinants over Z[q] come from one modular engine (Abbott, Bronstein and
 Mulders, ISSAC 1999), preceded by two exact transforms that keep the
@@ -484,3 +485,32 @@ def _palindrome_weights(n: int, entries: Sequence[tuple[int, int, tuple[int, ...
             return None
         edges.append((i, n + j, 2 * len(c) - len(body) - 1))
     return _potentials(2 * n, edges, lambda w, x: w - x)
+
+
+def det(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
+    """Exact determinant over Z[q] of a square grid of IntPoly.
+
+    The one entry point of the engine.  Rows and columns are band-ordered;
+    a graded matrix runs in t = q**2; palindrome weights, when they exist,
+    give _modular_det its degree c.  poly_det certifies the result, and
+    int_det passes a constant grid, which takes c = 0 and one point.
+    """
+    n = len(rows)
+    entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
+               for j, e in enumerate(row) if e.coeffs]
+    at = [0] * n
+    for k, i in enumerate(_band_order(n, [(i, j) for i, j, _ in entries])):
+        at[i] = k
+    s = _grading(n, entries)
+    graded = [(at[i], at[j], e if s is None else ((0,) * (s[i] + s[j]) + e)[::2])
+              for i, j, e in entries]
+    banded = [[ZERO] * n for _ in range(n)]
+    for i, j, e in graded:
+        banded[i][j] = IntPoly(e)
+    shift = 0 if s is None else sum(s)
+    weights = _palindrome_weights(n, graded)
+    g = _modular_det(banded, shift,
+                     None if weights is None else sum(weights) - 2 * shift)
+    # g is interpolated from det N(t) / t**shift, so it has no coefficient
+    # below t**0 to check; poly_det's certificate catches any wrong value.
+    return g if s is None else IntPoly(c for x in g.coeffs for c in (x, 0))

@@ -386,15 +386,20 @@ class AffineOrientedMatroid:
             rank = doc["rank"]
             if type(rank) is not int or rank < 1:  # JSON true would read as 1
                 raise TypeError(f"rank must be an integer >= 1, got {rank!r}")
-            elements = tuple(str(e) for e in doc["elements"])
-            chi = Chirotope.from_text(rank, elements, doc["chirotope"])
+            elements, text = doc["elements"], doc["chirotope"]
+            if not isinstance(elements, list):  # a string would read per character
+                raise TypeError("elements must be an array")
+            if not isinstance(text, str):
+                raise TypeError("chirotope must be a string")
+            elements = tuple(str(e) for e in elements)
+            chi = Chirotope.from_text(rank, elements, text)
             lift = doc["lift"]
             if not isinstance(lift, dict):
                 raise TypeError("lift must be an object")
             g = str(lift.get("g", "g"))
             texts = lift["feasible_cocircuits"]
-            if not all(isinstance(t, str) for t in texts):
-                raise TypeError("feasible cocircuits must be strings")
+            if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                raise TypeError("feasible cocircuits must be an array of strings")
             feasible = [SignVector.from_text(elements, t) for t in texts]
         except KeyError as exc:
             raise ValueError(f"malformed oriented-matroid JSON: missing {exc}") from None

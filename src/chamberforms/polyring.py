@@ -8,9 +8,10 @@ the determinant engine multiplies no polynomials.
 int_det eliminates a symmetric integer matrix, such as S, by Bareiss on its
 upper triangle with diagonal pivots, on Python ints.  Every other
 determinant comes from the word-size modular engine in chamberforms.modular,
-the one module that imports numpy: poly_det hands it each matrix over Z[q],
-and int_det any other integer matrix.  Both import the engine only when
-they call it, so a process that takes no such determinant never loads numpy.
+the one module that imports numpy, entered only through modular.det:
+poly_det hands it each matrix over Z[q], and int_det any other integer
+matrix.  Both import det only when they call it, so a process that takes
+no such determinant never loads numpy.
 
 Each result of poly_det is certified by a second, independent route: the
 determinant of the untransformed matrix at a random point modulo 2**61 - 1,
@@ -186,33 +187,6 @@ def poly_pow(p: IntPoly, e: int) -> IntPoly:
     return out
 
 
-class PolyMatrix:
-    """Square matrix over Z[q] with distinct, ordered row/column labels."""
-
-    __slots__ = ("labels", "entries")
-
-    def __init__(self, labels: Sequence, entries: Sequence[Sequence[IntPoly]]):
-        labels = tuple(labels)
-        entries = tuple(tuple(row) for row in entries)
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct")
-        if len(entries) != len(labels) or any(len(r) != len(labels) for r in entries):
-            raise ValueError("matrix must be square with one row per label")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PolyMatrix is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-
 def _is_symmetric(rows: Sequence[Sequence]) -> bool:
     n = len(rows)
     return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
@@ -263,8 +237,8 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
         det = _symmetric_bareiss(rows)
         if det is not None:
             return det
-    from .modular import _modular_det
-    return _modular_det([[const(x) for x in row] for row in rows], 0, None)[0]
+    from .modular import det
+    return det([[const(x) for x in row] for row in rows])[0]
 
 
 # -- arithmetic modulo a prime, and the certificate --------------------------
@@ -308,50 +282,32 @@ def _eliminate_mod(rows: Sequence[Sequence[int]], m: int) -> tuple[int, int]:
     return rank, det % m
 
 
-def poly_det(m) -> IntPoly:
+def poly_det(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
     """Exact determinant over Z[q], certified at a random point.
 
-    m is a PolyMatrix or a square grid of IntPoly.  Constant matrices go to
-    int_det, all others to the modular engine of chamberforms.modular.  The
-    result is exact: the engine's prime count is fixed by a coefficient
-    bound before any prime is used.  As a certificate, the matrix exactly
-    as passed in is evaluated at a random point modulo 2**61 - 1, and its
-    determinant there, by plain elimination, must equal the result's value;
-    a wrong result passes with probability at most deg / (2**61 - 1).
+    rows is a square grid of IntPoly.  Constant matrices go to int_det, all
+    others to modular.det, the engine's one entry point.  The result is
+    exact: the engine's prime count is fixed by a coefficient bound before
+    any prime is used.  As a certificate, the matrix exactly as passed in is
+    evaluated at a random point modulo 2**61 - 1, and its determinant
+    there, by plain elimination, must equal the result's value; a wrong
+    result passes with probability at most deg / (2**61 - 1).
 
     Raises ValueError on a matrix that is not square, and CertificateError
     (or ExactDivisionError from int_det) on an internal arithmetic bug.
     """
-    rows = m.entries if isinstance(m, PolyMatrix) else tuple(tuple(r) for r in m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("poly_det requires a square matrix")
     if all(len(e.coeffs) <= 1 for row in rows for e in row):
         return const(int_det([[e[0] for e in row] for row in rows]))
-    from .modular import _band_order, _grading, _modular_det, _palindrome_weights
-    entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
-               for j, e in enumerate(row) if e.coeffs]
-    at = [0] * n
-    for k, i in enumerate(_band_order(n, [(i, j) for i, j, _ in entries])):
-        at[i] = k
-    s = _grading(n, entries)
-    graded = [(at[i], at[j], e if s is None else ((0,) * (s[i] + s[j]) + e)[::2])
-              for i, j, e in entries]
-    banded = [[ZERO] * n for _ in range(n)]
-    for i, j, e in graded:
-        banded[i][j] = IntPoly(e)
-    shift = 0 if s is None else sum(s)
-    weights = _palindrome_weights(n, graded)
-    g = _modular_det(banded, shift,
-                     None if weights is None else sum(weights) - 2 * shift)
-    # g is interpolated from det N(t) / t**shift, so it has no coefficient
-    # below t**0 to check; the certificate below catches any wrong value.
-    det = g if s is None else IntPoly(c for x in g.coeffs for c in (x, 0))
+    from .modular import det
+    result = det(rows)
     point = secrets.randbelow(_CERT_PRIME)
     at_point = _eliminate_mod([[_eval_mod(e, point, _CERT_PRIME) for e in row]
                                for row in rows], _CERT_PRIME)[1]
-    if at_point != _eval_mod(det, point, _CERT_PRIME):
+    if at_point != _eval_mod(result, point, _CERT_PRIME):
         raise CertificateError(
             f"determinant certificate failed at q={point} mod 2**61-1: "
-            f"{at_point} != {_eval_mod(det, point, _CERT_PRIME)}")
-    return det
+            f"{at_point} != {_eval_mod(result, point, _CERT_PRIME)}")
+    return result

@@ -78,7 +78,7 @@ def test_criterion_1_example_reproduction():
         arr = Arrangement.from_json(load_fixture(name))
         om = arr.compile()
         s, sq = build_S(om), build_Sq(om)
-        assert [[poly_eval(e, 1) for e in row] for row in s.matrix.entries] == want_s
+        assert [[poly_eval(e, 1) for e in row] for row in s.matrix] == want_s
         assert poly_eval(poly_det(s.matrix), 1) == 8
         assert poly_det(sq.matrix) == target_q
     elapsed = time.perf_counter() - t0
@@ -95,7 +95,7 @@ def test_criterion_2_points_on_a_line():
         for i in range(n):
             for j in range(n):
                 want = 2 if i == j else -1 if abs(i - j) == 1 else 0
-                assert poly_eval(s.matrix[i, j], 1) == want
+                assert poly_eval(s.matrix[i][j], 1) == want
         assert poly_eval(poly_det(s.matrix), 1) == n + 1
         assert poly_det(sq.matrix) == q_integer(n + 1)
     elapsed = time.perf_counter() - t0
@@ -183,7 +183,7 @@ def test_criterion_7_proof_machinery_oracle(random_sweep):
         vecs = [phi(om, t) for t in s.topes]
         for i in range(s.n):
             for j in range(s.n):
-                assert pairing(vecs[i], vecs[j]) == poly_eval(s.matrix[i, j], 1)
+                assert pairing(vecs[i], vecs[j]) == poly_eval(s.matrix[i][j], 1)
         rep = check_basis_of_kernel(om, vecs)
         assert all(rep.kernel_flags)
         assert rep.mu_plus_dual == s.n == rep.phi_rank == rep.boundary_kernel_dim
@@ -215,9 +215,9 @@ def test_criterion_8_structural_invariants():
         n = s.n
         for i in range(n):
             for j in range(n):
-                assert sq.matrix[i, j] == sq.matrix[j, i]
-                assert s.matrix[i, j] == s.matrix[j, i]
-                assert poly_eval(sq.matrix[i, j], 1) == poly_eval(s.matrix[i, j], 1)
+                assert sq.matrix[i][j] == sq.matrix[j][i]
+                assert s.matrix[i][j] == s.matrix[j][i]
+                assert poly_eval(sq.matrix[i][j], 1) == poly_eval(s.matrix[i][j], 1)
             for j in range(i, n):
                 fv = om.meet_faces(s.topes[i], s.topes[j])
                 if fv is None:

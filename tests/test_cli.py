@@ -152,9 +152,29 @@ class TestErrors:
         *(({"dim": dim, "hyperplanes": [{"label": "H1", "normal": ["1"],
                                          "offset": "1"}]}, "dim")
           for dim in (0, True, 4.7, "2")),
+        # json reads 1e999 and Infinity as float("inf")
+        *(({"dim": 1, "hyperplanes": [{"label": "H1", "normal": normal,
+                                       "offset": offset}]}, named)
+          for normal, offset, named in (
+              (["1"], float("inf"), "Infinity"),
+              ([float("-inf")], "0", "Infinity"),
+              ([True], "1", "boolean"),
+              (["1"], True, "boolean"),
+              ("1", "1", "normal"))),
+        ({"dim": 1, "hyperplanes": {"label": "H1", "normal": ["1"],
+                                    "offset": "1"}}, "hyperplanes"),
+        *(({"rank": 1, "elements": elements, "chirotope": chirotope,
+            "lift": {"feasible_cocircuits": cocircuits}}, named)
+          for elements, chirotope, cocircuits, named in (
+              ("12", "++", ["1 2"], "elements"),
+              (["1", "2"], ["+", "+"], ["1 2"], "chirotope"),
+              (["1", "2"], "++", "1 -2", "cocircuits"))),
     ], ids=["zero-offset-denominator", "zero-normal-denominator", "lift-list",
             "cocircuit-ints", "rank-0", "rank-true", "rank-float", "rank-string",
-            "dim-0", "dim-true", "dim-float", "dim-string"])
+            "dim-0", "dim-true", "dim-float", "dim-string", "offset-infinity",
+            "normal-infinity", "normal-true", "offset-true", "normal-string",
+            "hyperplanes-object", "elements-string", "chirotope-list",
+            "cocircuits-string"])
     def test_malformed_document_exits_1(self, doc, named, tmp_path, capsys):
         p = tmp_path / "malformed.json"
         p.write_text(json.dumps(doc))
@@ -358,7 +378,7 @@ class TestPartialCommands:
         # example13-C has two bounded topes; the meet loop visits the pairs
         # (0,0), (0,1), (1,1) in that order
         from chamberforms.forms import IntersectionForm
-        from chamberforms.polyring import IntPoly, PolyMatrix
+        from chamberforms.polyring import IntPoly
         real_h, real_sq = cli.h_poly, cli.build_Sq
         visits = []
 
@@ -368,9 +388,9 @@ class TestPartialCommands:
 
         def sq_bad_at_11(om):
             sq = real_sq(om)
-            grid = [list(row) for row in sq.matrix.entries]
+            grid = [list(row) for row in sq.matrix]
             grid[1][1] = -grid[1][1]
-            return IntersectionForm(sq.topes, PolyMatrix(sq.matrix.labels, grid))
+            return IntersectionForm(sq.topes, tuple(map(tuple, grid)))
         monkeypatch.setattr(cli, "h_poly", h_bad_on_second_pair)
         monkeypatch.setattr(cli, "build_Sq", sq_bad_at_11)
         code, rep = run_main(["invariants", "--input",
@@ -420,6 +440,12 @@ class TestRandom:
     def test_dim_bounds_rejected(self, capsys):
         assert cli.main(["random", "--dim", "5", "--n", "6"]) == 1
         assert "dim" in capsys.readouterr().err
+
+    def test_negative_count_rejected(self, capsys):
+        assert cli.main(["random", "--dim", "2", "--n", "3", "--count", "-3"]) == 1
+        assert "count" in capsys.readouterr().err
+        assert cli.main(["random", "--dim", "2", "--n", "3", "--count", "0"]) == 0
+        assert "instances: 0 " in capsys.readouterr().err
 
 
 class TestSubprocess:

@@ -68,7 +68,7 @@ class TestPairing:
             vecs = phis(om)
             for i in range(s.n):
                 for j in range(s.n):
-                    assert pairing(vecs[i], vecs[j]) == poly_eval(s.matrix[i, j], 1)
+                    assert pairing(vecs[i], vecs[j]) == poly_eval(s.matrix[i][j], 1)
 
 
 class TestBoundary:

@@ -1,8 +1,10 @@
+import ast
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import islice
 from math import comb, isqrt
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from chamberforms import modular, polyring
 from chamberforms.polyring import (CertificateError, IntPoly, ONE, ZERO,
-                                   PolyMatrix, const, int_det, poly_det,
-                                   poly_eval, poly_pow, q_integer)
+                                   const, int_det, poly_det, poly_eval,
+                                   poly_pow, q_integer)
 from conftest import det_by_expansion, row_reduce
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
@@ -336,9 +338,9 @@ def palindromic_matrices(max_n=4):
 def traced_det(rows):
     """poly_det(rows), the c of each engine call, and the point counts.
 
-    c is the palindrome degree poly_det passes to _modular_det (None without
-    weights); an engine call on a constant matrix comes from int_det, which
-    has no c to pass, and is not listed.  The point counts are those of
+    c is the palindrome degree modular.det passes to _modular_det (None
+    without weights); an engine call on a constant matrix comes from
+    int_det's fallback, where c is 0 with one point, and is not listed.  The point counts are those of
     each prime: the points whose det a batched elimination gave, plus those
     the engine eliminated plain (the certificate's elimination in polyring
     is not seen).
@@ -680,16 +682,33 @@ class TestSymmetricElimination:
         for om in oms:
             _, calls = spied_det(build_Sq(om).matrix)
             assert calls and not any(any(marked) for _, marked in calls)
-            s = [[e[0] for e in row] for row in build_S(om).matrix.entries]
+            s = [[e[0] for e in row] for row in build_S(om).matrix]
             assert polyring._symmetric_bareiss(s) is not None
 
 
-class TestPolyMatrix:
-    def test_shape_and_label_validation(self):
-        with pytest.raises(ValueError):
-            PolyMatrix(("a", "a"), [[ONE, ZERO], [ZERO, ONE]])
-        with pytest.raises(ValueError):
-            PolyMatrix(("a", "b"), [[ONE]])
+def test_modular_is_entered_only_through_det():
+    """No module of chamberforms imports a name from modular but det; only
+    the cli imports the module itself, to load it at dispatch."""
+    src = Path(modular.__file__).parent
+    imported = defaultdict(set)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            names = {a.name for a in node.names}
+            if node.module in ("modular", "chamberforms.modular"):
+                imported[path.name] |= names
+            elif node.module in (None, "chamberforms") and "modular" in names:
+                imported[path.name].add("<module>")
+    assert imported == {"polyring.py": {"det"}, "cli.py": {"<module>"}}
+
+
+class TestShapeAndSerialization:
+    def test_non_square_rejected(self):
+        q = IntPoly([0, 1])
+        for rows in ([[ONE, ZERO]], [[ONE, q], [q]], [[q], [ONE]]):
+            with pytest.raises(ValueError, match="square"):
+                poly_det(rows)
 
     def test_serialization_form(self):
         assert IntPoly([1, 0, -2]).coeff_strings() == ["1", "0", "-2"]
