@@ -17,7 +17,8 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .matroid import Matroid
-from .oriented_matroid import AffineOrientedMatroid, Chirotope, SignVector
+from .oriented_matroid import (AffineOrientedMatroid, Chirotope, SignVector,
+                               name_from_json)
 
 
 class Hyperplane(NamedTuple):
@@ -105,12 +106,13 @@ class Arrangement:
                 raise TypeError("hyperplanes must be an array")
             hyps = []
             for h in entries:
+                label = name_from_json(h["label"], "label")
                 normal, offset = h["normal"], h["offset"]
                 if not isinstance(normal, list):  # a string would read per character
-                    raise TypeError(f"normal of {h['label']!r} must be an array")
+                    raise TypeError(f"normal of {label!r} must be an array")
                 if type(offset) is bool or any(type(x) is bool for x in normal):
-                    raise TypeError(f"hyperplane {h['label']!r} has a boolean coordinate")
-                hyps.append(Hyperplane.make(h["label"], normal, offset))
+                    raise TypeError(f"hyperplane {label!r} has a boolean coordinate")
+                hyps.append(Hyperplane.make(label, normal, offset))
         except KeyError as exc:
             raise ValueError(f"malformed arrangement JSON: missing {exc}") from None
         except ZeroDivisionError as exc:

@@ -39,10 +39,11 @@ from .arrangement import Arrangement, Hyperplane
 from .flagspace import (build_y_matrix, check_basis_of_kernel,
                         expansion_matches_y, pairing, phi)
 from .forms import (IntersectionForm, TheoremViolation, build_S, build_Sq,
-                    h_poly, rhs_classical, rhs_q, verify)
+                    rhs_classical, rhs_q, verify)
 from .oriented_matroid import (AffineOrientedMatroid, ClosureCapExceeded,
                                separation)
-from .polyring import CertificateError, ExactDivisionError, poly_det, poly_eval
+from .polyring import (CertificateError, ExactDivisionError, IntPoly, poly_det,
+                       poly_eval)
 
 MATRIX_REPORT_LIMIT = 40
 NUDGE_ATTEMPTS = 64  # offset draws per --nudge before giving up
@@ -224,22 +225,21 @@ def structural_invariants(inst: Instance, seed: int) -> list[dict]:
     r = om.central.rank
     add("diagonal_degree_2r", all(ent_q[i][i].degree == 2 * r for i in range(n)))
 
+    # the meet checks read S_q: a shared vertex gives (-q)^d h(q^2), h(0) = 1
     euler, palin, lowterm = [], [], []
     for i in range(n):
         for j in range(i, n):
-            fv = om.meet_faces(s.topes[i], s.topes[j])
-            if fv is None:
-                continue
-            if not fv.euler_ok():
-                euler.append(f"pair ({i},{j}) f={fv.f}")
-            h = h_poly(fv)
-            hq2 = h.coeffs[::2]
-            if list(hq2) != list(reversed(hq2)):
-                palin.append(f"pair ({i},{j}) h={h}")
-            d = separation(s.topes[i], s.topes[j])
             e = ent_q[i][j]
-            low = next(k for k, c in enumerate(e.coeffs) if c)
-            if low != d or e.coeffs[d] != (-1) ** d:
+            if not e:
+                continue  # no shared vertex
+            d = separation(s.topes[i], s.topes[j])
+            h = IntPoly(e.coeffs[d:]).scaled((-1) ** d)
+            if h[0] != 1:
+                euler.append(f"pair ({i},{j}) h(0)={h[0]}")
+            hq2 = h.coeffs[::2]
+            if hq2 != hq2[::-1]:
+                palin.append(f"pair ({i},{j}) h={h}")
+            if any(e.coeffs[:d]) or e.coeffs[d] != (-1) ** d:
                 lowterm.append(f"pair ({i},{j}) entry {e}")
     add_first("euler_relation", euler)
     add_first("h_palindromicity", palin)
@@ -266,9 +266,7 @@ def structural_invariants(inst: Instance, seed: int) -> list[dict]:
 
     if inst.kind == "arrangement":
         recompiled = Arrangement.from_json(inst.arrangement.to_json()).compile()
-        add("canonical_order_stable",
-            [t.key() for t in recompiled.bounded_topes()] ==
-            [t.key() for t in om.bounded_topes()])
+        add("canonical_order_stable", recompiled.to_json() == om.to_json())
         try:
             yrep = build_y_matrix(inst.arrangement, seed)
         except ValueError as exc:

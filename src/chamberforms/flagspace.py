@@ -172,7 +172,6 @@ def _peeled_det(peeled: list[tuple[int, int, int]]) -> int:
 
 class KernelReport(NamedTuple):
     n_topes: int
-    n_bases: int
     kernel_flags: tuple[bool, ...]
     phi_divisors: tuple[int, ...]
     phi_rank: int
@@ -220,8 +219,7 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
         kernel_dim = len(bases) - len(smith_divisors(bmatrix))
 
     mu_dual = om.matroid().tutte(0, 1)  # mu+ of the dual matroid
-    return KernelReport(n, len(bases), flags, divisors, len(divisors),
-                        mu_dual, kernel_dim)
+    return KernelReport(n, flags, divisors, len(divisors), mu_dual, kernel_dim)
 
 
 class YMatrixReport(NamedTuple):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .matroid import Matroid
-from .oriented_matroid import AffineOrientedMatroid, FVector, SignVector, separation
+from .oriented_matroid import AffineOrientedMatroid, SignVector, separation
 from .polyring import (IntPoly, ONE, ZERO, const, poly_det, poly_eval,
                        poly_pow, q_integer)
 
@@ -27,19 +27,19 @@ _Q2_MINUS_1 = IntPoly((-1, 0, 1))
 
 
 @lru_cache(maxsize=1024)  # meets of one instance share few f-vectors
-def h_poly(fv: FVector) -> IntPoly:
-    """h-polynomial of a meet face, in q: sum f_i (q^2 - 1)^i.
+def h_poly(f: tuple[int, ...]) -> IntPoly:
+    """h-polynomial of a meet face with f-vector f, in q: sum f_i (q^2 - 1)^i.
 
     Cached per f-vector; an f-vector that breaks the Euler relation raises
     on every call, since exceptions are not cached.
     """
     acc = ZERO
     power = ONE
-    for fi in fv.f:
+    for fi in f:
         acc = acc + power.scaled(fi)
         power = power * _Q2_MINUS_1
     if acc[0] != 1:
-        raise ValueError(f"meet face with f-vector {fv.f} breaks the Euler "
+        raise ValueError(f"meet face with f-vector {f} breaks the Euler "
                          f"relation: the input is not an oriented matroid")
     return acc
 
@@ -92,11 +92,11 @@ def build_Sq(om: AffineOrientedMatroid) -> IntersectionForm:
     """q-form: entries (-q)^d * h(meet, q^2); zero on empty meets."""
 
     def entry(a: SignVector, b: SignVector) -> IntPoly:
-        fv = om.meet_faces(a, b)
-        if fv is None:
+        f = om.meet_faces(a, b)
+        if f is None:
             return ZERO
         d = separation(a, b)
-        h = h_poly(fv)
+        h = h_poly(f)
         return h.shifted(d) if d % 2 == 0 else (-h).shifted(d)
 
     return _pair_entries(om, entry)

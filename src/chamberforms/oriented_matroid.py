@@ -12,11 +12,9 @@ tope is one of its vertices with some zeros filled in by the tope's signs.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .matroid import Matroid
-
-PLUS, ZERO_SIGN, MINUS = 1, 0, -1
 
 _CODE = {0: 0, 1: 1, -1: 2}
 _SIGN = {0: 0, 1: 1, 2: -1}
@@ -28,6 +26,13 @@ class ClosureCapExceeded(RuntimeError):
 
 
 _CLOSURE_CAP = 10 ** 6  # most sign vectors all vertex stars may hold
+
+
+def name_from_json(value, field: str) -> str:
+    """A label read from JSON: a string or an integer, never a boolean."""
+    if type(value) not in (str, int):  # true would read as "True"
+        raise TypeError(f"{field} must be a string or an integer, got {value!r}")
+    return str(value)
 
 
 def _odd_mask(n: int) -> int:
@@ -270,16 +275,6 @@ def _check_support_minimality(cocircuits: Sequence[SignVector]) -> None:
                     f"{cocircuits[j].key()}: not cocircuits")
 
 
-class FVector(NamedTuple):
-    """Face counts f_0..f_dim of a bounded meet, by face dimension."""
-
-    dim: int
-    f: tuple[int, ...]
-
-    def euler_ok(self) -> bool:
-        return sum((-1) ** i * fi for i, fi in enumerate(self.f)) == 1
-
-
 class AffineOrientedMatroid:
     """Central chirotope plus cocircuits split by their sign at the lift.
 
@@ -300,7 +295,6 @@ class AffineOrientedMatroid:
         self._bounded: Optional[tuple[SignVector, ...]] = None
         self._face_masks: dict[int, int] = {}
         self._by_zero_set: dict[frozenset, SignVector] = {}
-        self._meets: dict[tuple[int, int], Optional[FVector]] = {}
         self._validate()
 
     def _validate(self):
@@ -391,12 +385,12 @@ class AffineOrientedMatroid:
                 raise TypeError("elements must be an array")
             if not isinstance(text, str):
                 raise TypeError("chirotope must be a string")
-            elements = tuple(str(e) for e in elements)
+            elements = tuple(name_from_json(e, "each element") for e in elements)
             chi = Chirotope.from_text(rank, elements, text)
             lift = doc["lift"]
             if not isinstance(lift, dict):
                 raise TypeError("lift must be an object")
-            g = str(lift.get("g", "g"))
+            g = name_from_json(lift.get("g", "g"), "lift label g")
             texts = lift["feasible_cocircuits"]
             if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
                 raise TypeError("feasible cocircuits must be an array of strings")
@@ -417,21 +411,17 @@ class AffineOrientedMatroid:
                      "feasible_cocircuits": [y.text() for y in self.feasible]},
         }
 
-    def meet_faces(self, a: SignVector, b: SignVector) -> Optional[FVector]:
-        """F-vector of the common face of bounded topes a and b, or None.
+    def meet_faces(self, a: SignVector, b: SignVector) -> Optional[tuple[int, ...]]:
+        """F-vector f_0..f_dim of the common face of bounded topes a and b, or None.
 
         Every face is a common vertex Y with some of its zeros filled in by
         the signs of the top face, which composes all common vertices.  Its
         zero set lies inside Y's, a basis by genericity, so the face has
-        dimension r minus its size.  Each pair is counted once per instance.
+        dimension r minus its size.
         """
-        key = tuple(sorted((a.bits, b.bits)))
-        if key in self._meets:
-            return self._meets[key]
         common = [y.bits for y in self.cocircuits_in(self.face_mask(a)
                                                      & self.face_mask(b))]
         if not common:
-            self._meets[key] = None
             return None
         odd = _odd_mask(len(self.ground))
         top = 0
@@ -442,6 +432,4 @@ class AffineOrientedMatroid:
         counts = [0] * (zero_dim + ((top | top >> 1) & odd).bit_count() + 1)
         for x in faces:
             counts[zero_dim + ((x | x >> 1) & odd).bit_count()] += 1
-        fv = FVector(len(counts) - 1, tuple(counts))  # top is the one face of top dim
-        self._meets[key] = fv
-        return fv
+        return tuple(counts)  # top is the one face of top dim

@@ -12,8 +12,8 @@ from chamberforms.arrangement import Arrangement
 # the fixture builders, re-exported to the test modules
 from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
 from chamberforms.matroid import Flat, Matroid
-from chamberforms.oriented_matroid import (AffineOrientedMatroid, FVector,
-                                           SignVector, _nz2, _odd_mask)
+from chamberforms.oriented_matroid import (AffineOrientedMatroid, SignVector,
+                                           _nz2, _odd_mask)
 from chamberforms.polyring import ONE, ZERO, IntPoly
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -281,7 +281,7 @@ def affine_covectors(om: AffineOrientedMatroid) -> list[SignVector]:
 
 
 def meet_f_vector_by_rank(om: AffineOrientedMatroid, a: SignVector,
-                          b: SignVector) -> Optional[FVector]:
+                          b: SignVector) -> Optional[tuple[int, ...]]:
     """The f-vector of the meet of a and b, each face of dimension r minus
     the matroid rank of its zero set."""
     common = [y.bits for y in om.cocircuits_in(om.face_mask(a) & om.face_mask(b))]
@@ -298,7 +298,7 @@ def meet_f_vector_by_rank(om: AffineOrientedMatroid, a: SignVector,
     counts = [0] * (dim(top) + 1)
     for x in _composition_closure(common, _odd_mask(len(om.ground))):
         counts[dim(x)] += 1
-    return FVector(dim(top), tuple(counts))
+    return tuple(counts)
 
 
 def det_by_expansion(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:

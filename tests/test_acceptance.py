@@ -219,11 +219,11 @@ def test_criterion_8_structural_invariants():
                 assert s.matrix[i][j] == s.matrix[j][i]
                 assert poly_eval(sq.matrix[i][j], 1) == poly_eval(s.matrix[i][j], 1)
             for j in range(i, n):
-                fv = om.meet_faces(s.topes[i], s.topes[j])
-                if fv is None:
+                f = om.meet_faces(s.topes[i], s.topes[j])
+                if f is None:
                     continue
-                assert fv.euler_ok()
-                h = h_poly(fv).coeffs[::2]
+                assert sum((-1) ** k * fk for k, fk in enumerate(f)) == 1
+                h = h_poly(f).coeffs[::2]
                 assert list(h) == list(reversed(h))
 
         det_s = poly_det(s.matrix)

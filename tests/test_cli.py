@@ -169,12 +169,21 @@ class TestErrors:
               ("12", "++", ["1 2"], "elements"),
               (["1", "2"], ["+", "+"], ["1 2"], "chirotope"),
               (["1", "2"], "++", "1 -2", "cocircuits"))),
+        *(({"dim": 1, "hyperplanes": [{"label": label, "normal": ["1"],
+                                       "offset": "1"}]}, "label must be")
+          for label in (True, None, [1])),
+        *(({"rank": 1, "elements": ["1", bad], "chirotope": "++",
+            "lift": {"feasible_cocircuits": ["1 2"]}}, "each element must be")
+          for bad in (True, None)),
+        ({"rank": 1, "elements": ["1", "2"], "chirotope": "++",
+          "lift": {"g": ["x"], "feasible_cocircuits": ["1 2"]}}, "lift label g"),
     ], ids=["zero-offset-denominator", "zero-normal-denominator", "lift-list",
             "cocircuit-ints", "rank-0", "rank-true", "rank-float", "rank-string",
             "dim-0", "dim-true", "dim-float", "dim-string", "offset-infinity",
             "normal-infinity", "normal-true", "offset-true", "normal-string",
             "hyperplanes-object", "elements-string", "chirotope-list",
-            "cocircuits-string"])
+            "cocircuits-string", "label-true", "label-null", "label-list",
+            "elements-true", "elements-null", "g-list"])
     def test_malformed_document_exits_1(self, doc, named, tmp_path, capsys):
         p = tmp_path / "malformed.json"
         p.write_text(json.dumps(doc))
@@ -182,6 +191,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed ") and "Traceback" not in err
         assert named in err
+
+    def test_integer_labels_load(self, tmp_path):
+        doc = {"dim": 1, "hyperplanes": [
+            {"label": 1, "normal": ["1"], "offset": "0"},
+            {"label": 2, "normal": ["1"], "offset": "1"}]}
+        p = tmp_path / "int-labels.json"
+        p.write_text(json.dumps(doc))
+        code, rep = run_main(["check", "--input", str(p)])
+        assert code == 0
+        assert rep["instance"]["elements"] == ["1", "2"]
 
     def test_genericity_violation_names_circuit(self, tmp_path, capsys):
         doc = {"dim": 2, "hyperplanes": [
@@ -374,34 +393,63 @@ class TestPartialCommands:
         assert code == 0
         assert len(calls) == len(set(calls)) == rep["instance"]["n_bounded_topes"]
 
-    def test_invariants_witness_names_its_own_pair(self, monkeypatch):
-        # example13-C has two bounded topes; the meet loop visits the pairs
-        # (0,0), (0,1), (1,1) in that order
+    @staticmethod
+    def invariants_on_faked_sq(monkeypatch, fake):
+        """invariants on example13-C with fake(grid) editing its S_q grid."""
         from chamberforms.forms import IntersectionForm
-        from chamberforms.polyring import IntPoly
-        real_h, real_sq = cli.h_poly, cli.build_Sq
-        visits = []
+        real_sq = cli.build_Sq
 
-        def h_bad_on_second_pair(fv):
-            visits.append(fv)
-            return IntPoly((1, 0, 2)) if len(visits) == 2 else real_h(fv)
-
-        def sq_bad_at_11(om):
+        def faked(om):
             sq = real_sq(om)
             grid = [list(row) for row in sq.matrix]
-            grid[1][1] = -grid[1][1]
+            fake(grid)
             return IntersectionForm(sq.topes, tuple(map(tuple, grid)))
-        monkeypatch.setattr(cli, "h_poly", h_bad_on_second_pair)
-        monkeypatch.setattr(cli, "build_Sq", sq_bad_at_11)
+        monkeypatch.setattr(cli, "build_Sq", faked)
         code, rep = run_main(["invariants", "--input",
                               str(FIXTURE_DIR / "example13-C.json")])
         assert code == 1
-        by_name = {r["name"]: r for r in rep["invariants"]}
+        return {r["name"]: r for r in rep["invariants"]}
+
+    def test_invariants_witness_names_its_own_pair(self, monkeypatch):
+        # example13-C's two bounded topes share one vertex and lie two apart,
+        # so S_q(0,1) = q^2; on the diagonal d = 0 and the entry is h itself
+        from chamberforms.polyring import IntPoly
+
+        def fake(grid):
+            assert grid[0][1] == IntPoly((0, 0, 1))
+            grid[0][0] = IntPoly((1, 0, 2))  # h(0) = 1, not a palindrome
+            grid[0][1] = grid[1][0] = IntPoly((1, 0, 1))  # a term below q^2
+        by_name = self.invariants_on_faked_sq(monkeypatch, fake)
         assert by_name["euler_relation"] == {"name": "euler_relation", "pass": True}
         assert not by_name["h_palindromicity"]["pass"]
-        assert by_name["h_palindromicity"]["witness"].startswith("pair (0,1) h=")
+        assert by_name["h_palindromicity"]["witness"].startswith("pair (0,0) h=")
         assert not by_name["lowest_degree_term"]["pass"]
-        assert by_name["lowest_degree_term"]["witness"].startswith("pair (1,1) entry")
+        assert by_name["lowest_degree_term"]["witness"].startswith("pair (0,1) entry")
+
+    def test_invariants_euler_witness_reads_h_at_0(self, monkeypatch):
+        def fake(grid):
+            grid[1][1] = -grid[1][1]  # d = 0 on the diagonal: h(0) = -1
+
+        by_name = self.invariants_on_faked_sq(monkeypatch, fake)
+        assert by_name["euler_relation"] == {
+            "name": "euler_relation", "pass": False, "witness": "pair (1,1) h(0)=-1"}
+
+    def test_each_tope_pair_meets_once(self, monkeypatch):
+        from chamberforms.oriented_matroid import AffineOrientedMatroid
+        pairs = []
+        real = AffineOrientedMatroid.meet_faces
+
+        def spy(om, a, b):
+            pairs.append(frozenset((a.bits, b.bits)))
+            return real(om, a, b)
+        monkeypatch.setattr(AffineOrientedMatroid, "meet_faces", spy)
+        for command in ("check", "invariants"):
+            pairs.clear()
+            code, rep = run_main([command, "--input",
+                                  str(FIXTURE_DIR / "cyclic-r3-n7.json")])
+            assert code == 0
+            assert rep["instance"]["n_bounded_topes"] == 20
+            assert len(pairs) == len(set(pairs)) == 20 * 21 // 2, command
 
     def test_invariants_vamos_skips_y(self):
         code, rep = run_main(["invariants", "--input",

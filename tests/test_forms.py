@@ -7,7 +7,6 @@ from chamberforms.cli import load_instance
 from chamberforms.forms import (TheoremViolation, build_S, build_Sq, h_poly,
                                 rhs_classical, rhs_q, verify)
 from chamberforms.matroid import uniform_matroid
-from chamberforms.oriented_matroid import FVector
 from chamberforms.polyring import (IntPoly, ONE, poly_det, poly_eval, poly_pow,
                                    q_integer)
 from conftest import (FIXTURE_DIR, cocircuit_faces, example13_C, example13_Cprime,
@@ -20,27 +19,26 @@ def ints(form):
 
 class TestHPoly:
     def test_triangle(self):
-        assert h_poly(FVector(2, (3, 3, 1))) == IntPoly([1, 0, 1, 0, 1])
+        assert h_poly((3, 3, 1)) == IntPoly([1, 0, 1, 0, 1])
 
     def test_square(self):
-        assert h_poly(FVector(2, (4, 4, 1))) == IntPoly([1, 0, 2, 0, 1])
+        assert h_poly((4, 4, 1)) == IntPoly([1, 0, 2, 0, 1])
 
     def test_point(self):
-        assert h_poly(FVector(0, (1,))) == ONE
+        assert h_poly((1,)) == ONE
 
     def test_h_at_one_is_f0(self):
-        for fv in (FVector(2, (3, 3, 1)), FVector(2, (4, 4, 1)),
-                   FVector(1, (2, 1)), FVector(3, (8, 12, 6, 1))):
-            assert poly_eval(h_poly(fv), 1) == fv.f[0]
+        for f in ((3, 3, 1), (4, 4, 1), (2, 1), (8, 12, 6, 1)):
+            assert poly_eval(h_poly(f), 1) == f[0]
 
 
     def test_cached_per_f_vector(self):
-        assert h_poly(FVector(2, (3, 3, 1))) is h_poly(FVector(2, (3, 3, 1)))
+        assert h_poly((3, 3, 1)) is h_poly((3, 3, 1))
 
     def test_euler_error_raises_every_time(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="Euler relation"):
-                h_poly(FVector(1, (3, 1)))
+                h_poly((3, 1))
 
 
 class TestBuildS:
