@@ -20,6 +20,13 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 
+def in_ground_order(ground: tuple, elements: Iterable) -> list:
+    """The elements as a list in ground order, so that messages do not
+    follow the hash order of a set."""
+    s = frozenset(elements)
+    return [e for e in ground if e in s]
+
+
 class Flat(NamedTuple):
     elements: frozenset
     rank: int
@@ -52,15 +59,17 @@ class Matroid:
 
     def check_exchange(self) -> None:
         """Raise ValueError unless the bases satisfy the exchange axiom."""
-        for b1 in self.bases:
+        bases = sorted(self.bases, key=self._key)  # not hash order: same failure each run
+        for b1 in bases:
             # swaps[x]: the y for which b1 - {x} + {y} is a basis
             swaps = {x: {y for y in self.ground if b1 - {x} | {y} in self.bases}
-                     for x in b1}
-            for b2 in self.bases:
-                for x in b1 - b2:
-                    if not swaps[x] & b2:
+                     for x in in_ground_order(self.ground, b1)}
+            for b2 in bases:
+                for x, ys in swaps.items():
+                    if x not in b2 and not ys & b2:
+                        pair = [in_ground_order(self.ground, b) for b in (b1, b2)]
                         raise ValueError(
-                            f"basis exchange fails for {set(b1)}, {set(b2)}, {x}")
+                            f"basis exchange fails for {pair[0]}, {pair[1]}, {x}")
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)

@@ -3,18 +3,22 @@
 Sign vectors are packed two bits per element into a single int (00 zero,
 01 plus, 10 minus), so conformity and separation are a few machine-word
 operations even for long ground sets.  The affine structure keeps the lift
-element implicit: feasible cocircuits and topes carry lift sign +, infinite
-cocircuits carry lift sign 0.  Faces come from vertex stars: by genericity
-each feasible cocircuit's zero set is a basis, and every face of a bounded
-tope is one of its vertices with some zeros filled in by the tope's signs.
+element implicit: feasible cocircuits and topes carry lift sign +, and no
+cocircuit at infinity is stored.  Faces come from vertex stars: by
+genericity each feasible cocircuit's zero set is a basis, and every face of
+a bounded tope is one of its vertices with some zeros filled in by the
+tope's signs.  Filling one zero gives an edge, a segment when two vertices
+lie on it and a ray when one does; a tope is bounded exactly when none of
+its edges is a ray, since its vertices and segments form a connected graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .matroid import Matroid
+from .matroid import Matroid, in_ground_order
 
 _CODE = {0: 0, 1: 1, -1: 2}
 _SIGN = {0: 0, 1: 1, 2: -1}
@@ -84,10 +88,6 @@ class SignVector:
 
     # -- views -----------------------------------------------------------------
 
-    def sign(self, e) -> int:
-        i = self.ground.index(e)
-        return _SIGN[(self.bits >> (2 * i)) & 3]
-
     def signs(self) -> tuple[int, ...]:
         b = self.bits
         out = []
@@ -95,9 +95,6 @@ class SignVector:
             out.append(_SIGN[b & 3])
             b >>= 2
         return tuple(out)
-
-    def support(self) -> tuple:
-        return tuple(e for e, s in zip(self.ground, self.signs()) if s != 0)
 
     def zero_set(self) -> frozenset:
         return frozenset(e for e, s in zip(self.ground, self.signs()) if s == 0)
@@ -111,12 +108,6 @@ class SignVector:
         toks = [("-" if s < 0 else "") + str(e)
                 for e, s in zip(self.ground, self.signs()) if s != 0]
         return " ".join(toks)
-
-    def __neg__(self) -> "SignVector":
-        n = len(self.ground)
-        odd = _odd_mask(n)
-        b = self.bits
-        return SignVector(self.ground, ((b & odd) << 1) | ((b >> 1) & odd))
 
     def __eq__(self, other):
         return (isinstance(other, SignVector)
@@ -151,6 +142,17 @@ def _fillings(y: int, odd: int):
     z = odd & ~(y | y >> 1)
     for s in _subsets(z):
         yield y | s | (z ^ s) << 1
+
+
+def _zero_codes(y: int, odd: int):
+    """The + code and the - code of each zero slot of y: each y | c is an
+    edge at vertex y."""
+    z = odd & ~(y | y >> 1)
+    while z:
+        low = z & -z
+        z ^= low
+        yield low
+        yield low << 1
 
 
 def separation(a: SignVector, b: SignVector) -> int:
@@ -227,60 +229,14 @@ class Chirotope:
         return self._matroid
 
 
-def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
-    """One canonical representative per +/- cocircuit pair.
-
-    For each (r-1)-subset s of full rank the candidate Y(j) = chi(s, j);
-    rank-deficient subsets produce the zero vector and are skipped.
-    """
-    ground = c.ground
-    n = len(ground)
-    seen = set()
-    out = []
-    for s in combinations(range(n), c.rank - 1):
-        signs = [0] * n
-        selem = [ground[i] for i in s]
-        for j in range(n):
-            if j in s:
-                continue
-            signs[j] = c.sign(selem + [ground[j]])
-        sv = SignVector.from_signs(ground, signs)
-        if sv.bits == 0:
-            continue
-        canon = sv if _first_nonzero_positive(sv) else -sv
-        if canon.bits not in seen:
-            seen.add(canon.bits)
-            out.append(canon)
-    _check_support_minimality(out)
-    return sorted(out, key=SignVector.key)
-
-
-def _first_nonzero_positive(sv: SignVector) -> bool:
-    b = sv.bits
-    while b:
-        code = b & 3
-        if code:
-            return code == 1
-        b >>= 2
-    return True
-
-
-def _check_support_minimality(cocircuits: Sequence[SignVector]) -> None:
-    supports = [frozenset(sv.support()) for sv in cocircuits]
-    for i, si in enumerate(supports):
-        for j, sj in enumerate(supports):
-            if i != j and sj < si:
-                raise ValueError(
-                    f"support of {cocircuits[i].key()} strictly contains "
-                    f"{cocircuits[j].key()}: not cocircuits")
-
-
 class AffineOrientedMatroid:
-    """Central chirotope plus cocircuits split by their sign at the lift.
+    """Central chirotope plus the feasible cocircuits, those with lift sign +.
 
-    feasible carries the cocircuits with lift sign +; infinite pairs (lift
-    sign 0) are the cocircuits of the central oriented matroid, stored as
-    one canonical representative each.
+    The cocircuits at infinity (lift sign 0) are not stored: the vertex
+    stars alone tell the bounded topes, by the ray rule of bounded_topes.
+    from_json also checks that the chirotope and the feasible cocircuits
+    are one lifted chirotope; a compiled arrangement takes both from the
+    same minors, so its constructor does not.
     """
 
     def __init__(self, chirotope: Chirotope, feasible: Sequence[SignVector],
@@ -291,7 +247,6 @@ class AffineOrientedMatroid:
         if g in self.ground:
             raise ValueError("lift element must be distinct from the ground set")
         self.feasible = tuple(sorted(feasible, key=SignVector.key))
-        self.infinite = tuple(cocircuits_from_chirotope(chirotope))
         self._bounded: Optional[tuple[SignVector, ...]] = None
         self._face_masks: dict[int, int] = {}
         self._by_zero_set: dict[frozenset, SignVector] = {}
@@ -306,8 +261,8 @@ class AffineOrientedMatroid:
             z = y.zero_set()
             if z not in bases:
                 raise ValueError(
-                    f"genericity violated: zero set {set(z)} of feasible "
-                    f"cocircuit {y.text()!r} is not a basis")
+                    f"genericity violated: zero set {in_ground_order(self.ground, z)}"
+                    f" of feasible cocircuit {y.text()!r} is not a basis")
             zero_sets.append(z)
             self._by_zero_set[z] = y
         if len(set(zero_sets)) != len(zero_sets):
@@ -317,13 +272,42 @@ class AffineOrientedMatroid:
                 f"bijectivity violated: {len(zero_sets)} feasible cocircuits "
                 f"vs {len(bases)} bases")
 
+    def check_lift(self) -> None:
+        """Raise ValueError unless the chirotope and the feasible cocircuits
+        give one chirotope of the lift.
+
+        The cocircuit Y_b with zero set b gives the lift's sign on each
+        (r+1)-subset s = b + j as chi(b) (-1)^(r - pos(j)) Y_b(j), where pos(j)
+        counts the elements of b before j; every basis inside s must give
+        the same sign.
+        """
+        r = self.central.rank
+        lifted: dict[frozenset, int] = {}
+        for y in self.feasible:
+            signs = y.signs()
+            zeros = tuple(i for i, x in enumerate(signs) if not x)
+            chi = self.central._signs[zeros]
+            pos = 0
+            for j, x in enumerate(signs):
+                if not x:
+                    pos += 1
+                    continue
+                s = zeros + (j,)
+                sign = chi * x * (-1) ** (r - pos)
+                if lifted.setdefault(frozenset(s), sign) != sign:
+                    raise ValueError(
+                        "chirotope and feasible cocircuits disagree: the bases in "
+                        f"{[self.ground[i] for i in sorted(s)]} give the lift "
+                        "two signs")
+
     def matroid(self) -> Matroid:
         return self.central.to_matroid()
 
     def basis_to_cocircuit(self, b: Iterable) -> SignVector:
         y = self._by_zero_set.get(frozenset(b))
         if y is None:
-            raise ValueError(f"no feasible cocircuit with zero set {set(b)}")
+            raise ValueError("no feasible cocircuit with zero set "
+                             f"{in_ground_order(self.ground, b)}")
         return y
 
     # -- tope enumeration --------------------------------------------------------
@@ -331,9 +315,13 @@ class AffineOrientedMatroid:
     def bounded_topes(self) -> list[SignVector]:
         """The bounded topes, sorted by SignVector.key, from the vertex stars.
 
-        A tope's feasible faces are the vertices it fills, so the same pass
-        gives its face mask.  The cap, |feasible| * 2^r, also bounds every
-        meet, which has at most |common| * 2^dim faces.
+        Filling zero e of vertex y with a sign gives an edge at y, and the
+        vertices on that edge are the stars that give it: a ray is given by
+        one.  A filling is unbounded when, at one of its vertices, it fills
+        a zero with the sign of a ray.  A tope's feasible faces are the
+        vertices it fills, so the same pass gives its face mask.  The cap,
+        |feasible| * 2^r, also bounds every meet, which has at most
+        |common| * 2^dim faces.
         """
         if self._bounded is None:
             r = self.central.rank
@@ -342,19 +330,21 @@ class AffineOrientedMatroid:
                     f"{len(self.feasible)} vertex stars of 2^{r} topes exceed "
                     f"the cap {_CLOSURE_CAP}")
             odd = _odd_mask(len(self.ground))
+            edges = Counter(y.bits | c for y in self.feasible
+                            for c in _zero_codes(y.bits, odd))
             masks: dict[int, int] = {}
+            unbounded = set()
             for k, y in enumerate(self.feasible):
+                rays = sum(c for c in _zero_codes(y.bits, odd)
+                           if edges[y.bits | c] == 1)
                 for x in _fillings(y.bits, odd):
                     masks[x] = masks.get(x, 0) | 1 << k
-            inf_nz = [(y, _nz2(y, odd)) for v in self.infinite
-                      for y in (v.bits, (-v).bits)]
-            topes = []
-            for x, mask in masks.items():
-                if any((x & nz) == y for y, nz in inf_nz):
-                    continue  # an infinite cocircuit is a face: unbounded
-                topes.append(SignVector(self.ground, x))
-                self._face_masks[x] = mask
-            self._bounded = tuple(sorted(topes, key=SignVector.key))
+                    if x & rays:
+                        unbounded.add(x)
+            self._face_masks = {x: m for x, m in masks.items() if x not in unbounded}
+            self._bounded = tuple(sorted((SignVector(self.ground, x)
+                                          for x in self._face_masks),
+                                         key=SignVector.key))
         return list(self._bounded)
 
     def face_mask(self, t: SignVector) -> int:
@@ -400,7 +390,9 @@ class AffineOrientedMatroid:
         except TypeError as exc:
             raise ValueError(f"malformed oriented-matroid JSON: {exc}") from None
         chi.to_matroid().check_exchange()  # the one check of outside bases
-        return cls(chi, feasible, g=g)
+        om = cls(chi, feasible, g=g)
+        om.check_lift()
+        return om
 
     def to_json(self) -> dict:
         return {

@@ -11,15 +11,16 @@ the cocircuit signs.  For a basis b and j outside b, the feasible cocircuit
 with zero set b satisfies Y_b(j) = chi(b) * chi~(b, j) where chi~ is the
 rank-5 chirotope of the lift and chi(b) = chi~(b, g).  Running j over a
 5-subset s containing two bases couples their chi values, so a spanning
-propagation fixes chi up to a global sign and the remaining equations
-(heavily overdetermined) certify consistency of the data and conventions.
+propagation fixes chi up to a global sign.  The remaining equations are
+the lift check that AffineOrientedMatroid.from_json runs on every
+oriented-matroid document, this fixture included.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .oriented_matroid import AffineOrientedMatroid, Chirotope, SignVector
+from .oriented_matroid import Chirotope, SignVector
 
 GROUND = tuple(str(i) for i in range(1, 9))
 
@@ -97,21 +98,8 @@ def derive_chirotope() -> Chirotope:
     if len(chi) != len(by_zero):
         raise ValueError("basis exchange graph is disconnected; cannot propagate")
 
-    # every 5-subset must now give one consistent lift value
-    for s in combinations(range(8), 5):
-        vals = {chi[b] * coupling(b, j)
-                for j in s
-                for b in (tuple(x for x in s if x != j),)
-                if b in by_zero}
-        if len(vals) > 1:
-            raise ValueError(f"inconsistent chirotope data on 5-subset {s}")
-
     signs = {sub: chi.get(sub, 0) for sub in combinations(range(8), 4)}
     return Chirotope(4, GROUND, signs)
-
-
-def affine_vamos() -> AffineOrientedMatroid:
-    return AffineOrientedMatroid(derive_chirotope(), feasible_cocircuits())
 
 
 def fixture_json() -> dict:

@@ -12,8 +12,8 @@ from chamberforms.arrangement import Arrangement
 # the fixture builders, re-exported to the test modules
 from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
 from chamberforms.matroid import Flat, Matroid
-from chamberforms.oriented_matroid import (AffineOrientedMatroid, SignVector,
-                                           _nz2, _odd_mask)
+from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
+                                           SignVector, _nz2, _odd_mask)
 from chamberforms.polyring import ONE, ZERO, IntPoly
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -187,7 +187,42 @@ def beta_sum(m: Matroid, k) -> int:
 
 
 # Sign-vector and face references for the vertex stars of AffineOrientedMatroid:
-# composition closures, which the package no longer computes.
+# the cocircuits at infinity and composition closures, which the package no
+# longer computes.
+
+def negate(bits: int, odd: int) -> int:
+    """The packed sign vector -x; odd is the _odd_mask of its length."""
+    return ((bits & odd) << 1) | ((bits >> 1) & odd)
+
+
+def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
+    """One representative per +/- cocircuit pair, the one whose first
+    nonzero sign is +, sorted by SignVector.key.
+
+    For each (r-1)-subset s the candidate is Y(j) = chi(s, j); a dependent
+    s gives the zero vector and is skipped.
+    """
+    ground = c.ground
+    n = len(ground)
+    odd = _odd_mask(n)
+    found = set()
+    for s in combinations(range(n), c.rank - 1):
+        selem = [ground[i] for i in s]
+        bits = SignVector.from_signs(
+            ground, [0 if j in s else c.sign(selem + [ground[j]])
+                     for j in range(n)]).bits
+        if bits:
+            first_minus = (bits & -bits).bit_length() % 2 == 0
+            found.add(negate(bits, odd) if first_minus else bits)
+    return sorted((SignVector(ground, b) for b in found), key=SignVector.key)
+
+
+def infinite_bits(om: AffineOrientedMatroid) -> list[int]:
+    """Both signs of every cocircuit at infinity, as packed sign vectors."""
+    odd = _odd_mask(len(om.ground))
+    return [b for y in cocircuits_from_chirotope(om.central)
+            for b in (y.bits, negate(y.bits, odd))]
+
 
 def _composition_closure(gen: Sequence[int], odd: int) -> set[int]:
     """Every composition of one or more generators, as packed sign vectors.
@@ -225,7 +260,7 @@ def bounded_topes_by_closure(om: AffineOrientedMatroid) -> tuple[list, dict]:
     tope's mask when feasible cocircuit k conforms to it.
     """
     odd = _odd_mask(len(om.ground))
-    inf_bits = [y.bits for y in om.infinite] + [(-y).bits for y in om.infinite]
+    inf_bits = infinite_bits(om)
     gen = [y.bits for y in om.feasible]
     topes, masks = [], {}
     for x in _composition_closure(gen, odd):
@@ -248,11 +283,7 @@ def compose(x: SignVector, y: SignVector) -> SignVector:
 
 def cocircuit_pool(om: AffineOrientedMatroid) -> list[SignVector]:
     """All cocircuits of the lift: feasible plus both infinite signs."""
-    out = list(om.feasible)
-    for y in om.infinite:
-        out.append(y)
-        out.append(-y)
-    return out
+    return list(om.feasible) + [SignVector(om.ground, b) for b in infinite_bits(om)]
 
 
 def cocircuit_faces(om: AffineOrientedMatroid, t: SignVector) -> list[SignVector]:
@@ -270,10 +301,7 @@ def affine_covectors(om: AffineOrientedMatroid) -> list[SignVector]:
     n = len(om.ground)
     odd = _odd_mask(n + 1)
     g_plus = 1 << (2 * n)
-    gen = [y.bits | g_plus for y in om.feasible]
-    for y in om.infinite:
-        gen.append(y.bits)
-        gen.append((-y).bits)
+    gen = [y.bits | g_plus for y in om.feasible] + infinite_bits(om)
     states = _composition_closure(gen, odd)
     mask = g_plus - 1
     return sorted((SignVector(om.ground, b & mask) for b in states
@@ -317,8 +345,7 @@ def det_by_expansion(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
 
 @pytest.fixture(scope="session")
 def vamos_om() -> AffineOrientedMatroid:
-    from chamberforms.vamos import affine_vamos
-    return affine_vamos()
+    return AffineOrientedMatroid.from_json(load_fixture("vamos.json"))
 
 
 @pytest.fixture(scope="session")

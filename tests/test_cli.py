@@ -13,10 +13,11 @@ from chamberforms.matroid import Matroid
 from conftest import FIXTURE_DIR, line_points
 
 
-def run_cli(args, module="chamberforms.cli", **kw):
+def run_cli(args, module="chamberforms.cli", env=(), **kw):
     # the child process imports the same chamberforms as this one
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
+               **dict(env))
     return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, env=env, **kw)
 
@@ -259,9 +260,9 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "internal inconsistency: determinant certificate failed" in err
 
-    def test_euler_violation_is_an_input_error(self, tmp_path):
-        # flipping one chirotope sign leaves the exchange axiom intact, but a
-        # meet face then breaks the Euler relation
+    def test_chirotope_flip_is_an_input_error(self, tmp_path):
+        # flipping one chirotope sign leaves the exchange axiom intact, but
+        # the lift check at ingest rejects it
         doc = json.loads((FIXTURE_DIR / "vamos.json").read_text())
         chi = doc["chirotope"]
         i = chi.index("+")
@@ -270,8 +271,18 @@ class TestErrors:
         p.write_text(json.dumps(doc))
         res = run_cli(["check", "--input", str(p)])
         assert res.returncode == 1
-        assert res.stderr.startswith("error: ") and "Euler relation" in res.stderr
+        assert res.stderr.startswith("error: ") and "two signs" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_error_text_does_not_follow_hash_order(self, tmp_path):
+        doc = json.loads((FIXTURE_DIR / "vamos.json").read_text())
+        doc["lift"]["feasible_cocircuits"][0] = "1 2 3 4"  # zero set 5 6 7 8
+        p = tmp_path / "vamos-bad.json"
+        p.write_text(json.dumps(doc))
+        errs = [run_cli(["check", "--input", str(p)],
+                        env={"PYTHONHASHSEED": seed}).stderr for seed in ("1", "2")]
+        assert errs[0] == errs[1]
+        assert "zero set ['5', '6', '7', '8']" in errs[0]
 
     def test_inexact_division_is_internal_inconsistency(self, monkeypatch, capsys):
         from chamberforms import polyring

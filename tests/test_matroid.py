@@ -37,7 +37,8 @@ class TestConstruction:
         # in lex order are 12 13 14 23 24 34
         doc = {"rank": 2, "elements": ["1", "2", "3", "4"], "chirotope": "+0000+",
                "lift": {"feasible_cocircuits": ["3 4", "1 2"]}}
-        with pytest.raises(ValueError, match="exchange"):
+        with pytest.raises(ValueError, match=r"exchange fails for \['1', '2'\], "
+                                             r"\['3', '4'\], 1$"):
             AffineOrientedMatroid.from_json(doc)
 
     def test_check_exchange_matches_definition(self):

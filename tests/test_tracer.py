@@ -3,7 +3,7 @@
 perfbench/tracing.py wraps named functions of chamberforms in place; a
 renamed or removed function would leave its metric at zero.  This runs one
 traced `invariants` and one traced `check` and checks that the tracer saw
-both and put every original back.
+both, and the tope enumeration, and put every original back.
 """
 
 import importlib.util
@@ -50,6 +50,9 @@ def test_tracer_sees_the_oracle_and_the_engine_and_restores(tmp_path):
         tracer.uninstall()
     totals = tracer.snapshot()
     assert totals["flagspace.phi_s"] > 0
+    assert totals["oriented_matroid.topes_s"] > 0
+    # 20 bounded topes, once for the oriented matroid of each command
+    assert totals["oriented_matroid.topes"] == 40
     assert totals["polyring.det_Sq_calls"] > 0
     after = bindings()
     assert [k for k in before if after.get(k) is not before[k]] == []

@@ -5,7 +5,7 @@ import pytest
 
 from chamberforms import cli, vamos
 from chamberforms.oriented_matroid import AffineOrientedMatroid, SignVector
-from conftest import FIXTURE_DIR, load_fixture
+from conftest import FIXTURE_DIR, cocircuits_from_chirotope, load_fixture
 
 
 class TestCocircuitData:
@@ -24,7 +24,7 @@ class TestCocircuitData:
 
     def test_each_cocircuit_has_four_nonzeros(self):
         for y in vamos.feasible_cocircuits():
-            assert len(y.support()) == 4
+            assert sum(1 for x in y.signs() if x) == 4
 
 
 class TestChirotopeDerivation:
@@ -44,10 +44,11 @@ class TestChirotopeDerivation:
 
     def test_inconsistent_data_detected(self, monkeypatch):
         broken = list(vamos.COCIRCUITS)
-        broken[0] = "5 6 -7 8"  # flip one sign: overdetermined system fails
+        broken[0] = "5 6 -7 8"  # flip one sign: the propagation still closes
         monkeypatch.setattr(vamos, "COCIRCUITS", tuple(broken))
-        with pytest.raises(ValueError, match="inconsistent"):
-            vamos.derive_chirotope()
+        doc = vamos.fixture_json()
+        with pytest.raises(ValueError, match="give the lift two signs"):
+            AffineOrientedMatroid.from_json(doc)
 
 
 class TestAffineVamos:
@@ -66,7 +67,7 @@ class TestAffineVamos:
 
     def test_infinite_cocircuit_count(self, vamos_om):
         # hyperplanes of the Vamos matroid: 36 free triples + 5 circuit quads
-        assert len(vamos_om.infinite) == 41
+        assert len(cocircuits_from_chirotope(vamos_om.central)) == 41
 
 
 class TestFixtureFile:
@@ -75,15 +76,16 @@ class TestFixtureFile:
         assert text == json.dumps(vamos.fixture_json(), indent=2) + "\n"
 
     def test_fixture_loads_and_agrees(self, vamos_om):
-        om = AffineOrientedMatroid.from_json(
-            json.loads((FIXTURE_DIR / "vamos.json").read_text()))
+        om = AffineOrientedMatroid(vamos.derive_chirotope(),
+                                   vamos.feasible_cocircuits())
+        om.check_lift()
         assert [t.key() for t in om.bounded_topes()] == \
             [t.key() for t in vamos_om.bounded_topes()]
 
 
 def single_flips():
-    """The fixture with one chirotope sign, or the first sign of one
-    feasible cocircuit, flipped."""
+    """The fixture with one chirotope sign, or one sign of one feasible
+    cocircuit, flipped: 65 + 260 documents."""
     doc = load_fixture("vamos.json")
     chi = doc["chirotope"]
     quads = list(combinations(doc["elements"], doc["rank"]))
@@ -91,17 +93,15 @@ def single_flips():
         if ch != "0":
             flipped = json.loads(json.dumps(doc))
             flipped["chirotope"] = chi[:i] + "+-"[ch == "+"] + chi[i + 1:]
-            # this flip is no chirotope, yet check exits 0: ingest does not
-            # yet validate the lifted chirotope (ROADMAP item 1)
-            marks = ([pytest.mark.xfail(strict=True, reason="passes ingest")]
-                     if quad == ("4", "5", "6", "7") else [])
-            yield pytest.param(flipped, id="chi-" + "".join(quad), marks=marks)
+            yield pytest.param(flipped, id="chi-" + "".join(quad))
     for k, text in enumerate(doc["lift"]["feasible_cocircuits"]):
-        flipped = json.loads(json.dumps(doc))
-        first, *rest = text.split()
-        first = first[1:] if first.startswith("-") else "-" + first
-        flipped["lift"]["feasible_cocircuits"][k] = " ".join([first, *rest])
-        yield pytest.param(flipped, id=f"cocircuit-{k}")
+        tokens = text.split()
+        for m, tok in enumerate(tokens):
+            flipped = json.loads(json.dumps(doc))
+            tok = tok[1:] if tok.startswith("-") else "-" + tok
+            flipped["lift"]["feasible_cocircuits"][k] = " ".join(
+                tokens[:m] + [tok] + tokens[m + 1:])
+            yield pytest.param(flipped, id=f"cocircuit-{k}-{m}")
 
 
 @pytest.mark.parametrize("doc", single_flips())
@@ -110,4 +110,5 @@ def test_single_flip_exits_1(doc, tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert cli.main(["check", "--input", str(p)]) == 1
     err = capsys.readouterr().err
-    assert err and "Traceback" not in err
+    assert err.startswith("error:")
+    assert "internal inconsistency" not in err and "Traceback" not in err
