@@ -12,11 +12,10 @@ with_offsets.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .matroid import Matroid
+from .matroid import Matroid, bits, r_subsets
 from .oriented_matroid import (AffineOrientedMatroid, Chirotope, SignVector,
                                name_from_json)
 
@@ -174,18 +173,17 @@ class Arrangement:
         """
         if self._scan is None:
             r = self.dim
-            subs = list(combinations(range(len(self.rows)), r))
-            cofactors = [_cofactors([self.rows[i] for i in sub], r + 1)
-                         for sub in subs]
-            chi_signs = {sub: (-1) ** r * ((w[-1] > 0) - (w[-1] < 0))
-                         for sub, w in zip(subs, cofactors)}
-            if not any(chi_signs.values()):
+            subsets = r_subsets(len(self.rows), r)
+            cofactors = [_cofactors([self.rows[i] for i in bits(b)], r + 1)
+                         for b in subsets]
+            chi_signs = [(-1) ** r * ((w[-1] > 0) - (w[-1] < 0)) for w in cofactors]
+            if not any(chi_signs):
                 raise ValueError("arrangement is not essential: normals do not span")
             chi = Chirotope(r, self.ground, chi_signs)
-            bases = chi.to_matroid().bases
+            m = chi.to_matroid()
             violation = None
             feasible = []
-            for sub, w in zip(subs, cofactors):
+            for b, w in zip(subsets, cofactors):
                 if not w[-1]:
                     continue  # dependent normals: not a basis
                 if w[-1] < 0:
@@ -196,14 +194,14 @@ class Arrangement:
                     signs.append((v > 0) - (v < 0))
                 sv = SignVector.from_signs(self.ground, signs)
                 feasible.append(sv)
-                extra = [j for j, s in enumerate(signs) if not s and j not in sub]
+                extra = sv.zero_set() & ~b
                 if extra and violation is None:
-                    b = frozenset(self.ground[i] for i in sub)
-                    e = self.ground[extra[0]]
-                    circuit = [x for x in b if (b - {x}) | {e} in bases] + [e]
+                    e = next(bits(extra))
+                    circuit = 1 << e | sum(1 << x for x in bits(b)
+                                           if b ^ 1 << x | 1 << e in m.bases)
+                    size = circuit.bit_count()
                     violation = GenericityViolation(
-                        tuple(sorted(circuit, key=self.ground.index)),
-                        len(circuit) - 1, len(circuit) - 1)
+                        tuple(m.elements(circuit)), size - 1, size - 1)
             self._scan = (chi, violation, feasible)
         return self._scan
 

@@ -22,39 +22,43 @@ the boundary matrix modulo a prime, never above its rank over Q, bounds it
 above.  Whenever a certificate does not hold, the exact computation runs
 instead (smith_divisors, int_det), so no value or verdict depends on which
 route was taken.
+
+Sets of ground elements are masks (bit i for ground[i], as in the matroid
+module): phi vectors and their boundaries are dicts keyed by the masks of
+bases and of (r-1)-subsets, and the y-matrix columns are basis masks.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from .arrangement import Arrangement
+from .matroid import bits, r_subsets
 from .oriented_matroid import (AffineOrientedMatroid, SignVector, _fillings,
                                _odd_mask, _perm_parity, separation)
 from .polyring import _CERT_PRIME, _eliminate_mod, int_det
 
 
-def phi(om: AffineOrientedMatroid, tope: SignVector) -> dict:
+def _monomial_sign(om: AffineOrientedMatroid, b: int, signs: Sequence[int]) -> int:
+    """The chirotope sign of basis b times the product of signs over b."""
+    out = om.central.sign_of(b)
+    for i in bits(b):
+        out *= signs[i]
+    return out
+
+
+def phi(om: AffineOrientedMatroid, tope: SignVector) -> dict[int, int]:
     """Signed sum over bases whose feasible cocircuit conforms to the tope.
 
-    Returns its coordinates in the sorted-monomial basis, keyed by matroid
-    basis.  The coefficient at basis b is prod_{i in b} tope(i) times the
-    chirotope sign of b sorted in ground order.
+    Returns its coordinates in the sorted-monomial basis, keyed by basis
+    mask.  The coefficient at basis b is prod_{i in b} tope(i) times the
+    chirotope sign of b.
     """
-    ground = om.ground
-    order = {e: i for i, e in enumerate(ground)}
-    tsigns = dict(zip(ground, tope.signs()))
-    coords = {}
-    for y in om.cocircuits_in(om.face_mask(tope)):
-        b = y.zero_set()
-        coeff = om.central.sign(sorted(b, key=order.__getitem__))
-        for e in b:
-            coeff *= tsigns[e]
-        coords[b] = coeff
-    return coords
+    signs = tope.signs()
+    return {b: _monomial_sign(om, b, signs)
+            for b in (y.zero_set() for y in om.cocircuits_in(om.face_mask(tope)))}
 
 
 def pairing(u: dict, v: dict) -> int:
@@ -62,14 +66,12 @@ def pairing(u: dict, v: dict) -> int:
     return sum(c * large.get(b, 0) for b, c in small.items())
 
 
-def boundary(om: AffineOrientedMatroid, v: dict) -> dict:
+def boundary(v: dict[int, int]) -> dict[int, int]:
     """Simplicial boundary into (r-1)-subset coordinates."""
-    order = {e: i for i, e in enumerate(om.ground)}
-    out: dict = {}
+    out: dict[int, int] = {}
     for b, c in v.items():
-        elems = sorted(b, key=order.__getitem__)
-        for k, e in enumerate(elems):
-            key = b - {e}
+        for k, i in enumerate(bits(b)):
+            key = b ^ 1 << i
             out[key] = out.get(key, 0) + (c if k % 2 == 0 else -c)
     return {k: c for k, c in out.items() if c}
 
@@ -195,7 +197,7 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
     rank of the boundary matrix.
     """
     bases = om.central.bases()
-    flags = tuple(not boundary(om, v) for v in vectors)
+    flags = tuple(not boundary(v) for v in vectors)
     n = len(vectors)
     phi_certified = _peel(vectors) is not None
     if phi_certified:
@@ -204,14 +206,11 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
         divisors = tuple(smith_divisors([[v.get(b, 0) for b in bases]
                                          for v in vectors]))
 
-    subsets = list(combinations(om.ground, om.central.rank - 1))
-    col = {frozenset(s): j for j, s in enumerate(subsets)}
-    bmatrix = []
-    for b in bases:
-        row = [0] * len(subsets)
-        for face, c in boundary(om, {b: 1}).items():
+    col = {s: j for j, s in enumerate(r_subsets(len(om.ground), om.central.rank - 1))}
+    bmatrix = [[0] * len(col) for _ in bases]
+    for row, b in zip(bmatrix, bases):
+        for face, c in boundary({b: 1}).items():
             row[col[face]] = c
-        bmatrix.append(row)
     if (phi_certified and all(flags)
             and len(bases) - _eliminate_mod(bmatrix, _CERT_PRIME)[0] == n):
         kernel_dim = n  # n independent kernel vectors; rank over Q >= rank mod p
@@ -224,7 +223,7 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
 
 class YMatrixReport(NamedTuple):
     xi: tuple[int, ...]
-    bases: tuple[tuple, ...]
+    bases: tuple[int, ...]  # masks, in the order of the y columns
     regions: tuple[SignVector, ...]
     y: tuple[tuple[int, ...], ...]
     det_y: int
@@ -235,15 +234,13 @@ def _region_of_basis(arr: Arrangement, directions: dict, xi: Sequence[int],
                      y: SignVector) -> SignVector:
     """Sign vector of the xi-bounded region whose optimum is y's vertex.
 
-    y is the vertex's feasible cocircuit; directions maps sorted (r-1)-subsets
-    of indices to their edge directions.
+    y is the vertex's feasible cocircuit; directions maps the masks of
+    (r-1)-subsets to their edge directions.
     """
-    idx = {e: i for i, e in enumerate(arr.ground)}
     b = y.zero_set()
     signs = list(y.signs())
-    for e in b:
-        j = idx[e]
-        v = directions[tuple(sorted(idx[f] for f in b if f != e))]
+    for j in bits(b):
+        v = directions[b ^ 1 << j]
         pairing_xi = sum(a * x for a, x in zip(xi, v))
         if pairing_xi == 0:
             raise ValueError("functional not generic on an edge direction")
@@ -267,14 +264,13 @@ def build_y_matrix(arr: Arrangement, seed: int) -> YMatrixReport:
     triangular form with a +-1 diagonal, else by int_det.
     """
     om = arr.compile()
-    order = {e: i for i, e in enumerate(arr.ground)}
     bases = om.central.bases()
 
     directions = {}
-    for sub in combinations(range(len(arr.ground)), arr.dim - 1):
-        v = arr.kernel_direction(sub)
+    for s in r_subsets(len(arr.ground), arr.dim - 1):
+        v = arr.kernel_direction(list(bits(s)))
         if any(v):  # a rank-deficient subset spans no line
-            directions[sub] = v
+            directions[s] = v
 
     rng = random.Random(seed)
     for _ in range(_MAX_DRAWS):
@@ -309,8 +305,7 @@ def build_y_matrix(arr: Arrangement, seed: int) -> YMatrixReport:
     det_y = _peeled_det(peeled) if peeled is not None else int_det(y_rows)
     if det_y not in (1, -1):
         raise ValueError(f"det y = {det_y}, expected +-1")
-    basis_tuples = tuple(tuple(sorted(b, key=order.__getitem__)) for b in bases)
-    return YMatrixReport(xi, basis_tuples, tuple(regions), y_rows, det_y, region_of)
+    return YMatrixReport(xi, tuple(bases), tuple(regions), y_rows, det_y, region_of)
 
 
 def expansion_matches_y(om: AffineOrientedMatroid, rep: YMatrixReport,
@@ -323,22 +318,16 @@ def expansion_matches_y(om: AffineOrientedMatroid, rep: YMatrixReport,
     is a face of A.  Every bounded tope is a region of rep: build_y_matrix
     raises ValueError otherwise, as pos_of would raise KeyError.
     """
-    order = {e: i for i, e in enumerate(om.ground)}
-    units = []  # sign of e'_b against e_b, in the order of rep.bases
-    for bt in rep.bases:
-        b = frozenset(bt)
-        rsigns = dict(zip(om.ground, rep.region_of_basis[b].signs()))
-        unit = om.central.sign(sorted(b, key=order.__getitem__))
-        for e in b:
-            unit *= rsigns[e]
-        units.append((b, unit))
+    # sign of e'_b against e_b, in the order of rep.bases
+    units = [_monomial_sign(om, b, rep.region_of_basis[b].signs()) for b in rep.bases]
     pos_of = {t.bits: i for i, t in enumerate(rep.regions)}
     failures = []
     for t, v in zip(om.bounded_topes(), vectors):
         row = rep.y[pos_of[t.bits]]
-        for jb, (b, unit) in enumerate(units):
+        for jb, (b, unit) in enumerate(zip(rep.bases, units)):
             coeff = v.get(b, 0) * unit  # change to the adapted unit basis
             if coeff != row[jb]:
-                failures.append(f"phi({t.key()}) coefficient at {rep.bases[jb]} "
+                failures.append(f"phi({t.key()}) coefficient at "
+                                f"{tuple(om.matroid().elements(b))} "
                                 f"is {coeff}, y row has {row[jb]}")
     return failures

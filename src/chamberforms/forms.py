@@ -110,17 +110,14 @@ def _rhs_factors(m: Matroid) -> tuple[Factor, ...]:
     # produces; restrictions like U_{2,5}, whose dual has a different mu+,
     # confirm it numerically, as does the published rank-4 example on 8
     # elements.)
-    full = frozenset(m.ground)
-    order = {e: i for i, e in enumerate(m.ground)}
     factors = []
     for k in m.coloop_free_flats():
-        if k.elements == full:
-            continue
-        base = len(m.ground) - len(k.elements)
+        if k.rank == m.rank_:
+            continue  # the ground set, the one flat of full rank
+        base = len(m.ground) - k.elements.bit_count()
         exponent = (m.contract(k.elements).beta()
                     * m.restrict(k.elements).tutte(0, 1))
-        flat = tuple(sorted(k.elements, key=order.__getitem__))
-        factors.append(Factor(flat, base, exponent))
+        factors.append(Factor(tuple(m.elements(k.elements)), base, exponent))
     return tuple(factors)
 
 

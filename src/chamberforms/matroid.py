@@ -9,6 +9,11 @@ the coefficient of x in T_M(x, y), mu+(M) = T_M(1, 0) and mu+(M*) =
 T_M(0, 1).  The tests compute mu+ and beta by a second, independent
 route, from the mu function of the lattice of flats.
 
+A set of ground elements is an int mask throughout the package: bit i
+stands for ground[i], so the bits of a mask list its set in ground order.
+Matroid.mask and Matroid.elements convert to and from labels, which appear
+only in constructor inputs, reports and messages; bits walks a mask.
+
 Bases are trusted: minors, duals, uniform matroids and the matroid of a
 compiled arrangement (nonzero determinants) are matroids by construction.
 Bases from outside input must pass Matroid.check_exchange() where they enter.
@@ -16,60 +21,84 @@ Bases from outside input must pass Matroid.check_exchange() where they enter.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from operator import and_, or_
+from typing import Iterable, Iterator, NamedTuple
 
 
-def in_ground_order(ground: tuple, elements: Iterable) -> list:
-    """The elements as a list in ground order, so that messages do not
-    follow the hash order of a set."""
-    s = frozenset(elements)
-    return [e for e in ground if e in s]
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def r_subsets(n: int, r: int) -> list[int]:
+    """The r-subsets of n elements as masks, in lexicographic order."""
+    return [sum(1 << i for i in c) for c in combinations(range(n), r)]
 
 
 class Flat(NamedTuple):
-    elements: frozenset
+    elements: int  # mask
     rank: int
 
 
 class Matroid:
-    """A matroid given by its ground list (fixing the activity order) and bases.
+    """A matroid given by its ground list (fixing the activity order) and
+    its bases as masks.
 
     The constructor checks structure only, not basis exchange; bases from
     outside input must pass check_exchange().
     """
 
-    def __init__(self, ground: Iterable, bases: Iterable[Iterable]):
+    def __init__(self, ground: Iterable, bases: Iterable[int]):
         self.ground = tuple(ground)
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("ground elements must be distinct")
-        self.bases = frozenset(frozenset(b) for b in bases)
+        self._full = (1 << len(self.ground)) - 1
+        self.bases = frozenset(bases)
         if not self.bases:
             raise ValueError("a matroid needs at least one basis")
-        sizes = {len(b) for b in self.bases}
+        sizes = {b.bit_count() for b in self.bases}
         if len(sizes) != 1:
             raise ValueError("all bases must have equal cardinality")
         (self.rank_,) = sizes
-        gset = set(self.ground)
-        if any(not b <= gset for b in self.bases):
+        if any(b & ~self._full for b in self.bases):
             raise ValueError("basis element outside ground set")
-        self._rank_cache: dict[frozenset, int] = {}
         self._flats = None
         self._activities = None
 
+    def mask(self, labels: Iterable) -> int:
+        """The mask of the given ground elements; ValueError on any other."""
+        return reduce(or_, (1 << self.ground.index(e) for e in labels), 0)
+
+    def elements(self, s: int) -> list:
+        """The elements of mask s, in ground order."""
+        self._check(s)
+        return [self.ground[i] for i in bits(s)]
+
+    def _check(self, s: int) -> None:
+        if s & ~self._full:
+            raise ValueError(f"mask {s:#b} has bits outside the ground set "
+                             f"of {len(self.ground)} elements")
+
     def check_exchange(self) -> None:
         """Raise ValueError unless the bases satisfy the exchange axiom."""
-        bases = sorted(self.bases, key=self._key)  # not hash order: same failure each run
+        bases = sorted(self.bases)  # not hash order: same failure each run
         for b1 in bases:
-            # swaps[x]: the y for which b1 - {x} + {y} is a basis
-            swaps = {x: {y for y in self.ground if b1 - {x} | {y} in self.bases}
-                     for x in in_ground_order(self.ground, b1)}
+            # swaps[x]: the mask of the y for which b1 - x + y is a basis; it
+            # holds x itself, so b2 fails exactly when it misses all of it
+            swaps = {x: sum(1 << y for y in range(len(self.ground))
+                            if b1 ^ 1 << x | 1 << y in self.bases)
+                     for x in bits(b1)}
             for b2 in bases:
                 for x, ys in swaps.items():
-                    if x not in b2 and not ys & b2:
-                        pair = [in_ground_order(self.ground, b) for b in (b1, b2)]
+                    if not ys & b2:
                         raise ValueError(
-                            f"basis exchange fails for {pair[0]}, {pair[1]}, {x}")
+                            f"basis exchange fails for {self.elements(b1)}, "
+                            f"{self.elements(b2)}, {self.ground[x]}")
 
     def __eq__(self, other):
         return (isinstance(other, Matroid)
@@ -83,59 +112,47 @@ class Matroid:
 
     # -- rank and closure ----------------------------------------------------
 
-    def rank(self, subset: Iterable) -> int:
-        s = frozenset(subset)
-        if not s <= set(self.ground):
-            raise ValueError(f"elements {set(s) - set(self.ground)} not in ground set")
-        cached = self._rank_cache.get(s)
-        if cached is None:
-            cached = max(len(s & b) for b in self.bases)
-            self._rank_cache[s] = cached
-        return cached
+    def rank(self, s: int) -> int:
+        self._check(s)
+        return max((s & b).bit_count() for b in self.bases)
 
-    def closure(self, subset: Iterable) -> Flat:
+    def closure(self, s: int) -> Flat:
         """s plus the elements that lie in no basis B with |B & s| = r(s).
 
         r(s + e) = r(s) exactly when e lies in no such B, so one pass over
         the bases finds r(s) and the union of those B together.
         """
-        s = frozenset(subset)
-        if not s <= set(self.ground):
-            raise ValueError(f"elements {set(s) - set(self.ground)} not in ground set")
-        r, spanned = -1, set()
+        self._check(s)
+        r, spanned = -1, 0
         for b in self.bases:
-            k = len(s & b)
+            k = (s & b).bit_count()
             if k > r:
-                r, spanned = k, set(b)
+                r, spanned = k, b
             elif k == r:
                 spanned |= b
-        return Flat(s | frozenset(e for e in self.ground if e not in spanned), r)
+        return Flat(s | self._full & ~spanned, r)
 
     # -- flat lattice ----------------------------------------------------------
-
-    def _key(self, s: frozenset) -> tuple:
-        idx = {e: i for i, e in enumerate(self.ground)}
-        return tuple(sorted(idx[e] for e in s))
 
     def flats(self) -> list[Flat]:
         """All flats, sorted by (rank, ground-order lexicographic elements)."""
         if self._flats is None:
-            bottom = self.closure(())
-            level = {bottom.elements}
+            bottom = self.closure(0)
+            level = [bottom.elements]
             found = {bottom.elements: bottom.rank}
             while level:
-                nxt = set()
+                nxt = []
                 for f in level:
-                    for e in self.ground:
-                        if e in f:
-                            continue
-                        g = self.closure(f | {e})
+                    rest = self._full & ~f
+                    while rest:  # the covers of f partition rest: one closure each
+                        g = self.closure(f | rest & -rest)
+                        rest &= ~g.elements
                         if g.elements not in found:
                             found[g.elements] = g.rank
-                            nxt.add(g.elements)
+                            nxt.append(g.elements)
                 level = nxt
             self._flats = sorted((Flat(s, r) for s, r in found.items()),
-                                 key=lambda fl: (fl.rank, self._key(fl.elements)))
+                                 key=lambda fl: (fl.rank, tuple(bits(fl.elements))))
         return list(self._flats)
 
     # -- basis activities --------------------------------------------------------
@@ -150,19 +167,18 @@ class Matroid:
         (g outside B).
         """
         if self._activities is None:
-            order = {e: i for i, e in enumerate(self.ground)}
             counts: dict[tuple[int, int], int] = {}
             for b in self.bases:
-                outside = [g for g in self.ground if g not in b]
-                internal, external = set(b), set(outside)
-                for f in b:
+                internal, external = b, self._full ^ b
+                outside = list(bits(external))
+                for f in bits(b):
                     for g in outside:
-                        if b - {f} | {g} in self.bases:
-                            if order[g] < order[f]:
-                                internal.discard(f)
+                        if b ^ 1 << f | 1 << g in self.bases:
+                            if g < f:
+                                internal &= ~(1 << f)
                             else:
-                                external.discard(g)
-                key = (len(internal), len(external))
+                                external &= ~(1 << g)
+                key = (internal.bit_count(), external.bit_count())
                 counts[key] = counts.get(key, 0) + 1
             self._activities = counts
         return dict(self._activities)
@@ -185,35 +201,41 @@ class Matroid:
 
     # -- minors and duality ------------------------------------------------------
 
-    def restrict(self, subset: Iterable) -> "Matroid":
-        s = frozenset(subset)
-        r = self.rank(s)
-        bases = {s & b for b in self.bases if len(s & b) == r}
-        return Matroid(tuple(e for e in self.ground if e in s), bases)
+    def restrict(self, s: int) -> "Matroid":
+        """M|s: b & s for the bases b that meet s in a basis of s."""
+        return self._minor(s, s)
 
-    def contract(self, subset: Iterable) -> "Matroid":
-        """M/K: b - K for the bases b that meet K in a basis of K."""
-        s = frozenset(subset)
+    def contract(self, s: int) -> "Matroid":
+        """M/s: b - s for the bases b that meet s in a basis of s."""
+        return self._minor(s, self._full ^ s)
+
+    def _minor(self, s: int, keep: int) -> "Matroid":
+        """b & keep for the bases b that meet s in a basis of s, on the
+        elements of keep: bit k of a new mask is the k-th element of keep."""
         r = self.rank(s)
-        bases = {b - s for b in self.bases if len(s & b) == r}
-        return Matroid(tuple(e for e in self.ground if e not in s), bases)
+        pos = list(bits(keep))
+        return Matroid(self.elements(keep),
+                       {sum(1 << k for k, i in enumerate(pos) if b >> i & 1)
+                        for b in self.bases if (s & b).bit_count() == r})
 
     def dual(self) -> "Matroid":
-        gset = frozenset(self.ground)
-        return Matroid(self.ground, {gset - b for b in self.bases})
+        return Matroid(self.ground, {self._full ^ b for b in self.bases})
 
     # -- coloops ------------------------------------------------------------------
 
-    def is_coloop(self, e) -> bool:
-        return all(e in b for b in self.bases)
-
     def coloop_free_flats(self) -> list[Flat]:
-        """Flats K with no coloop in M|K: r(K - e) = r(K) for every e in K."""
+        """Flats K with no coloop in M|K.
+
+        The bases of M|K are the b & K with |b & K| = r(K), and a coloop of
+        M|K lies in all of them, so K has none exactly when those bases have
+        an empty intersection on K.
+        """
         return [f for f in self.flats()
-                if all(self.rank(f.elements - {e}) == f.rank for e in f.elements)]
+                if not reduce(and_, (b for b in self.bases
+                                     if (b & f.elements).bit_count() == f.rank),
+                              f.elements)]
 
 
 def uniform_matroid(r: int, n: int, ground=None) -> Matroid:
     ground = tuple(range(1, n + 1)) if ground is None else tuple(ground)
-    return Matroid(ground, combinations(ground, r))
-
+    return Matroid(ground, r_subsets(len(ground), r))

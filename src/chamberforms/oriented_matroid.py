@@ -10,15 +10,17 @@ a bounded tope is one of its vertices with some zeros filled in by the
 tope's signs.  Filling one zero gives an edge, a segment when two vertices
 lie on it and a ray when one does; a tope is bounded exactly when none of
 its edges is a ray, since its vertices and segments form a connected graph.
+
+Sets of ground elements (zero sets, bases, chirotope keys) are masks in the
+convention of the matroid module: bit i stands for ground[i].
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .matroid import Matroid, in_ground_order
+from .matroid import Matroid, bits, r_subsets
 
 _CODE = {0: 0, 1: 1, -1: 2}
 _SIGN = {0: 0, 1: 1, 2: -1}
@@ -96,8 +98,11 @@ class SignVector:
             b >>= 2
         return tuple(out)
 
-    def zero_set(self) -> frozenset:
-        return frozenset(e for e, s in zip(self.ground, self.signs()) if s == 0)
+    def zero_set(self) -> int:
+        """The mask of the elements with sign 0."""
+        b = self.bits
+        zeros = _odd_mask(len(self.ground)) & ~(b | b >> 1)  # slot i at bit 2i
+        return sum(1 << (i >> 1) for i in bits(zeros))
 
     def key(self) -> str:
         """Canonical sort key: '+' < '-' < '0' in ground order."""
@@ -164,6 +169,18 @@ def separation(a: SignVector, b: SignVector) -> int:
     return bin((v | v >> 1) & odd).count("1")
 
 
+def lift_couplings(y: SignVector) -> dict[int, int]:
+    """(-1)^(r - pos(j)) y(j) for each (r+1)-subset s = b + j, keyed by s.
+
+    b is the zero set of the cocircuit y, r its size and pos(j) the number
+    of elements of b before j.  Times chi(b), this is the sign of the lifted
+    chirotope on s.
+    """
+    b = y.zero_set()
+    return {b | 1 << j: x * (-1) ** (b.bit_count() - (b & ((1 << j) - 1)).bit_count())
+            for j, x in enumerate(y.signs()) if x}
+
+
 def _perm_parity(seq: Sequence[int]) -> int:
     inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
               if seq[i] > seq[j])
@@ -171,56 +188,60 @@ def _perm_parity(seq: Sequence[int]) -> int:
 
 
 class Chirotope:
-    """Basis orientation: alternating sign map on r-tuples of the ground."""
+    """Basis orientation: alternating sign map on r-tuples of the ground.
 
-    __slots__ = ("rank", "ground", "_signs", "_index", "_matroid")
+    The signs are given and stored in the lexicographic order of the
+    r-subsets, keyed by mask.
+    """
 
-    def __init__(self, rank: int, ground: Sequence, signs: dict):
+    __slots__ = ("rank", "ground", "_signs", "_matroid")
+
+    def __init__(self, rank: int, ground: Sequence, signs: Sequence[int]):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "ground", tuple(ground))
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(ground)})
-        object.__setattr__(self, "_signs", dict(signs))
-        object.__setattr__(self, "_matroid", None)
-        if all(v == 0 for v in self._signs.values()):
+        subsets = r_subsets(len(self.ground), rank)
+        signs = list(signs)
+        if len(signs) != len(subsets):
+            raise ValueError(f"chirotope needs {len(subsets)} signs, one per "
+                             f"lex r-subset, got {len(signs)}")
+        if not any(signs):
             raise ValueError("chirotope must not be identically zero")
-        expected = set(combinations(range(len(self.ground)), rank))
-        if set(self._signs) != expected:
-            raise ValueError("chirotope must assign a sign to every lex r-subset")
+        object.__setattr__(self, "_signs", dict(zip(subsets, signs)))
+        object.__setattr__(self, "_matroid", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Chirotope is immutable")
 
     @classmethod
     def from_text(cls, rank: int, ground: Sequence, text: str) -> "Chirotope":
-        subs = list(combinations(range(len(ground)), rank))
-        if len(text) != len(subs):
-            raise ValueError(
-                f"chirotope text needs {len(subs)} characters, got {len(text)}")
         decode = {"+": 1, "-": -1, "0": 0}
         try:
-            signs = {s: decode[ch] for s, ch in zip(subs, text)}
+            signs = [decode[ch] for ch in text]
         except KeyError as exc:
             raise ValueError(f"invalid chirotope character {exc.args[0]!r}") from None
         return cls(rank, ground, signs)
 
     def text(self) -> str:
-        subs = combinations(range(len(self.ground)), self.rank)
         encode = {1: "+", -1: "-", 0: "0"}
-        return "".join(encode[self._signs[s]] for s in subs)
+        return "".join(encode[v] for v in self._signs.values())
+
+    def sign_of(self, b: int) -> int:
+        """The sign of the r-subset mask b, its elements in ground order."""
+        return self._signs[b]
 
     def sign(self, elements: Sequence) -> int:
         """Alternating extension: stored sign times permutation parity."""
-        idx = [self._index[e] for e in elements]
+        idx = [self.ground.index(e) for e in elements]
         if len(idx) != self.rank:
             raise ValueError(f"chirotope takes {self.rank}-tuples")
         if len(set(idx)) != len(idx):
             return 0
-        base = self._signs[tuple(sorted(idx))]
+        base = self._signs[sum(1 << i for i in idx)]
         return base * _perm_parity(idx) if base else 0
 
-    def bases(self) -> list[frozenset]:
-        return [frozenset(self.ground[i] for i in s)
-                for s, v in sorted(self._signs.items()) if v != 0]
+    def bases(self) -> list[int]:
+        """The basis masks, in lexicographic order."""
+        return [b for b, v in self._signs.items() if v]
 
     def to_matroid(self) -> Matroid:
         """The underlying matroid, built once; basis exchange is not checked."""
@@ -249,65 +270,52 @@ class AffineOrientedMatroid:
         self.feasible = tuple(sorted(feasible, key=SignVector.key))
         self._bounded: Optional[tuple[SignVector, ...]] = None
         self._face_masks: dict[int, int] = {}
-        self._by_zero_set: dict[frozenset, SignVector] = {}
+        self._by_zero_set: dict[int, SignVector] = {}
         self._validate()
 
     def _validate(self):
-        bases = set(self.matroid().bases)
-        zero_sets = []
+        m = self.matroid()
         for y in self.feasible:
             if y.ground != self.ground:
                 raise ValueError("feasible cocircuit on wrong ground set")
             z = y.zero_set()
-            if z not in bases:
+            if z not in m.bases:
                 raise ValueError(
-                    f"genericity violated: zero set {in_ground_order(self.ground, z)}"
+                    f"genericity violated: zero set {m.elements(z)}"
                     f" of feasible cocircuit {y.text()!r} is not a basis")
-            zero_sets.append(z)
             self._by_zero_set[z] = y
-        if len(set(zero_sets)) != len(zero_sets):
+        if len(self._by_zero_set) != len(self.feasible):
             raise ValueError("two feasible cocircuits share a zero set")
-        if len(zero_sets) != len(bases):
+        if len(self.feasible) != len(m.bases):
             raise ValueError(
-                f"bijectivity violated: {len(zero_sets)} feasible cocircuits "
-                f"vs {len(bases)} bases")
+                f"bijectivity violated: {len(self.feasible)} feasible cocircuits "
+                f"vs {len(m.bases)} bases")
 
     def check_lift(self) -> None:
         """Raise ValueError unless the chirotope and the feasible cocircuits
         give one chirotope of the lift.
 
         The cocircuit Y_b with zero set b gives the lift's sign on each
-        (r+1)-subset s = b + j as chi(b) (-1)^(r - pos(j)) Y_b(j), where pos(j)
-        counts the elements of b before j; every basis inside s must give
-        the same sign.
+        (r+1)-subset s = b + j as chi(b) times lift_couplings(Y_b)[s]; every
+        basis inside s must give the same sign.
         """
-        r = self.central.rank
-        lifted: dict[frozenset, int] = {}
+        lifted: dict[int, int] = {}
         for y in self.feasible:
-            signs = y.signs()
-            zeros = tuple(i for i, x in enumerate(signs) if not x)
-            chi = self.central._signs[zeros]
-            pos = 0
-            for j, x in enumerate(signs):
-                if not x:
-                    pos += 1
-                    continue
-                s = zeros + (j,)
-                sign = chi * x * (-1) ** (r - pos)
-                if lifted.setdefault(frozenset(s), sign) != sign:
+            chi = self.central.sign_of(y.zero_set())
+            for s, c in lift_couplings(y).items():
+                if lifted.setdefault(s, chi * c) != chi * c:
                     raise ValueError(
                         "chirotope and feasible cocircuits disagree: the bases in "
-                        f"{[self.ground[i] for i in sorted(s)]} give the lift "
-                        "two signs")
+                        f"{self.matroid().elements(s)} give the lift two signs")
 
     def matroid(self) -> Matroid:
         return self.central.to_matroid()
 
-    def basis_to_cocircuit(self, b: Iterable) -> SignVector:
-        y = self._by_zero_set.get(frozenset(b))
+    def basis_to_cocircuit(self, b: int) -> SignVector:
+        y = self._by_zero_set.get(b)
         if y is None:
             raise ValueError("no feasible cocircuit with zero set "
-                             f"{in_ground_order(self.ground, b)}")
+                             f"{self.matroid().elements(b)}")
         return y
 
     # -- tope enumeration --------------------------------------------------------
@@ -355,12 +363,7 @@ class AffineOrientedMatroid:
 
     def cocircuits_in(self, mask: int) -> list[SignVector]:
         """The feasible cocircuits whose bits are set in mask."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.feasible[low.bit_length() - 1])
-            mask ^= low
-        return out
+        return [self.feasible[k] for k in bits(mask)]
 
     # -- serialization -----------------------------------------------------------
 

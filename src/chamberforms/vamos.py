@@ -18,9 +18,8 @@ oriented-matroid document, this fixture included.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .oriented_matroid import Chirotope, SignVector
+from .matroid import bits, r_subsets
+from .oriented_matroid import Chirotope, SignVector, lift_couplings
 
 GROUND = tuple(str(i) for i in range(1, 9))
 
@@ -62,44 +61,32 @@ def feasible_cocircuits() -> list[SignVector]:
 
 def derive_chirotope() -> Chirotope:
     """Recover the central chirotope from the cocircuit signs."""
-    cocs = feasible_cocircuits()
-    by_zero = {}
-    for y in cocs:
-        z = tuple(sorted(GROUND.index(e) for e in y.zero_set()))
-        if len(z) != 4 or z in by_zero:
+    couplings = {}  # basis b -> lift_couplings of its cocircuit
+    for y in feasible_cocircuits():
+        z = y.zero_set()
+        if z.bit_count() != 4 or z in couplings:
             raise ValueError("cocircuit zero sets must be 65 distinct 4-subsets")
-        by_zero[z] = y.signs()
+        couplings[z] = lift_couplings(y)
 
-    # c(b, j): the chi-independent part of the equation chi~(s) = c * chi(b)
-    def coupling(b: tuple, j: int) -> int:
-        pos = sum(1 for x in b if x < j)
-        parity = -1 if (4 - pos) % 2 else 1
-        return parity * by_zero[b][j]
-
-    chi: dict[tuple, int] = {}
-    start = min(by_zero)
-    chi[start] = 1
+    quads = r_subsets(8, 4)
+    start = next(b for b in quads if b in couplings)  # the lex-least basis
+    chi = {start: 1}
     frontier = [start]
     while frontier:
         nxt = []
         for b in frontier:
-            for j in range(8):
-                if j in b:
-                    continue
-                s = tuple(sorted(b + (j,)))
-                for jp in s:
-                    bp = tuple(x for x in s if x != jp)
-                    if bp not in by_zero or bp in chi:
+            for s, c in couplings[b].items():
+                for jp in bits(s):
+                    bp = s ^ 1 << jp
+                    if bp not in couplings or bp in chi:
                         continue
-                    # chi(b) c(b,j) = chi(bp) c(bp,jp); couplings are units
-                    chi[bp] = chi[b] * coupling(b, j) * coupling(bp, jp)
+                    # chi(b) c(b, s) = chi(bp) c(bp, s); couplings are units
+                    chi[bp] = chi[b] * c * couplings[bp][s]
                     nxt.append(bp)
         frontier = nxt
-    if len(chi) != len(by_zero):
+    if len(chi) != len(couplings):
         raise ValueError("basis exchange graph is disconnected; cannot propagate")
-
-    signs = {sub: chi.get(sub, 0) for sub in combinations(range(8), 4)}
-    return Chirotope(4, GROUND, signs)
+    return Chirotope(4, GROUND, [chi.get(b, 0) for b in quads])
 
 
 def fixture_json() -> dict:

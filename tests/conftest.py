@@ -74,10 +74,13 @@ def kernel_vector(rows, dim: int):
 
 
 def vertices(arr: Arrangement) -> dict:
-    """The intersection point of each basis of the normal matroid, over Q."""
+    """The intersection point of each basis of the normal matroid, over Q,
+    keyed by basis mask."""
+    m = arr.matroid()
     out = {}
-    for b in arr.matroid().bases:
-        hyps = [h for h in arr.hyperplanes if h.label in b]
+    for b in m.bases:
+        labels = m.elements(b)
+        hyps = [h for h in arr.hyperplanes if h.label in labels]
         aug = [list(h.normal) + [h.offset] for h in hyps]
         assert row_reduce(aug) == arr.dim
         out[b] = tuple(row[arr.dim] for row in aug)
@@ -106,7 +109,13 @@ def matroid_from_columns(cols) -> Matroid:
     r = rank_of(ground)
     bases = [set(sub) for sub in combinations(ground, r)
              if rank_of(sub) == r]
-    return Matroid(ground, bases)
+    return matroid_on(ground, bases)
+
+
+def matroid_on(ground, bases) -> Matroid:
+    """The Matroid with bases given as sets of labels."""
+    ground = tuple(ground)
+    return Matroid(ground, [sum(1 << ground.index(e) for e in b) for b in bases])
 
 
 # Brute-force definitions that the basis-activity invariants are tested against.
@@ -117,7 +126,7 @@ def circuits(m: Matroid) -> list[frozenset]:
     for size in range(1, min(m.rank_ + 1, len(m.ground)) + 1):
         for c in combinations(m.ground, size):
             s = frozenset(c)
-            if not any(k <= s for k in found) and m.rank(s) < len(s):
+            if not any(k <= s for k in found) and m.rank(m.mask(s)) < len(s):
                 found.append(s)
     return found
 
@@ -131,7 +140,13 @@ def nbc_count(m: Matroid, flat) -> int:
     rest = m.restrict(flat.elements)
     order = {e: i for i, e in enumerate(m.ground)}
     broken = [c - {min(c, key=order.__getitem__)} for c in circuits(rest)]
-    return sum(1 for b in rest.bases if not any(bc <= b for bc in broken))
+    return sum(1 for b in rest.bases
+               if not any(bc <= frozenset(rest.elements(b)) for bc in broken))
+
+
+def is_coloop(m: Matroid, e) -> bool:
+    """e lies in every basis."""
+    return all(e in m.elements(b) for b in m.bases)
 
 
 def is_connected(m: Matroid) -> bool:
@@ -147,19 +162,23 @@ def is_connected(m: Matroid) -> bool:
 # The Mobius function of the lattice of flats: a second route to mu+ and beta.
 
 def _require_flat(m: Matroid, k) -> Flat:
-    s = k.elements if isinstance(k, Flat) else frozenset(k)
+    s = k.elements if isinstance(k, Flat) else m.mask(k)
     cl = m.closure(s)
     if cl.elements != s:
-        raise ValueError(f"{set(s)} is not a flat (closure adds {set(cl.elements - s)})")
+        raise ValueError(f"{set(m.elements(s))} is not a flat "
+                         f"(closure adds {set(m.elements(cl.elements & ~s))})")
     return cl
 
 
 @cache
 def _mobius_values(m: Matroid) -> dict:
+    """mu(bottom, F) keyed by the mask of F, from the order on label sets."""
     flats = m.flats()
+    labels = {f.elements: frozenset(m.elements(f.elements)) for f in flats}
     values: dict = {}
     for fl in flats:
-        below = sum(values[f.elements] for f in flats if f.elements < fl.elements)
+        below = sum(values[f.elements] for f in flats
+                    if labels[f.elements] < labels[fl.elements])
         values[fl.elements] = 1 if fl.rank == flats[0].rank else -below
     return values
 
@@ -174,7 +193,7 @@ def mobius_plus(m: Matroid, k) -> int:
     k = _require_flat(m, k)
     v = (-1) ** k.rank * mobius(m, k)
     if v <= 0:
-        raise ValueError(f"mu+ of flat {set(k.elements)} is {v}; the bases "
+        raise ValueError(f"mu+ of flat {set(m.elements(k.elements))} is {v}; the bases "
                          f"do not form a matroid")
     return v
 
@@ -182,7 +201,9 @@ def mobius_plus(m: Matroid, k) -> int:
 def beta_sum(m: Matroid, k) -> int:
     """(-1)^r(K) sum of mu(F) r(F) over flats F below K; equals beta of m|K."""
     k = _require_flat(m, k)
-    total = sum(mobius(m, f) * f.rank for f in m.flats() if f.elements <= k.elements)
+    inside = set(m.elements(k.elements))
+    total = sum(mobius(m, f) * f.rank for f in m.flats()
+                if set(m.elements(f.elements)) <= inside)
     return (-1) ** k.rank * total
 
 

@@ -138,8 +138,8 @@ def test_criterion_5_matroid_invariants():
     assert uniform_matroid(1, 4).beta() == 1
     v = vamos.derive_chirotope().to_matroid()
     assert v.beta() == 15
-    proper = [set(f.elements) for f in v.coloop_free_flats()
-              if f.elements and f.elements != frozenset(v.ground)]
+    proper = [set(v.elements(f.elements)) for f in v.coloop_free_flats()
+              if f.elements and f.elements != v.mask(v.ground)]
     assert proper == [{"1", "3", "5", "6"}, {"1", "3", "7", "8"},
                       {"2", "4", "5", "6"}, {"2", "4", "7", "8"},
                       {"5", "6", "7", "8"}]

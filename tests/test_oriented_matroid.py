@@ -26,7 +26,7 @@ class TestSignVector:
         ground = tuple(str(i) for i in range(1, 9))
         v = SignVector.from_text(ground, "5 6 -7 -8")
         assert v.text() == "5 6 -7 -8"
-        assert v.zero_set() == frozenset({"1", "2", "3", "4"})
+        assert v.zero_set() == 0b1111  # elements 1, 2, 3, 4
         assert v.signs() == (0, 0, 0, 0, 1, 1, -1, -1)
 
     def test_from_signs_and_signs(self):
@@ -219,7 +219,7 @@ class TestBoundedTopes:
             n = len(arr.ground)
             V = len(m.bases)
             edges = sum(
-                sum(1 for b in m.bases if e in b) + 1 for e in arr.ground)
+                sum(1 for b in m.bases if e in m.elements(b)) + 1 for e in arr.ground)
             chambers = 1 + n + V
             assert len(affine_covectors(om)) == V + edges + chambers
 
@@ -355,10 +355,11 @@ class TestCountedDimensions:
 class TestBasisToCocircuit:
     def test_example13_vertex(self):
         om = om_example13()
-        y = om.basis_to_cocircuit({"H3", "H4"})
+        b = om.matroid().mask({"H3", "H4"})
+        y = om.basis_to_cocircuit(b)
         # vertex at the origin: below H1, above H2
         assert y.signs()[:2] == (-1, 1)
-        assert y.zero_set() == frozenset({"H3", "H4"})
+        assert y.zero_set() == b
 
     def test_count_equals_bases(self):
         om = om_example13()
@@ -367,7 +368,7 @@ class TestBasisToCocircuit:
     def test_missing_basis_rejected(self):
         om = om_example13()
         with pytest.raises(ValueError):
-            om.basis_to_cocircuit({"H1", "H2"})
+            om.basis_to_cocircuit(om.matroid().mask({"H1", "H2"}))
 
 
 class TestValidation:

@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps named functions of chamberforms in place; a
 renamed or removed function would leave its metric at zero.  This runs one
 traced `invariants` and one traced `check` and checks that the tracer saw
-both, and the tope enumeration, and put every original back.
+the oracle, the tope enumeration, the engine, the Matroid methods and the
+right-hand side, and put every original back.
 """
 
 import importlib.util
@@ -41,18 +42,25 @@ def test_tracer_sees_the_oracle_and_the_engine_and_restores(tmp_path):
     tracer = load_tracing().Tracer()
     before = bindings()
     fixture = str(FIXTURE_DIR / "cyclic-r3-n7.json")
+    runs = {}
     tracer.install()
     try:
         for command in ("invariants", "check"):
+            tracer.reset()
             assert cli.main([command, "--input", fixture,
                              "--out", str(tmp_path / command)]) == 0
+            runs[command] = tracer.snapshot()
     finally:
         tracer.uninstall()
-    totals = tracer.snapshot()
-    assert totals["flagspace.phi_s"] > 0
-    assert totals["oriented_matroid.topes_s"] > 0
-    # 20 bounded topes, once for the oriented matroid of each command
-    assert totals["oriented_matroid.topes"] == 40
-    assert totals["polyring.det_Sq_calls"] > 0
+    assert runs["invariants"]["flagspace.phi_s"] > 0
+    for totals in runs.values():
+        assert totals["oriented_matroid.topes_s"] > 0
+        assert totals["oriented_matroid.topes"] == 20  # bounded topes
+    check = runs["check"]
+    assert check["polyring.det_Sq_calls"] > 0
+    # the Matroid methods and the RHS each keep a nonzero metric
+    for name in ("matroid.construct_s", "matroid.flats_s", "matroid.beta_s",
+                 "forms.rhs_s", "matroid.constructions"):
+        assert check[name] > 0, name
     after = bindings()
     assert [k for k in before if after.get(k) is not before[k]] == []

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from chamberforms import cli, vamos
+from chamberforms.matroid import bits
 from chamberforms.oriented_matroid import AffineOrientedMatroid, SignVector
 from conftest import FIXTURE_DIR, cocircuits_from_chirotope, load_fixture
 
@@ -13,7 +14,8 @@ class TestCocircuitData:
         assert len(vamos.COCIRCUITS) == 65
 
     def test_zero_sets_are_the_bases(self):
-        zero_sets = {y.zero_set() for y in vamos.feasible_cocircuits()}
+        zero_sets = {frozenset(vamos.GROUND[i] for i in bits(y.zero_set()))
+                     for y in vamos.feasible_cocircuits()}
         assert len(zero_sets) == 65
         all_quads = {frozenset(c) for c in combinations(vamos.GROUND, 4)}
         circuits = all_quads - zero_sets
@@ -39,8 +41,8 @@ class TestChirotopeDerivation:
 
     def test_normalized_global_sign(self):
         chi = vamos.derive_chirotope()
-        first = min(b for b, v in chi._signs.items() if v != 0)
-        assert chi._signs[first] == 1
+        first = chi.bases()[0]  # the lexicographically least basis
+        assert chi.sign_of(first) == 1
 
     def test_inconsistent_data_detected(self, monkeypatch):
         broken = list(vamos.COCIRCUITS)
