@@ -34,16 +34,15 @@ class Hyperplane(NamedTuple):
 
 
 class GenericityViolation(NamedTuple):
-    """A circuit of hyperplanes with a common point, plus the two ranks."""
+    """A circuit of hyperplanes with a common point, plus its rank: the
+    coefficient and augmented ranks, both the circuit size minus one."""
 
     circuit: tuple[str, ...]
-    rank_coefficient: int
-    rank_augmented: int
+    rank: int
 
     def describe(self) -> str:
         return (f"hyperplanes {list(self.circuit)} are dependent but share a "
-                f"point (coefficient rank {self.rank_coefficient}, augmented "
-                f"rank {self.rank_augmented})")
+                f"point (coefficient rank {self.rank}, augmented rank {self.rank})")
 
 
 def _cofactors(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
@@ -199,9 +198,8 @@ class Arrangement:
                     e = next(bits(extra))
                     circuit = 1 << e | sum(1 << x for x in bits(b)
                                            if b ^ 1 << x | 1 << e in m.bases)
-                    size = circuit.bit_count()
                     violation = GenericityViolation(
-                        tuple(m.elements(circuit)), size - 1, size - 1)
+                        tuple(m.elements(circuit)), circuit.bit_count() - 1)
             self._scan = (chi, violation, feasible)
         return self._scan
 

@@ -37,16 +37,13 @@ from typing import NamedTuple, Optional, Sequence
 from .arrangement import Arrangement
 from .matroid import bits, r_subsets
 from .oriented_matroid import (AffineOrientedMatroid, SignVector, _fillings,
-                               _odd_mask, _perm_parity, separation)
+                               _perm_parity, separation)
 from .polyring import _CERT_PRIME, _eliminate_mod, int_det
 
 
-def _monomial_sign(om: AffineOrientedMatroid, b: int, signs: Sequence[int]) -> int:
-    """The chirotope sign of basis b times the product of signs over b."""
-    out = om.central.sign_of(b)
-    for i in bits(b):
-        out *= signs[i]
-    return out
+def _monomial_sign(om: AffineOrientedMatroid, b: int, t: SignVector) -> int:
+    """The chirotope sign of basis b times the product of tope t's signs over b."""
+    return om.central.sign_of(b) * (-1) ** (b & t.minus).bit_count()
 
 
 def phi(om: AffineOrientedMatroid, tope: SignVector) -> dict[int, int]:
@@ -56,8 +53,7 @@ def phi(om: AffineOrientedMatroid, tope: SignVector) -> dict[int, int]:
     mask.  The coefficient at basis b is prod_{i in b} tope(i) times the
     chirotope sign of b.
     """
-    signs = tope.signs()
-    return {b: _monomial_sign(om, b, signs)
+    return {b: _monomial_sign(om, b, tope)
             for b in (y.zero_set() for y in om.cocircuits_in(om.face_mask(tope)))}
 
 
@@ -293,10 +289,9 @@ def build_y_matrix(arr: Arrangement, seed: int) -> YMatrixReport:
         raise ValueError("a bounded tope is missing from the functional-bounded set")
 
     # y[t][b] is nonzero exactly when region t is a filling of cocircuit[b]
-    odd = _odd_mask(len(arr.ground))
     rows = [[0] * len(bases) for _ in regions]
     for j, b in enumerate(bases):
-        for x in _fillings(cocircuit[b].bits, odd):
+        for x in _fillings(cocircuit[b].bits, len(arr.ground)):
             i = row_of.get(x)
             if i is not None:
                 rows[i][j] = (-1) ** separation(regions[i], region_of[b])
@@ -319,7 +314,7 @@ def expansion_matches_y(om: AffineOrientedMatroid, rep: YMatrixReport,
     raises ValueError otherwise, as pos_of would raise KeyError.
     """
     # sign of e'_b against e_b, in the order of rep.bases
-    units = [_monomial_sign(om, b, rep.region_of_basis[b].signs()) for b in rep.bases]
+    units = [_monomial_sign(om, b, rep.region_of_basis[b]) for b in rep.bases]
     pos_of = {t.bits: i for i, t in enumerate(rep.regions)}
     failures = []
     for t, v in zip(om.bounded_topes(), vectors):

@@ -11,7 +11,7 @@ are products over coloop-free proper flats K of the central matroid of
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .matroid import Matroid
 from .oriented_matroid import AffineOrientedMatroid, SignVector, separation
@@ -138,14 +138,14 @@ def rhs_q(m: Matroid) -> tuple[IntPoly, list[Factor]]:
 
 
 def verify(om: AffineOrientedMatroid,
-           forms: Optional[tuple[IntersectionForm, IntersectionForm]] = None,
+           forms: tuple[IntersectionForm, IntersectionForm],
            ) -> tuple[DeterminantVerdict, DeterminantVerdict]:
-    """Evaluate both determinant identities on the central matroid.
+    """Evaluate both determinant identities on the forms (S, S_q) of om.
 
     A mismatch in the integer identity is fatal (the formula is a theorem);
     a mismatch in the q-identity is reported as a finding, never an abort.
     """
-    s, sq = forms if forms is not None else (build_S(om), build_Sq(om))
+    s, sq = forms
     m = om.matroid()
 
     det_s = poly_det(s.matrix)

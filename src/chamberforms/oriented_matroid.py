@@ -1,18 +1,20 @@
 """Sign-vector combinatorics: chirotopes, cocircuits, topes and face counts.
 
-Sign vectors are packed two bits per element into a single int (00 zero,
-01 plus, 10 minus), so conformity and separation are a few machine-word
-operations even for long ground sets.  The affine structure keeps the lift
-element implicit: feasible cocircuits and topes carry lift sign +, and no
-cocircuit at infinity is stored.  Faces come from vertex stars: by
-genericity each feasible cocircuit's zero set is a basis, and every face of
-a bounded tope is one of its vertices with some zeros filled in by the
-tope's signs.  Filling one zero gives an edge, a segment when two vertices
-lie on it and a ray when one does; a tope is bounded exactly when none of
-its edges is a ray, since its vertices and segments form a connected graph.
+A sign vector on n elements is one int, plus | minus << n, where plus and
+minus are the masks of its + and - entries, so its support, zero set and
+separation are a few machine-word operations even for long ground sets.
+The affine structure keeps the lift element implicit: feasible cocircuits
+and topes carry lift sign +, and no cocircuit at infinity is stored.  Faces
+come from vertex stars: by genericity each feasible cocircuit's zero set is
+a basis, and every face of a bounded tope is one of its vertices with some
+zeros filled in by the tope's signs.  Filling one zero gives an edge, a
+segment when two vertices lie on it and a ray when one does; a tope is
+bounded exactly when none of its edges is a ray, since its vertices and
+segments form a connected graph.
 
-Sets of ground elements (zero sets, bases, chirotope keys) are masks in the
-convention of the matroid module: bit i stands for ground[i].
+Sets of ground elements (zero sets, bases, chirotope keys, and the plus
+and minus halves of a sign vector) are masks in the convention of the
+matroid module: bit i stands for ground[i].
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .matroid import Matroid, bits, r_subsets
-
-_CODE = {0: 0, 1: 1, -1: 2}
-_SIGN = {0: 0, 1: 1, 2: -1}
-_CHAR = {0: "0", 1: "+", 2: "-"}
-
 
 class ClosureCapExceeded(RuntimeError):
     """The vertex stars would hold more than _CLOSURE_CAP sign vectors."""
@@ -41,13 +38,14 @@ def name_from_json(value, field: str) -> str:
     return str(value)
 
 
-def _odd_mask(n: int) -> int:
-    # 0b0101...01 with n slots
-    return ((1 << (2 * n)) - 1) // 3
+def _support(x: int, n: int) -> int:
+    """The mask of the nonzero entries of the packed sign vector x on n elements."""
+    return (x | x >> n) & ((1 << n) - 1)
 
 
 class SignVector:
-    """Total sign assignment on an ordered ground set, packed into one int."""
+    """Total sign assignment on an ordered ground set, packed into one int:
+    bits = plus | minus << len(ground)."""
 
     __slots__ = ("ground", "bits")
 
@@ -60,53 +58,53 @@ class SignVector:
 
     @classmethod
     def from_signs(cls, ground: Sequence, signs: Iterable[int]) -> "SignVector":
-        ground = tuple(ground)
-        bits = 0
-        shift = 0
-        count = 0
-        for s in signs:
-            bits |= _CODE[s] << shift
-            shift += 2
-            count += 1
-        if count != len(ground):
+        ground, signs = tuple(ground), tuple(signs)
+        if len(signs) != len(ground):
             raise ValueError("sign count does not match ground size")
-        return cls(ground, bits)
+        return cls(ground, sum(1 << i + len(ground) * (s < 0)
+                               for i, s in enumerate(signs) if s))
 
     @classmethod
     def from_text(cls, ground: Sequence, text: str) -> "SignVector":
         """Parse the support token form, e.g. "5 6 -7 -8"."""
         ground = tuple(ground)
         idx = {str(e): i for i, e in enumerate(ground)}
-        signs = [0] * len(ground)
+        n, x = len(ground), 0
         for tok in text.split():
             neg = tok.startswith("-")
             name = tok[1:] if neg else tok
             if name not in idx:
                 raise ValueError(f"unknown element {name!r} in sign vector text")
-            if signs[idx[name]] != 0:
+            if _support(x, n) >> idx[name] & 1:
                 raise ValueError(f"element {name!r} listed twice")
-            signs[idx[name]] = -1 if neg else 1
-        return cls.from_signs(ground, signs)
+            x |= 1 << idx[name] + n * neg
+        return cls(ground, x)
 
     # -- views -----------------------------------------------------------------
 
+    @property
+    def plus(self) -> int:
+        """The mask of the elements with sign +."""
+        return self.bits & ((1 << len(self.ground)) - 1)
+
+    @property
+    def minus(self) -> int:
+        """The mask of the elements with sign -."""
+        return self.bits >> len(self.ground)
+
     def signs(self) -> tuple[int, ...]:
-        b = self.bits
-        out = []
-        for _ in self.ground:
-            out.append(_SIGN[b & 3])
-            b >>= 2
-        return tuple(out)
+        plus, minus = self.plus, self.minus
+        return tuple((plus >> i & 1) - (minus >> i & 1) for i in range(len(self.ground)))
 
     def zero_set(self) -> int:
         """The mask of the elements with sign 0."""
-        b = self.bits
-        zeros = _odd_mask(len(self.ground)) & ~(b | b >> 1)  # slot i at bit 2i
-        return sum(1 << (i >> 1) for i in bits(zeros))
+        n = len(self.ground)
+        return ((1 << n) - 1) & ~_support(self.bits, n)
 
     def key(self) -> str:
         """Canonical sort key: '+' < '-' < '0' in ground order."""
-        return "".join(_CHAR[(self.bits >> (2 * i)) & 3]
+        plus, minus = self.plus, self.minus
+        return "".join("+" if plus >> i & 1 else "-" if minus >> i & 1 else "0"
                        for i in range(len(self.ground)))
 
     def text(self) -> str:
@@ -125,11 +123,6 @@ class SignVector:
         return f"SignVector({self.key()})"
 
 
-def _nz2(bits: int, odd: int) -> int:
-    nz = (bits | bits >> 1) & odd
-    return nz | (nz << 1)
-
-
 def _subsets(mask: int):
     """Every s with s & ~mask == 0, from mask itself down to 0."""
     s = mask
@@ -139,46 +132,42 @@ def _subsets(mask: int):
     yield 0
 
 
-def _fillings(y: int, odd: int):
-    """The topes around vertex y: each zero slot of y filled with + or -.
-
-    odd is the _odd_mask of y's length; s picks the slots that get +.
-    """
-    z = odd & ~(y | y >> 1)
+def _fillings(y: int, n: int):
+    """The topes around vertex y on n elements: each zero of y filled with
+    + or -; s picks the zeros that get +."""
+    z = ((1 << n) - 1) & ~_support(y, n)
     for s in _subsets(z):
-        yield y | s | (z ^ s) << 1
+        yield y | s | (z ^ s) << n
 
 
-def _zero_codes(y: int, odd: int):
-    """The + code and the - code of each zero slot of y: each y | c is an
-    edge at vertex y."""
-    z = odd & ~(y | y >> 1)
+def _zero_codes(y: int, n: int):
+    """The + code and the - code of each zero of y, a sign vector on n
+    elements: each y | c is an edge at vertex y."""
+    z = ((1 << n) - 1) & ~_support(y, n)
     while z:
         low = z & -z
         z ^= low
         yield low
-        yield low << 1
+        yield low << n
 
 
 def separation(a: SignVector, b: SignVector) -> int:
     """Number of ground elements where the signs differ."""
     if a.ground != b.ground:
         raise ValueError("sign vectors live on different ground sets")
-    v = a.bits ^ b.bits
-    odd = _odd_mask(len(a.ground))
-    return bin((v | v >> 1) & odd).count("1")
+    return _support(a.bits ^ b.bits, len(a.ground)).bit_count()
 
 
 def lift_couplings(y: SignVector) -> dict[int, int]:
     """(-1)^(r - pos(j)) y(j) for each (r+1)-subset s = b + j, keyed by s.
 
     b is the zero set of the cocircuit y, r its size and pos(j) the number
-    of elements of b before j.  Times chi(b), this is the sign of the lifted
-    chirotope on s.
+    of elements of b before j, so r - pos(j) counts the elements of b after
+    j.  Times chi(b), this is the sign of the lifted chirotope on s.
     """
-    b = y.zero_set()
-    return {b | 1 << j: x * (-1) ** (b.bit_count() - (b & ((1 << j) - 1)).bit_count())
-            for j, x in enumerate(y.signs()) if x}
+    b, minus = y.zero_set(), y.minus
+    return {b | 1 << j: (-1) ** ((b >> j).bit_count() + (minus >> j & 1))
+            for j in bits(_support(y.bits, len(y.ground)))}
 
 
 def _perm_parity(seq: Sequence[int]) -> int:
@@ -337,15 +326,15 @@ class AffineOrientedMatroid:
                 raise ClosureCapExceeded(
                     f"{len(self.feasible)} vertex stars of 2^{r} topes exceed "
                     f"the cap {_CLOSURE_CAP}")
-            odd = _odd_mask(len(self.ground))
+            n = len(self.ground)
             edges = Counter(y.bits | c for y in self.feasible
-                            for c in _zero_codes(y.bits, odd))
+                            for c in _zero_codes(y.bits, n))
             masks: dict[int, int] = {}
             unbounded = set()
             for k, y in enumerate(self.feasible):
-                rays = sum(c for c in _zero_codes(y.bits, odd)
+                rays = sum(c for c in _zero_codes(y.bits, n)
                            if edges[y.bits | c] == 1)
-                for x in _fillings(y.bits, odd):
+                for x in _fillings(y.bits, n):
                     masks[x] = masks.get(x, 0) | 1 << k
                     if x & rays:
                         unbounded.add(x)
@@ -418,13 +407,15 @@ class AffineOrientedMatroid:
                                                      & self.face_mask(b))]
         if not common:
             return None
-        odd = _odd_mask(len(self.ground))
+        n = len(self.ground)
         top = 0
         for y in common:
             top |= y
-        faces = {y | s for y in common for s in _subsets(top & ~_nz2(y, odd))}
-        zero_dim = self.central.rank - len(self.ground)  # + support size
-        counts = [0] * (zero_dim + ((top | top >> 1) & odd).bit_count() + 1)
+        # below bit 2n, where top lies, y | y >> n | y << n sets both bits
+        # of each nonzero of y
+        faces = {y | s for y in common for s in _subsets(top & ~(y | y >> n | y << n))}
+        zero_dim = self.central.rank - n  # + support size
+        counts = [0] * (zero_dim + _support(top, n).bit_count() + 1)
         for x in faces:
-            counts[zero_dim + ((x | x >> 1) & odd).bit_count()] += 1
+            counts[zero_dim + _support(x, n).bit_count()] += 1
         return tuple(counts)  # top is the one face of top dim

@@ -182,8 +182,12 @@ def poly_pow(p: IntPoly, e: int) -> IntPoly:
     if e < 0:
         raise ValueError("negative exponent")
     out = ONE
-    for _ in range(e):
-        out = out * p
+    while e:  # square and multiply, low bit first
+        if e & 1:
+            out = out * p
+        e >>= 1
+        if e:
+            p = p * p
     return out
 
 

@@ -9,11 +9,12 @@ from typing import Optional, Sequence
 import pytest
 
 from chamberforms.arrangement import Arrangement
+from chamberforms.forms import build_S, build_Sq, verify
 # the fixture builders, re-exported to the test modules
 from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
 from chamberforms.matroid import Flat, Matroid
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
-                                           SignVector, _nz2, _odd_mask)
+                                           SignVector)
 from chamberforms.polyring import ONE, ZERO, IntPoly
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -211,9 +212,20 @@ def beta_sum(m: Matroid, k) -> int:
 # the cocircuits at infinity and composition closures, which the package no
 # longer computes.
 
-def negate(bits: int, odd: int) -> int:
-    """The packed sign vector -x; odd is the _odd_mask of its length."""
-    return ((bits & odd) << 1) | ((bits >> 1) & odd)
+def support(bits: int, n: int) -> int:
+    """The mask of the nonzero entries of a packed sign vector on n elements."""
+    return (bits | bits >> n) & ((1 << n) - 1)
+
+
+def negate(bits: int, n: int) -> int:
+    """The packed sign vector -x on n elements: its + and - halves swapped."""
+    return bits >> n | (bits & ((1 << n) - 1)) << n
+
+
+def _is_face(y: int, x: int, n: int) -> bool:
+    """True iff x(e) = y(e) wherever y(e) != 0, for packed x, y on n elements."""
+    s = support(y, n)
+    return x & (s | s << n) == y
 
 
 def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
@@ -225,7 +237,6 @@ def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
     """
     ground = c.ground
     n = len(ground)
-    odd = _odd_mask(n)
     found = set()
     for s in combinations(range(n), c.rank - 1):
         selem = [ground[i] for i in s]
@@ -233,29 +244,29 @@ def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
             ground, [0 if j in s else c.sign(selem + [ground[j]])
                      for j in range(n)]).bits
         if bits:
-            first_minus = (bits & -bits).bit_length() % 2 == 0
-            found.add(negate(bits, odd) if first_minus else bits)
+            sup = support(bits, n)
+            first_minus = not bits & sup & -sup  # its first nonzero is -
+            found.add(negate(bits, n) if first_minus else bits)
     return sorted((SignVector(ground, b) for b in found), key=SignVector.key)
 
 
 def infinite_bits(om: AffineOrientedMatroid) -> list[int]:
     """Both signs of every cocircuit at infinity, as packed sign vectors."""
-    odd = _odd_mask(len(om.ground))
+    n = len(om.ground)
     return [b for y in cocircuits_from_chirotope(om.central)
-            for b in (y.bits, negate(y.bits, odd))]
+            for b in (y.bits, negate(y.bits, n))]
 
 
-def _composition_closure(gen: Sequence[int], odd: int) -> set[int]:
-    """Every composition of one or more generators, as packed sign vectors.
-
-    odd is the _odd_mask of the generators' length.
-    """
+def _composition_closure(gen: Sequence[int], n: int) -> set[int]:
+    """Every composition of one or more generators, packed sign vectors on
+    n elements."""
     states = set(gen)
     frontier = list(gen)
     while frontier:
         nxt = []
         for x in frontier:
-            x_keep = ~_nz2(x, odd)
+            s = support(x, n)
+            x_keep = ~(s | s << n)
             for y in gen:
                 z = x | (y & x_keep)
                 if z not in states:
@@ -269,8 +280,7 @@ def conforms(x: SignVector, t: SignVector) -> bool:
     """True iff x(e) in {0, t(e)} for every e (x is a face candidate of t)."""
     if x.ground != t.ground:
         raise ValueError("sign vectors live on different ground sets")
-    odd = _odd_mask(len(x.ground))
-    return (t.bits & _nz2(x.bits, odd)) == x.bits
+    return _is_face(x.bits, t.bits, len(x.ground))
 
 
 def bounded_topes_by_closure(om: AffineOrientedMatroid) -> tuple[list, dict]:
@@ -280,17 +290,17 @@ def bounded_topes_by_closure(om: AffineOrientedMatroid) -> tuple[list, dict]:
     covectors to which no infinite cocircuit conforms, and sets bit k of a
     tope's mask when feasible cocircuit k conforms to it.
     """
-    odd = _odd_mask(len(om.ground))
+    n = len(om.ground)
     inf_bits = infinite_bits(om)
     gen = [y.bits for y in om.feasible]
     topes, masks = [], {}
-    for x in _composition_closure(gen, odd):
-        if ((x | x >> 1) & odd) != odd:
+    for x in _composition_closure(gen, n):
+        if support(x, n) != (1 << n) - 1:
             continue  # not full support
-        if any((x & _nz2(y, odd)) == y for y in inf_bits):
+        if any(_is_face(y, x, n) for y in inf_bits):
             continue  # an infinite cocircuit is a face: unbounded
         topes.append(SignVector(om.ground, x))
-        masks[x] = sum(1 << k for k, y in enumerate(gen) if (x & _nz2(y, odd)) == y)
+        masks[x] = sum(1 << k for k, y in enumerate(gen) if _is_face(y, x, n))
     return sorted(topes, key=SignVector.key), masks
 
 
@@ -298,8 +308,8 @@ def compose(x: SignVector, y: SignVector) -> SignVector:
     """(x o y)(e) = x(e) if x(e) != 0 else y(e)."""
     if x.ground != y.ground:
         raise ValueError("sign vectors live on different ground sets")
-    odd = _odd_mask(len(x.ground))
-    return SignVector(x.ground, x.bits | (y.bits & ~_nz2(x.bits, odd)))
+    s = support(x.bits, len(x.ground))
+    return SignVector(x.ground, x.bits | (y.bits & ~(s | s << len(x.ground))))
 
 
 def cocircuit_pool(om: AffineOrientedMatroid) -> list[SignVector]:
@@ -320,13 +330,15 @@ def affine_covectors(om: AffineOrientedMatroid) -> list[SignVector]:
     affine ones that restrict to the same signs.
     """
     n = len(om.ground)
-    odd = _odd_mask(n + 1)
-    g_plus = 1 << (2 * n)
-    gen = [y.bits | g_plus for y in om.feasible] + infinite_bits(om)
-    states = _composition_closure(gen, odd)
-    mask = g_plus - 1
-    return sorted((SignVector(om.ground, b & mask) for b in states
-                   if b & g_plus), key=SignVector.key)
+    full, g_plus = (1 << n) - 1, 1 << n  # g is element n of the lift
+
+    def lift(bits: int) -> int:  # re-pack onto n + 1 elements, g with sign 0
+        return bits & full | (bits >> n) << n + 1
+
+    gen = [lift(y.bits) | g_plus for y in om.feasible] + list(map(lift, infinite_bits(om)))
+    return sorted((SignVector(om.ground, b & full | (b >> n + 1) << n)
+                   for b in _composition_closure(gen, n + 1) if b & g_plus),
+                  key=SignVector.key)
 
 
 def meet_f_vector_by_rank(om: AffineOrientedMatroid, a: SignVector,
@@ -345,9 +357,14 @@ def meet_f_vector_by_rank(om: AffineOrientedMatroid, a: SignVector,
     for y in common:
         top |= y
     counts = [0] * (dim(top) + 1)
-    for x in _composition_closure(common, _odd_mask(len(om.ground))):
+    for x in _composition_closure(common, len(om.ground)):
         counts[dim(x)] += 1
     return tuple(counts)
+
+
+def verify_built(om: AffineOrientedMatroid):
+    """forms.verify on the S and S_q built from om."""
+    return verify(om, (build_S(om), build_Sq(om)))
 
 
 def det_by_expansion(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:

@@ -22,7 +22,7 @@ from chamberforms.polyring import (IntPoly, poly_det, poly_eval, poly_pow,
                                    q_integer)
 from conftest import (FIXTURE_DIR, example13_C, example13_Cprime,
                       line_points, load_fixture, mobius_plus, random_arrangement,
-                      uniform_lines)
+                      uniform_lines, verify_built)
 
 
 def report(criterion, elapsed, detail=""):
@@ -261,12 +261,12 @@ def test_criterion_9_conjecture_sweep(random_sweep, monkeypatch, tmp_path, capsy
     # paper-covered instances must match
     for om in (example13_C().compile(), example13_Cprime().compile(),
                line_points(10).compile()):
-        _, vq = verify(om)
+        _, vq = verify_built(om)
         assert vq.match
     import chamberforms.oriented_matroid as om_mod
     vam = om_mod.AffineOrientedMatroid.from_json(
         json.loads((FIXTURE_DIR / "vamos.json").read_text()))
-    _, vq = verify(vam)
+    _, vq = verify_built(vam)
     assert vq.match
 
     # a genuine mismatch elsewhere must surface as exit code 2 with a witness

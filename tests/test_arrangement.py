@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from chamberforms.arrangement import Arrangement, Hyperplane, _cofactors
 from chamberforms.polyring import int_det
-from chamberforms.forms import verify
 from chamberforms.oriented_matroid import SignVector
 from conftest import (circuits, cocircuit_faces, conforms, example13_C,
                       example13_Cprime, kernel_vector, line_points, point_signs,
-                      random_arrangement, row_reduce, vertices)
+                      random_arrangement, row_reduce, verify_built, vertices)
 
 
 class TestHyperplane:
@@ -162,7 +161,7 @@ class TestValidateGeneric:
                               Hyperplane.make("H3", ["1", "0"], "0")])
         v = arr.validate_generic()
         assert v is not None and set(v.circuit) == {"H1", "H2"}
-        assert v.rank_augmented == v.rank_coefficient == 1
+        assert v.rank == 1
 
     def test_concurrent_lines_violate(self):
         arr = Arrangement(2, [Hyperplane.make("H1", ["1", "0"], "0"),
@@ -177,7 +176,9 @@ class TestValidateGeneric:
                               Hyperplane.make("H3", ["0", "1"], "0"),
                               Hyperplane.make("H4", ["1", "1"], "0")])
         v = arr.validate_generic()
-        assert v == (("H1", "H3", "H4"), 2, 2)
+        assert v == (("H1", "H3", "H4"), 2)
+        assert v.describe() == ("hyperplanes ['H1', 'H3', 'H4'] are dependent but "
+                                "share a point (coefficient rank 2, augmented rank 2)")
 
     def test_agrees_with_circuit_rank_definition(self):
         """Vertex zero sets against the definition: a circuit with a common point."""
@@ -211,8 +212,7 @@ class TestValidateGeneric:
                 assert want == {}
                 seen_generic += 1
             else:
-                assert want.get(frozenset(v.circuit)) == v.rank_coefficient
-                assert v.rank_augmented == v.rank_coefficient
+                assert want.get(frozenset(v.circuit)) == v.rank
                 seen_violation += 1
         assert seen_violation > 10 and seen_generic > 10
 
@@ -256,15 +256,15 @@ class TestCompile:
 
     def test_translation_invariance_of_determinants(self):
         # same normals, different generic offsets: equal det S and det S_q
-        vs_c, vq_c = verify(example13_C().compile())
-        vs_p, vq_p = verify(example13_Cprime().compile())
+        vs_c, vq_c = verify_built(example13_C().compile())
+        vs_p, vq_p = verify_built(example13_Cprime().compile())
         assert vs_c.lhs == vs_p.lhs
         assert vq_c.lhs == vq_p.lhs
 
     def test_offset_resampling_keeps_determinants(self):
         rng = random.Random(77)
         arr = random_arrangement(rng, 2, 5)
-        vs0, vq0 = verify(arr.compile())
+        vs0, vq0 = verify_built(arr.compile())
         tries = 0
         while tries < 10:
             offsets = [Fraction(rng.randint(-40, 40), rng.randint(1, 7))
@@ -273,7 +273,7 @@ class TestCompile:
             if cand.validate_generic() is not None:
                 continue
             tries += 1
-            vs1, vq1 = verify(cand.compile())
+            vs1, vq1 = verify_built(cand.compile())
             assert vs1.lhs == vs0.lhs
             assert vq1.lhs == vq0.lhs
 

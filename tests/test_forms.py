@@ -5,12 +5,12 @@ import pytest
 from chamberforms import modular
 from chamberforms.cli import load_instance
 from chamberforms.forms import (TheoremViolation, build_S, build_Sq, h_poly,
-                                rhs_classical, rhs_q, verify)
+                                rhs_classical, rhs_q)
 from chamberforms.matroid import uniform_matroid
 from chamberforms.polyring import (IntPoly, ONE, poly_det, poly_eval, poly_pow,
                                    q_integer)
 from conftest import (FIXTURE_DIR, cocircuit_faces, example13_C, example13_Cprime,
-                      line_points, random_arrangement, uniform_lines)
+                      line_points, random_arrangement, uniform_lines, verify_built)
 
 
 def ints(form):
@@ -168,24 +168,24 @@ class TestRhs:
         value, factors = rhs_classical(arr.matroid())
         assert value == 1
         assert factors[0].flat == () and factors[0].exponent == 0
-        vs, vq = verify(om)
+        vs, vq = verify_built(om)
         assert vs.match and vq.match and vq.lhs == ONE
 
 
 class TestVerify:
     def test_example13_both_match(self):
-        vs, vq = verify(example13_C().compile())
+        vs, vq = verify_built(example13_C().compile())
         assert vs.match and vq.match
         assert vq.lhs == q_integer(4) * q_integer(2)
 
     def test_eight_lines(self):
         arr = uniform_lines(random.Random(5), 8)
-        vs, vq = verify(arr.compile())
+        vs, vq = verify_built(arr.compile())
         assert vs.match and vq.match
         assert vq.lhs == poly_pow(q_integer(8), 6)
 
     def test_vamos(self, vamos_om):
-        vs, vq = verify(vamos_om)
+        vs, vq = verify_built(vamos_om)
         assert vs.match and vq.match
         assert vq.lhs == poly_pow(q_integer(8), 15) * poly_pow(q_integer(4), 5)
 
@@ -195,7 +195,7 @@ class TestVerify:
             arr = random_arrangement(rng, 2, 5)
             if arr is None:
                 continue
-            vs, _ = verify(arr.compile())
+            vs, _ = verify_built(arr.compile())
             assert poly_eval(vs.lhs, 1) > 0
 
     def test_matrix_size_is_mu_plus_dual(self):
@@ -208,7 +208,7 @@ class TestVerify:
         monkeypatch.setattr(forms_mod, "rhs_classical",
                             lambda m: (999, []))
         with pytest.raises(TheoremViolation):
-            forms_mod.verify(example13_C().compile())
+            verify_built(example13_C().compile())
 
     def test_conjecture_mismatch_is_reported_not_raised(self, monkeypatch):
         import chamberforms.forms as forms_mod
@@ -218,5 +218,5 @@ class TestVerify:
             value, factors = real(m)
             return value * q_integer(2), factors
         monkeypatch.setattr(forms_mod, "rhs_q", wrong)
-        vs, vq = forms_mod.verify(example13_C().compile())
+        vs, vq = verify_built(example13_C().compile())
         assert vs.match and not vq.match

@@ -10,7 +10,7 @@ from chamberforms.make_fixtures import FIXTURES
 from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            ClosureCapExceeded, SignVector,
-                                           _odd_mask, separation)
+                                           separation)
 from conftest import (affine_covectors, bounded_topes_by_closure,
                       cocircuit_faces, cocircuits_from_chirotope, compose,
                       conforms, example13_C, line_points, load_fixture,
@@ -43,13 +43,33 @@ class TestSignVector:
             sv("1 -1")
 
     def test_negation(self):
-        neg = negate(sv("1 -2").bits, _odd_mask(3))
+        neg = negate(sv("1 -2").bits, 3)
         assert SignVector(("1", "2", "3"), neg).signs() == (-1, 1, 0)
 
     def test_key_order_plus_minus_zero(self):
         # canonical order: + < - < 0
         a, b, c = sv("1 2 3"), sv("1 -2 3"), sv("1 3")
         assert sorted([c, b, a], key=SignVector.key) == [a, b, c]
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from((1, -1, 0))] * n), min_size=2, max_size=6)))
+    @settings(deadline=None, max_examples=200)
+    def test_packing(self, tuples):
+        """bits = plus | minus << n, and every view agrees with the tuple."""
+        n = len(tuples[0])
+        ground = tuple(f"e{i}" for i in range(n))
+        vs = [SignVector.from_signs(ground, t) for t in tuples]
+        for v, t in zip(vs, tuples):
+            assert v.signs() == t
+            assert v.plus == sum(1 << i for i, x in enumerate(t) if x == 1)
+            assert v.minus == sum(1 << i for i, x in enumerate(t) if x == -1)
+            assert v.zero_set() == sum(1 << i for i, x in enumerate(t) if x == 0)
+            assert v.bits == v.plus | v.minus << n
+            assert SignVector.from_text(ground, v.text()) == v
+        assert separation(vs[0], vs[1]) == sum(x != y for x, y in zip(*tuples[:2]))
+        rank = {1: 0, -1: 1, 0: 2}  # + < - < 0
+        assert ([v.signs() for v in sorted(vs, key=SignVector.key)]
+                == sorted(tuples, key=lambda t: [rank[x] for x in t]))
 
 
 class TestComposition:
@@ -131,7 +151,7 @@ class TestCocircuitsFromChirotope:
         assert got == {"0++", "+0-", "++0"} or got == {"0++", "-0+", "--0"}
         # brute-force support minimality among all six signed cocircuits
         alls = [b for y in cocircuits_from_chirotope(c)
-                for b in (y.bits, negate(y.bits, _odd_mask(3)))]
+                for b in (y.bits, negate(y.bits, 3))]
         assert len(set(alls)) == 6
         sups = [frozenset(i for i, x in enumerate(SignVector(c.ground, b).signs()) if x)
                 for b in alls]

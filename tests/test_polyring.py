@@ -718,6 +718,12 @@ class TestShapeAndSerialization:
 def test_poly_pow():
     assert poly_pow(q_integer(2), 3) == q_integer(2) * q_integer(2) * q_integer(2)
     assert poly_pow(q_integer(5), 0) == ONE
+    for p in (q_integer(4), IntPoly((3, -1, 0, 2)), ZERO):
+        product = ONE  # the e-fold product p * ... * p
+        for e in range(37):
+            if e in (0, 1, 2, 7, 36):
+                assert poly_pow(p, e) == product
+            product = product * p
 
 
 small_int_matrices = st.integers(1, 6).flatmap(lambda cols: st.lists(
