@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .matroid import Matroid, bits, r_subsets
+from .matroid import bits, r_subsets
 from .oriented_matroid import (AffineOrientedMatroid, Chirotope, SignVector,
                                name_from_json)
 
@@ -133,15 +133,6 @@ class Arrangement:
         hyps = [Hyperplane(h.label, h.normal, Fraction(c))
                 for h, c in zip(self.hyperplanes, offsets)]
         return Arrangement(self.dim, hyps)
-
-    # -- oriented-matroid data ---------------------------------------------------
-
-    def central_chirotope(self) -> Chirotope:
-        """Sign of det of normal rows, in the fixed standard orientation."""
-        return self._vertex_scan()[0]
-
-    def matroid(self) -> Matroid:
-        return self.central_chirotope().to_matroid()
 
     # -- validation ------------------------------------------------------------
 

@@ -256,12 +256,12 @@ def structural_invariants(inst: Instance, seed: int) -> list[dict]:
     add_first("kernel_membership", [f"boundary of phi({t.key()}) is nonzero"
                                     for t, ok in zip(s.topes, rep.kernel_flags)
                                     if not ok])
-    add("tope_count_equals_mu_plus_dual", rep.mu_plus_dual == rep.n_topes,
-        f"mu+={rep.mu_plus_dual} topes={rep.n_topes}")
+    add("tope_count_equals_mu_plus_dual", rep.mu_plus_dual == n,
+        f"mu+={rep.mu_plus_dual} topes={n}")
     add("smith_divisors_all_one",
-        rep.phi_rank == rep.n_topes and all(d == 1 for d in rep.phi_divisors),
+        len(rep.phi_divisors) == n and all(d == 1 for d in rep.phi_divisors),
         f"divisors={rep.phi_divisors}")
-    add("boundary_kernel_dimension", rep.boundary_kernel_dim == rep.n_topes,
+    add("boundary_kernel_dimension", rep.boundary_kernel_dim == n,
         f"dim={rep.boundary_kernel_dim}")
 
     if inst.kind == "arrangement":

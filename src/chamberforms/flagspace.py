@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 from .arrangement import Arrangement
 from .matroid import bits, r_subsets
 from .oriented_matroid import (AffineOrientedMatroid, SignVector, _fillings,
-                               _perm_parity, separation)
+                               separation)
 from .polyring import _CERT_PRIME, _eliminate_mod, int_det
 
 
@@ -161,6 +161,12 @@ def _peel(rows: Sequence) -> Optional[list[tuple[int, object, int]]]:
     return peeled if len(peeled) == len(rows) else None
 
 
+def _perm_parity(seq: Sequence[int]) -> int:
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
 def _peeled_det(peeled: list[tuple[int, int, int]]) -> int:
     """det of a square matrix whose rows all peeled: sgn(sigma) times the
     product of the pivots, sigma mapping each row to its peeled column."""
@@ -169,10 +175,8 @@ def _peeled_det(peeled: list[tuple[int, int, int]]) -> int:
 
 
 class KernelReport(NamedTuple):
-    n_topes: int
     kernel_flags: tuple[bool, ...]
     phi_divisors: tuple[int, ...]
-    phi_rank: int
     mu_plus_dual: int
     boundary_kernel_dim: int
 
@@ -181,9 +185,10 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
                           vectors: Sequence[dict]) -> KernelReport:
     """Measure the kernel-basis clauses on the phi vectors of the bounded topes.
 
-    The clauses hold when every kernel flag is set and the phi rank, mu+ of
-    the dual and the boundary kernel dimension all equal len(vectors), with
-    every phi divisor 1.  Each flag is the computed boundary of its vector.
+    The clauses hold when every kernel flag is set and the phi rank (the
+    number of phi divisors), mu+ of the dual and the boundary kernel
+    dimension all equal len(vectors), with every phi divisor 1.  Each flag
+    is the computed boundary of its vector.
     When _peel removes every row of the phi matrix, a maximal minor is +-1,
     so the rank is len(vectors) and every divisor is 1; otherwise
     smith_divisors computes them.  The boundary kernel dimension is
@@ -214,7 +219,7 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
         kernel_dim = len(bases) - len(smith_divisors(bmatrix))
 
     mu_dual = om.matroid().tutte(0, 1)  # mu+ of the dual matroid
-    return KernelReport(n, flags, divisors, len(divisors), mu_dual, kernel_dim)
+    return KernelReport(flags, divisors, mu_dual, kernel_dim)
 
 
 class YMatrixReport(NamedTuple):

@@ -1,8 +1,8 @@
 """Matroid invariants feeding the determinant formulas.
 
 Matroids are stored by explicit basis lists (ground sets here stay small),
-which makes rank, minors, duals and the flat lattice direct to compute and
-easy to test.  The product formulas need coloop-free flats, Crapo's beta
+which makes rank, minors and the flat lattice direct to compute and easy
+to test.  The product formulas need coloop-free flats, Crapo's beta
 and mu+ of a matroid and of its dual.  The last three are read from one
 count of the bases by Tutte's internal and external activity: beta(M) is
 the coefficient of x in T_M(x, y), mu+(M) = T_M(1, 0) and mu+(M*) =
@@ -11,19 +11,19 @@ route, from the mu function of the lattice of flats.
 
 A set of ground elements is an int mask throughout the package: bit i
 stands for ground[i], so the bits of a mask list its set in ground order.
-Matroid.mask and Matroid.elements convert to and from labels, which appear
-only in constructor inputs, reports and messages; bits walks a mask.
+Labels appear only in constructor inputs, reports and messages;
+Matroid.elements converts a mask to them, and bits walks a mask.
 
-Bases are trusted: minors, duals, uniform matroids and the matroid of a
-compiled arrangement (nonzero determinants) are matroids by construction.
-Bases from outside input must pass Matroid.check_exchange() where they enter.
+Bases are trusted: minors and the matroid of a compiled arrangement
+(nonzero determinants) are matroids by construction.  Bases from outside
+input must pass Matroid.check_exchange() where they enter.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import and_
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -69,10 +69,6 @@ class Matroid:
             raise ValueError("basis element outside ground set")
         self._flats = None
         self._activities = None
-
-    def mask(self, labels: Iterable) -> int:
-        """The mask of the given ground elements; ValueError on any other."""
-        return reduce(or_, (1 << self.ground.index(e) for e in labels), 0)
 
     def elements(self, s: int) -> list:
         """The elements of mask s, in ground order."""
@@ -218,9 +214,6 @@ class Matroid:
                        {sum(1 << k for k, i in enumerate(pos) if b >> i & 1)
                         for b in self.bases if (s & b).bit_count() == r})
 
-    def dual(self) -> "Matroid":
-        return Matroid(self.ground, {self._full ^ b for b in self.bases})
-
     # -- coloops ------------------------------------------------------------------
 
     def coloop_free_flats(self) -> list[Flat]:
@@ -234,8 +227,3 @@ class Matroid:
                 if not reduce(and_, (b for b in self.bases
                                      if (b & f.elements).bit_count() == f.rank),
                               f.elements)]
-
-
-def uniform_matroid(r: int, n: int, ground=None) -> Matroid:
-    ground = tuple(range(1, n + 1)) if ground is None else tuple(ground)
-    return Matroid(ground, r_subsets(len(ground), r))

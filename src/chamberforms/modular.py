@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyring import ZERO, IntPoly, _eliminate_mod, _eval_mod, _is_symmetric
+from .polyring import ONE, ZERO, IntPoly, _eliminate_mod, _eval_mod, _is_symmetric
 
 
 def _is_prime(p: int) -> bool:
@@ -496,6 +496,8 @@ def det(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
     int_det passes a constant grid, which takes c = 0 and one point.
     """
     n = len(rows)
+    if not n:
+        return ONE  # the empty product, as int_det([]) is 1
     entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
                for j, e in enumerate(row) if e.coeffs]
     at = [0] * n

@@ -170,14 +170,9 @@ def lift_couplings(y: SignVector) -> dict[int, int]:
             for j in bits(_support(y.bits, len(y.ground)))}
 
 
-def _perm_parity(seq: Sequence[int]) -> int:
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
-
-
 class Chirotope:
-    """Basis orientation: alternating sign map on r-tuples of the ground.
+    """Basis orientation: the sign of each r-subset of the ground, its
+    elements in ground order.
 
     The signs are given and stored in the lexicographic order of the
     r-subsets, keyed by mask.
@@ -217,16 +212,6 @@ class Chirotope:
     def sign_of(self, b: int) -> int:
         """The sign of the r-subset mask b, its elements in ground order."""
         return self._signs[b]
-
-    def sign(self, elements: Sequence) -> int:
-        """Alternating extension: stored sign times permutation parity."""
-        idx = [self.ground.index(e) for e in elements]
-        if len(idx) != self.rank:
-            raise ValueError(f"chirotope takes {self.rank}-tuples")
-        if len(set(idx)) != len(idx):
-            return 0
-        base = self._signs[sum(1 << i for i in idx)]
-        return base * _perm_parity(idx) if base else 0
 
     def bases(self) -> list[int]:
         """The basis masks, in lexicographic order."""

@@ -63,9 +63,6 @@ class IntPoly:
         """Degree, or None for the zero polynomial (never a valid index)."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -96,13 +93,6 @@ class IntPoly:
     def __neg__(self) -> "IntPoly":
         return IntPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * max(0, len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return IntPoly(out)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
@@ -122,9 +112,6 @@ class IntPoly:
         if not self.coeffs:
             return self
         return IntPoly((0,) * k + self.coeffs)
-
-    def __call__(self, x: int) -> int:
-        return poly_eval(self, x)
 
     # -- presentation --------------------------------------------------------
 

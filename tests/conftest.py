@@ -1,8 +1,9 @@
 import json
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, permutations
+from operator import or_
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -12,7 +13,7 @@ from chamberforms.arrangement import Arrangement
 from chamberforms.forms import build_S, build_Sq, verify
 # the fixture builders, re-exported to the test modules
 from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
-from chamberforms.matroid import Flat, Matroid
+from chamberforms.matroid import Flat, Matroid, r_subsets
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            SignVector)
 from chamberforms.polyring import ONE, ZERO, IntPoly
@@ -29,7 +30,7 @@ def uniform_lines(rng: random.Random, n: int = 8) -> Arrangement:
     """Generic lines in the plane whose normal matroid is uniform."""
     while True:
         arr = random_arrangement(rng, 2, n)
-        if arr is not None and len(arr.matroid().bases) == n * (n - 1) // 2:
+        if arr is not None and len(arr.compile().matroid().bases) == n * (n - 1) // 2:
             return arr
 
 
@@ -76,8 +77,8 @@ def kernel_vector(rows, dim: int):
 
 def vertices(arr: Arrangement) -> dict:
     """The intersection point of each basis of the normal matroid, over Q,
-    keyed by basis mask."""
-    m = arr.matroid()
+    keyed by basis mask; arr need not be generic."""
+    m = normal_matroid(arr)
     out = {}
     for b in m.bases:
         labels = m.elements(b)
@@ -97,26 +98,49 @@ def point_signs(arr: Arrangement, point) -> SignVector:
     return SignVector.from_signs(arr.ground, signs)
 
 
-def matroid_from_columns(cols) -> Matroid:
-    """Column matroid of a rational matrix: independent oracle for tests."""
+def matroid_from_columns(cols, ground=None) -> Matroid:
+    """Column matroid of a rational matrix, its columns labelled by ground
+    (default 1..n): independent oracle for tests."""
     cols = [tuple(Fraction(x) for x in c) for c in cols]
-    ground = tuple(range(1, len(cols) + 1))
-    dim = len(cols[0]) if cols else 0
+    ground = tuple(range(1, len(cols) + 1)) if ground is None else tuple(ground)
 
     def rank_of(subset):
-        rows = [list(cols[i - 1]) for i in subset]
+        rows = [list(cols[i]) for i in subset]
         return row_reduce(rows) if rows else 0
 
-    r = rank_of(ground)
-    bases = [set(sub) for sub in combinations(ground, r)
-             if rank_of(sub) == r]
-    return matroid_on(ground, bases)
+    r = rank_of(range(len(cols)))
+    return Matroid(ground, [sum(1 << i for i in sub)
+                            for sub in combinations(range(len(cols)), r)
+                            if rank_of(sub) == r])
+
+
+def normal_matroid(arr: Arrangement) -> Matroid:
+    """The matroid of the normals by Fraction rank, on arr.ground; unlike
+    compile(), it needs no genericity."""
+    return matroid_from_columns([h.normal for h in arr.hyperplanes], arr.ground)
 
 
 def matroid_on(ground, bases) -> Matroid:
     """The Matroid with bases given as sets of labels."""
     ground = tuple(ground)
     return Matroid(ground, [sum(1 << ground.index(e) for e in b) for b in bases])
+
+
+def mask(m: Matroid, labels) -> int:
+    """The mask of the given ground elements of m; ValueError on any other."""
+    return reduce(or_, (1 << m.ground.index(e) for e in labels), 0)
+
+
+def dual(m: Matroid) -> Matroid:
+    """The dual matroid: the complements of the bases."""
+    full = (1 << len(m.ground)) - 1
+    return Matroid(m.ground, [full ^ b for b in m.bases])
+
+
+def uniform_matroid(r: int, n: int, ground=None) -> Matroid:
+    """U(r, n) on ground, by default 1..n."""
+    ground = tuple(range(1, n + 1)) if ground is None else tuple(ground)
+    return Matroid(ground, r_subsets(len(ground), r))
 
 
 # Brute-force definitions that the basis-activity invariants are tested against.
@@ -127,7 +151,7 @@ def circuits(m: Matroid) -> list[frozenset]:
     for size in range(1, min(m.rank_ + 1, len(m.ground)) + 1):
         for c in combinations(m.ground, size):
             s = frozenset(c)
-            if not any(k <= s for k in found) and m.rank(m.mask(s)) < len(s):
+            if not any(k <= s for k in found) and m.rank(mask(m, s)) < len(s):
                 found.append(s)
     return found
 
@@ -163,7 +187,7 @@ def is_connected(m: Matroid) -> bool:
 # The Mobius function of the lattice of flats: a second route to mu+ and beta.
 
 def _require_flat(m: Matroid, k) -> Flat:
-    s = k.elements if isinstance(k, Flat) else m.mask(k)
+    s = k.elements if isinstance(k, Flat) else mask(m, k)
     cl = m.closure(s)
     if cl.elements != s:
         raise ValueError(f"{set(m.elements(s))} is not a flat "
@@ -228,6 +252,24 @@ def _is_face(y: int, x: int, n: int) -> bool:
     return x & (s | s << n) == y
 
 
+def perm_parity(seq: Sequence[int]) -> int:
+    """+1 or -1: the parity of the inversions of seq."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
+def chirotope_sign(c: Chirotope, elements: Sequence) -> int:
+    """The alternating extension of c to r-tuples of labels: the stored sign
+    of their set times the parity of their order, 0 on a repeat."""
+    idx = [c.ground.index(e) for e in elements]
+    if len(idx) != c.rank:
+        raise ValueError(f"chirotope takes {c.rank}-tuples")
+    if len(set(idx)) != len(idx):
+        return 0
+    return c.sign_of(sum(1 << i for i in idx)) * perm_parity(idx)
+
+
 def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
     """One representative per +/- cocircuit pair, the one whose first
     nonzero sign is +, sorted by SignVector.key.
@@ -241,7 +283,7 @@ def cocircuits_from_chirotope(c: Chirotope) -> list[SignVector]:
     for s in combinations(range(n), c.rank - 1):
         selem = [ground[i] for i in s]
         bits = SignVector.from_signs(
-            ground, [0 if j in s else c.sign(selem + [ground[j]])
+            ground, [0 if j in s else chirotope_sign(c, selem + [ground[j]])
                      for j in range(n)]).bits
         if bits:
             sup = support(bits, n)
@@ -372,12 +414,10 @@ def det_by_expansion(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
     n = len(rows)
     total = ZERO
     for perm in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if perm[i] > perm[j])
         term = ONE
         for i in range(n):
             term = term * rows[i][perm[i]]
-        total = total + (term if inv % 2 == 0 else -term)
+        total = total + (term if perm_parity(perm) == 1 else -term)
     return total
 
 

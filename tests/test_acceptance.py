@@ -16,13 +16,14 @@ from chamberforms.arrangement import Arrangement
 from chamberforms.flagspace import (build_y_matrix, check_basis_of_kernel,
                                     pairing, phi)
 from chamberforms.forms import build_S, build_Sq, rhs_classical, verify
-from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import SignVector
 from chamberforms.polyring import (IntPoly, poly_det, poly_eval, poly_pow,
                                    q_integer)
-from conftest import (FIXTURE_DIR, example13_C, example13_Cprime,
-                      line_points, load_fixture, mobius_plus, random_arrangement,
-                      uniform_lines, verify_built)
+from conftest import (FIXTURE_DIR, dual, example13_C, example13_Cprime,
+                      line_points, load_fixture, mask, mobius_plus,
+                      random_arrangement, uniform_lines, uniform_matroid,
+                      verify_built)
+from test_vamos import BOUNDED_TOPES
 
 
 def report(criterion, elapsed, detail=""):
@@ -123,7 +124,7 @@ def test_criterion_4_vamos():
         json.loads((FIXTURE_DIR / "vamos.json").read_text()))
     topes = om.bounded_topes()
     expected = sorted(SignVector.from_text(vamos.GROUND, t).key()
-                      for t in vamos.BOUNDED_TOPES)
+                      for t in BOUNDED_TOPES)
     assert [t.key() for t in topes] == expected
     det = poly_det(build_Sq(om).matrix)
     assert det == poly_pow(q_integer(8), 15) * poly_pow(q_integer(4), 5)
@@ -139,12 +140,12 @@ def test_criterion_5_matroid_invariants():
     v = vamos.derive_chirotope().to_matroid()
     assert v.beta() == 15
     proper = [set(v.elements(f.elements)) for f in v.coloop_free_flats()
-              if f.elements and f.elements != v.mask(v.ground)]
+              if f.elements and f.elements != mask(v, v.ground)]
     assert proper == [{"1", "3", "5", "6"}, {"1", "3", "7", "8"},
                       {"2", "4", "5", "6"}, {"2", "4", "7", "8"},
                       {"5", "6", "7", "8"}]
     suite = [uniform_matroid(1, 2), uniform_matroid(2, 3), uniform_matroid(1, 4),
-             uniform_matroid(2, 8), example13_C().matroid(), v, v.dual()]
+             uniform_matroid(2, 8), example13_C().compile().matroid(), v, dual(v)]
     for m in suite:
         for f in m.flats():
             assert mobius_plus(m, f) == m.restrict(f.elements).tutte(1, 0)
@@ -186,7 +187,7 @@ def test_criterion_7_proof_machinery_oracle(random_sweep):
                 assert pairing(vecs[i], vecs[j]) == poly_eval(s.matrix[i][j], 1)
         rep = check_basis_of_kernel(om, vecs)
         assert all(rep.kernel_flags)
-        assert rep.mu_plus_dual == s.n == rep.phi_rank == rep.boundary_kernel_dim
+        assert rep.mu_plus_dual == s.n == len(rep.phi_divisors) == rep.boundary_kernel_dim
         assert all(d == 1 for d in rep.phi_divisors)
     for k, arr in enumerate(random_instances):
         assert build_y_matrix(arr, seed=k).det_y in (1, -1)

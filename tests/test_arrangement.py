@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from chamberforms.arrangement import Arrangement, Hyperplane, _cofactors
 from chamberforms.polyring import int_det
 from chamberforms.oriented_matroid import SignVector
-from conftest import (circuits, cocircuit_faces, conforms, example13_C,
-                      example13_Cprime, kernel_vector, line_points, point_signs,
-                      random_arrangement, row_reduce, verify_built, vertices)
+from chamberforms.matroid import Matroid
+from conftest import (chirotope_sign, circuits, cocircuit_faces, conforms,
+                      example13_C, example13_Cprime, kernel_vector, line_points,
+                      mask, normal_matroid, point_signs, random_arrangement,
+                      row_reduce, verify_built, vertices)
 
 
 class TestHyperplane:
@@ -28,19 +30,19 @@ class TestChirotope:
     def test_sign_convention(self):
         arr = Arrangement(2, [Hyperplane.make("1", ["0", "1"], "0"),
                               Hyperplane.make("2", ["1", "0"], "0")])
-        chi = arr.central_chirotope()
-        assert chi.sign(("1", "2")) == -1  # det [[0,1],[1,0]]
+        chi = arr.compile().central
+        assert chirotope_sign(chi, ("1", "2")) == -1  # det [[0,1],[1,0]]
 
     def test_parallel_pair_is_zero(self):
-        chi = example13_C().central_chirotope()
-        assert chi.sign(("H1", "H2")) == 0
-        assert chi.sign(("H3", "H4")) != 0
+        chi = example13_C().compile().central
+        assert chirotope_sign(chi, ("H1", "H2")) == 0
+        assert chirotope_sign(chi, ("H3", "H4")) != 0
 
     def test_inessential_rejected(self):
         arr = Arrangement(2, [Hyperplane.make("1", ["0", "1"], "0"),
                               Hyperplane.make("2", ["0", "1"], "1")])
         with pytest.raises(ValueError, match="essential"):
-            arr.central_chirotope()
+            arr.validate_generic()
 
     def test_matroid_rank_agrees_with_linear_algebra(self):
         rng = random.Random(12)
@@ -48,19 +50,19 @@ class TestChirotope:
             arr = random_arrangement(rng, 3, 6)
             if arr is None:
                 continue
-            m = arr.matroid()
+            m = arr.compile().matroid()
             for _ in range(10):
                 s = frozenset(e for e in arr.ground if rng.random() < 0.5)
                 rows = [list(h.normal) for h in arr.hyperplanes if h.label in s]
-                assert m.rank(m.mask(s)) == (row_reduce(rows) if rows else 0)
+                assert m.rank(mask(m, s)) == (row_reduce(rows) if rows else 0)
 
 
 class TestVertices:
     def test_example13_vertex_coordinates(self):
         arr = example13_C()
-        verts, m = vertices(arr), arr.matroid()
-        assert verts[m.mask({"H1", "H3"})] == (Fraction(0), Fraction(1))
-        assert verts[m.mask({"H3", "H4"})] == (Fraction(0), Fraction(0))
+        verts, m = vertices(arr), arr.compile().matroid()
+        assert verts[mask(m, {"H1", "H3"})] == (Fraction(0), Fraction(1))
+        assert verts[mask(m, {"H3", "H4"})] == (Fraction(0), Fraction(0))
 
     def test_example13_has_five_vertices(self):
         assert len(vertices(example13_C())) == 5
@@ -96,11 +98,11 @@ class TestIntegerMinors:
                     for i, a in enumerate(normals)]
             arr = Arrangement(dim, hyps)
             try:
-                arr.central_chirotope()
+                arr.validate_generic()
             except ValueError:
                 continue  # inessential draw
 
-            m = arr.matroid()
+            m = normal_matroid(arr)
             verts = {frozenset(m.elements(b)): p for b, p in vertices(arr).items()}
             index = arr.ground.index
             extras = [(b, frozenset(m.elements(point_signs(arr, verts[b]).zero_set())) - b)
@@ -112,6 +114,7 @@ class TestIntegerMinors:
                 want = sorted((point_signs(arr, p) for p in verts.values()),
                               key=SignVector.key)
                 assert list(arr.compile().feasible) == want
+                assert arr.compile().matroid() == m  # minors against Fraction ranks
                 seen_generic += 1
             else:
                 # the fundamental circuit of the least extra hyperplane on
@@ -184,7 +187,7 @@ class TestValidateGeneric:
         """Vertex zero sets against the definition: a circuit with a common point."""
         def violating_circuits(arr):
             out = {}
-            for circuit in circuits(arr.matroid()):
+            for circuit in circuits(normal_matroid(arr)):
                 hyps = [h for h in arr.hyperplanes if h.label in circuit]
                 r_coef = row_reduce([list(h.normal) for h in hyps])
                 if row_reduce([list(h.normal) + [h.offset] for h in hyps]) == r_coef:
@@ -203,7 +206,7 @@ class TestValidateGeneric:
                 hyps.append(Hyperplane.make(f"H{i}", normal, rng.randint(-1, 1)))
             arr = Arrangement(dim, hyps)
             try:
-                arr.central_chirotope()
+                arr.validate_generic()
             except ValueError:
                 continue  # inessential draw
             want = violating_circuits(arr)
@@ -234,9 +237,19 @@ class TestCompile:
             om = arr.compile()
             assert len(om.feasible) == len(om.matroid().bases)
 
-    def test_one_matroid_per_instance(self):
+    def test_one_matroid_per_instance(self, monkeypatch):
+        built = []
+        init = Matroid.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(Matroid, "__init__", counted)
         arr = example13_C()
-        assert arr.matroid() is arr.compile().matroid()
+        assert arr.validate_generic() is None
+        om = arr.compile()
+        assert len(built) == 1 and om.matroid() is built[0]
 
     def test_points_on_line(self):
         om = line_points(2).compile()

@@ -6,11 +6,11 @@ from chamberforms import modular
 from chamberforms.cli import load_instance
 from chamberforms.forms import (TheoremViolation, build_S, build_Sq, h_poly,
                                 rhs_classical, rhs_q)
-from chamberforms.matroid import uniform_matroid
 from chamberforms.polyring import (IntPoly, ONE, poly_det, poly_eval, poly_pow,
                                    q_integer)
 from conftest import (FIXTURE_DIR, cocircuit_faces, example13_C, example13_Cprime,
-                      line_points, random_arrangement, uniform_lines, verify_built)
+                      line_points, random_arrangement, uniform_lines,
+                      uniform_matroid, verify_built)
 
 
 def ints(form):
@@ -106,7 +106,7 @@ class TestBuildSq:
             assert sq.matrix[i][i].degree == 2 * om.central.rank
             for j in range(sq.n):
                 e = sq.matrix[i][j]
-                if e.is_zero():
+                if not e:
                     continue
                 d = separation(sq.topes[i], sq.topes[j])
                 low = next(k for k, c in enumerate(e.coeffs) if c)
@@ -129,7 +129,7 @@ class TestBuildSq:
 
 class TestRhs:
     def test_example13(self):
-        m = example13_C().matroid()
+        m = example13_C().compile().matroid()
         value, factors = rhs_classical(m)
         assert value == 8
         assert [(f.base, f.exponent) for f in factors] == [(4, 1), (2, 1)]
@@ -165,7 +165,7 @@ class TestRhs:
                               Hyperplane.make("H4", ["1", "0"], "0")])
         om = arr.compile()
         assert om.bounded_topes() == []
-        value, factors = rhs_classical(arr.matroid())
+        value, factors = rhs_classical(om.matroid())
         assert value == 1
         assert factors[0].flat == () and factors[0].exponent == 0
         vs, vq = verify_built(om)

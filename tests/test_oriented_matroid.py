@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from chamberforms import oriented_matroid
 from chamberforms.arrangement import Arrangement, Hyperplane
 from chamberforms.make_fixtures import FIXTURES
-from chamberforms.matroid import uniform_matroid
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            ClosureCapExceeded, SignVector,
                                            separation)
-from conftest import (affine_covectors, bounded_topes_by_closure,
+from conftest import (affine_covectors, bounded_topes_by_closure, chirotope_sign,
                       cocircuit_faces, cocircuits_from_chirotope, compose,
-                      conforms, example13_C, line_points, load_fixture,
+                      conforms, example13_C, line_points, load_fixture, mask,
                       meet_f_vector_by_rank, negate, random_arrangement)
 
 
@@ -118,17 +117,17 @@ class TestSeparation:
 class TestChirotope:
     def test_alternating(self):
         c = Chirotope.from_text(2, ("1", "2", "3"), "+++")
-        assert c.sign(("1", "2")) == 1
-        assert c.sign(("2", "1")) == -1
+        assert chirotope_sign(c, ("1", "2")) == 1
+        assert chirotope_sign(c, ("2", "1")) == -1
 
     def test_repeat_gives_zero(self):
         c = Chirotope.from_text(2, ("1", "2", "3"), "+++")
-        assert c.sign(("1", "1")) == 0
+        assert chirotope_sign(c, ("1", "1")) == 0
 
     def test_identity_order_is_stored_sign(self):
         c = Chirotope.from_text(2, ("1", "2", "3"), "+-0")
-        assert c.sign(("1", "3")) == -1
-        assert c.sign(("2", "3")) == 0
+        assert chirotope_sign(c, ("1", "3")) == -1
+        assert chirotope_sign(c, ("2", "3")) == 0
 
     def test_text_round_trip(self):
         c = Chirotope.from_text(2, ("1", "2", "3"), "+-+")
@@ -375,7 +374,7 @@ class TestCountedDimensions:
 class TestBasisToCocircuit:
     def test_example13_vertex(self):
         om = om_example13()
-        b = om.matroid().mask({"H3", "H4"})
+        b = mask(om.matroid(), {"H3", "H4"})
         y = om.basis_to_cocircuit(b)
         # vertex at the origin: below H1, above H2
         assert y.signs()[:2] == (-1, 1)
@@ -388,7 +387,7 @@ class TestBasisToCocircuit:
     def test_missing_basis_rejected(self):
         om = om_example13()
         with pytest.raises(ValueError):
-            om.basis_to_cocircuit(om.matroid().mask({"H1", "H2"}))
+            om.basis_to_cocircuit(mask(om.matroid(), {"H1", "H2"}))
 
 
 class TestValidation:

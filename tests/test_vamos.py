@@ -8,6 +8,20 @@ from chamberforms.matroid import bits
 from chamberforms.oriented_matroid import AffineOrientedMatroid, SignVector
 from conftest import FIXTURE_DIR, cocircuits_from_chirotope, load_fixture
 
+# Bounded topes of the lift, published alongside the cocircuits.
+BOUNDED_TOPES = (
+    "1 2 -3 -4 -5 -6 -7 -8", "1 -2 -3 4 -5 -6 -7 -8", "1 2 -3 4 -5 -6 -7 -8",
+    "1 -2 -3 4 5 -6 -7 -8", "1 2 -3 4 5 -6 -7 -8", "1 -2 -3 4 5 6 -7 -8",
+    "1 2 -3 -4 -5 -6 -7 8", "1 -2 -3 4 -5 -6 -7 8", "1 2 -3 4 -5 -6 -7 8",
+    "-1 -2 -3 -4 5 -6 -7 8", "1 -2 -3 -4 5 -6 -7 8", "1 2 -3 -4 5 -6 -7 8",
+    "-1 -2 -3 4 5 -6 -7 8", "1 -2 -3 4 5 -6 -7 8", "1 2 -3 4 5 -6 -7 8",
+    "1 -2 -3 -4 -5 6 -7 8", "1 -2 -3 4 -5 6 -7 8", "1 2 -3 4 -5 6 -7 8",
+    "-1 -2 -3 -4 5 6 -7 8", "1 -2 -3 -4 5 6 -7 8", "1 2 -3 -4 5 6 -7 8",
+    "1 -2 -3 4 5 6 -7 8", "1 -2 -3 -4 5 -6 7 8", "1 -2 -3 4 5 -6 7 8",
+    "1 -2 -3 -4 -5 6 7 8", "-1 -2 -3 4 -5 6 7 8", "1 -2 -3 4 -5 6 7 8",
+    "1 -2 -3 -4 5 6 7 8", "1 2 -3 -4 5 6 7 8", "1 -2 -3 4 5 6 7 8",
+)
+
 
 class TestCocircuitData:
     def test_sixty_five_entries(self):
@@ -64,7 +78,7 @@ class TestAffineVamos:
     def test_thirty_bounded_topes_exactly(self, vamos_om):
         got = [t.key() for t in vamos_om.bounded_topes()]
         expected = sorted(SignVector.from_text(vamos.GROUND, t).key()
-                          for t in vamos.BOUNDED_TOPES)
+                          for t in BOUNDED_TOPES)
         assert got == expected
 
     def test_infinite_cocircuit_count(self, vamos_om):
