@@ -5,6 +5,9 @@ documents with canonical key order; identical input and seed produce
 byte-identical output (timings are only included on request).  main loads
 the input of every single-input command, runs it, and emits its report,
 which _report wraps in one envelope; random writes one line per instance.
+The check, det and random reports say in method how each determinant was
+established: exact, or certified with an error bound that depends only on
+the matrix, never on the random point or prime of the certificate.
 
 check, det and random take determinants over Z[q], whose word-size engine
 (chamberforms.modular) is the one module that imports numpy; matrix, rhs
@@ -104,6 +107,17 @@ def _factors_json(factors) -> list[dict]:
             for f in factors]
 
 
+def _method_json(det_s, det_sq) -> dict:
+    """How each determinant was established: exact, or certified with an
+    error bound that depends only on the matrix."""
+    def how(det) -> dict:
+        bits = det.method.error_bits
+        if bits is None:
+            return {"kind": "exact"}
+        return {"kind": "certified", "error_bound": f"2^-{bits}"}
+    return {"det_S": how(det_s), "det_Sq": how(det_sq)}
+
+
 def _verdict_json(s_form, vs, vq) -> dict:
     return {
         "n_topes": s_form.n,
@@ -114,6 +128,7 @@ def _verdict_json(s_form, vs, vq) -> dict:
         "factors": _factors_json(vq.factors),
         "theorem_match": vs.match,
         "conjecture_match": vq.match,
+        "method": _method_json(vs.lhs, vq.lhs),
     }
 
 
@@ -163,7 +178,10 @@ def run_check(inst: Instance, args: argparse.Namespace, matrices: str = "auto",
         "verdict": _verdict_json(s, vs, vq),
         "matrices": _matrices_json(s, sq) if include else None,
         "timings": {"forms_s": round(t_forms - t0, 6),
-                    "verify_s": round(t_verify - t_forms, 6)} if args.timings else None,
+                    "verify_s": round(t_verify - t_forms, 6),
+                    "det_Sq_primes": vq.lhs.method.primes,
+                    "det_Sq_prime_bound": vq.lhs.method.bound,
+                    } if args.timings else None,
     }), 0 if vq.match else 2
 
 
@@ -176,7 +194,8 @@ def run_det(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:
     det_s = poly_det(build_S(inst.om).matrix)
     det_sq = poly_det(build_Sq(inst.om).matrix)
     return _report(inst, {"det_S": str(poly_eval(det_s, 1)),
-                          "det_Sq": det_sq.coeff_strings()}), 0
+                          "det_Sq": det_sq.coeff_strings(),
+                          "method": _method_json(det_s, det_sq)}), 0
 
 
 def run_rhs(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:

@@ -45,37 +45,65 @@ the K determinants come from int64 batches of eliminations, as many points
 at a time as a fixed byte budget allows, and Newton interpolation on the
 geometric nodes recovers g mod p.  A prime where 2 has order below the
 coefficient count would repeat a node and is skipped.
-Primes are combined by CRT until their product exceeds twice the
-coefficient bound H = prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on the unit
-circle with Cauchy's estimate), and the symmetric lift is the exact g.  The
-prime count is fixed by H before any prime is used, so the result is exact,
-not Monte Carlo.  Each result is then certified by a second, independent
-route: the determinant of the untransformed matrix at a random point modulo
-2**61 - 1, by plain elimination on Python ints.
+The primes are taken in a fixed order, and the coefficient bound H =
+prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on the unit circle with Cauchy's
+estimate) allows as many as it takes for their product P to exceed 2H; the
+symmetric CRT lift is then the exact g.  The engine stops sooner when it can
+(the early termination of Abbott, Bronstein and Mulders): from the second
+prime on it compares the lift with the previous prime's, and when the two
+agree it runs the certificate, the determinant of the untransformed matrix
+at a random point x modulo a random 61-bit prime Q, by plain elimination on
+Python ints, against the lift's value at x.  Q is drawn once per process,
+at the first certificate.  If the certificate passes, the lift is returned,
+labelled certified.  If it fails, the engine runs to the bound, where the
+certificate runs again and a failure raises CertificateError; so only one
+certificate can stop the engine early.  When g needs one point per prime,
+as a constant grid does, a prime costs about what the certificate costs,
+and the engine always runs to the bound.
+
+A certified result is wrong with probability at most
+eps = deg / 2**60 + ceil(log2(2H) / 60) / 2**54, deg the degree bound of
+det M in q.  Let D = det M - lift.  If D != 0, some coefficient D_j is
+nonzero, and |D_j| <= 2H, since the engine stopped before P > 2H.  A wrong
+lift passes only when Q divides D_j, which at most ceil(log2(2H) / 60) of
+the more than 2**54 primes in [2**60, 2**61) do (Rosser and Schoenfeld), or
+when x is a root of D mod Q, with probability at most deg / 2**60 (Schwartz,
+JACM 27, 1980).  eps depends only on the matrix, and the result's Method
+carries floor(-log2 eps).
 """
 
 from __future__ import annotations
 
+import secrets
+from functools import cache
 from math import isqrt
 from typing import Sequence
 
 import numpy as np
 
-from .polyring import ONE, ZERO, IntPoly, _eliminate_mod, _eval_mod, _is_symmetric
+from .polyring import (EXACT, ZERO, CertificateError, Determinant, IntPoly,
+                       Method, _eliminate_mod, _eval_mod, _is_symmetric)
+
+# The Miller-Rabin bases of _is_prime: the twelve primes up to 37.  The
+# least strong pseudoprime to all of them is about 3.18e23 (Sorenson and
+# Webster, Math. Comp. 86, 2017), so they decide every 61-bit prime.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_INT64_MAX = 2 ** 63 - 1
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; the bases 2, 3, 5, 7 decide every p < 3.2e9."""
+    """Deterministic Miller-Rabin for every p < 3.1e23."""
     if p < 2:
         return False
-    for a in (2, 3, 5, 7):
+    for a in _BASES:
         if p % a == 0:
             return p == a
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7):
+    for a in _BASES:
         x = pow(a, d, p)
         if x in (1, p - 1):
             continue
@@ -93,7 +121,7 @@ _PRIMES: dict[int, list[int]] = {}
 
 
 def _primes_below(top: int):
-    """Odd primes below top in descending order; _is_prime needs top < 3.2e9.
+    """Odd primes below top in descending order; _is_prime needs top < 3.1e23.
 
     Each top's primes are searched for once per process: the list found so
     far is read first, and the search resumes below its last prime only
@@ -183,7 +211,13 @@ class _Evaluator:
         self.batch = np.zeros((n, n, self.step), dtype=np.int64).transpose(2, 0, 1)
 
     def __call__(self, p: int, lo: int = 0) -> np.ndarray:
-        """The batch of the points lo .. lo + step - 1, or up to the last."""
+        """The batch of the points lo .. lo + step - 1, or up to the last.
+
+        Raises ValueError when width (p - 1)**2 does not fit in an int64.
+        """
+        if self.width * (p - 1) ** 2 > _INT64_MAX:
+            raise ValueError(f"prime {p} overflows an int64 sum of "
+                             f"{self.width} products")
         count = min(self.step, self.n_points - lo)
         nodes = _powers(2, count, p) * pow(2, lo, p) % p
         table = np.empty((count, self.width), dtype=np.int64)
@@ -242,9 +276,12 @@ def _batch_det_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     pivot row, and the block update subtracts products below p**2 with no
     remainder.  An entry is updated at most n - 1 times before it is
     reduced, so entries stay above -(n - 1) p**2: the prime must keep
-    n (p - 1)**2 in an int64.
+    n (p - 1)**2 in an int64, and a ValueError says when it does not.
     """
     n_pts, n = a.shape[0], a.shape[1]
+    if n * (p - 1) ** 2 > _INT64_MAX:
+        raise ValueError(f"prime {p} overflows the int64 elimination of "
+                         f"{n} x {n} matrices")
     a = a.transpose(1, 2, 0)
     det = np.ones(n_pts, dtype=np.int64)
     marked = np.zeros(n_pts, dtype=bool)
@@ -319,8 +356,50 @@ def _coefficient_bound_sq(rows) -> int:
     return out
 
 
-def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
-    """g(t) = det N(t) / t**shift over Z[t], N given by rows.
+@cache  # once per process: a draw takes about 0.3 ms, too much per small det
+def _certificate_prime() -> int:
+    """A random prime in [2**60, 2**61), by rejection sampling of odd
+    61-bit integers drawn with secrets."""
+    while True:
+        q = 1 << 60 | secrets.randbits(59) << 1 | 1
+        if _is_prime(q):
+            return q
+
+
+class _Certificate:
+    """Checks a lift g against rows, the grid as det was given it.
+
+    g is a polynomial in t = q**power.  Each check draws a fresh random
+    point x below the certificate prime Q and compares the determinant of
+    rows at x, by plain elimination, with g(x**power) mod Q.
+    """
+
+    def __init__(self, rows, power: int):
+        self.rows, self.power = rows, power
+
+    def passes(self, g: list[int]) -> bool:
+        m = _certificate_prime()
+        x = secrets.randbelow(m)
+        at_x = _eliminate_mod([[_eval_mod(e, x, m) for e in row]
+                               for row in self.rows], m)[1]
+        return at_x == _eval_mod(IntPoly(g), pow(x, self.power, m), m)
+
+    def error_bits(self, n_coeffs: int, bound_sq: int) -> int:
+        """floor(-log2 eps) for a g of n_coeffs coefficients and H**2 = bound_sq.
+
+        eps = (deg + 64 k) / 2**60 with deg = power (n_coeffs - 1), the
+        degree bound of det rows in q, and k = ceil(log2(2H) / 60) bounding
+        the 61-bit primes that divide a nonzero coefficient of size at most
+        2H.
+        """
+        log_2h = 1 + (bound_sq.bit_length() + 1) // 2  # >= log2(2H)
+        cases = self.power * (n_coeffs - 1) + 64 * -(-log_2h // 60)
+        return 60 - (cases - 1).bit_length()
+
+
+def _modular_det(rows, shift: int, c: int | None,
+                 certificate: _Certificate) -> Determinant:
+    """g(t) = det N(t) / t**shift over Z[t], N given by rows, and its Method.
 
     The nodes are powers of 2 at consecutive exponents.  When c is not
     None, t**c g(1/t) = g(t): g has degree at most c, and each value g(t)
@@ -337,29 +416,40 @@ def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
     batches are its upper triangles, eliminated with diagonal pivots; a
     point they mark, and every point of an N that is not symmetric, takes
     plain elimination of N evaluated there.
+
+    The coefficient bound allows the primes up to the first whose product
+    exceeds 2H.  Before the last of them, a lift equal to the previous
+    prime's is put to the certificate, and returned as certified if it
+    passes; after a failed certificate the engine runs to the bound.  The
+    lift at the bound is exact, and a certificate that fails there raises
+    CertificateError.  With K = 1 the engine always runs to the bound.
     """
     degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
     if min(degrees) < 0:
-        return ZERO  # a zero row
+        return Determinant((), EXACT)  # a zero row
     n_coeffs = sum(degrees) - shift + 1 if c is None else c + 1
     if n_coeffs <= 0:
-        return ZERO  # the degree bound of g is negative
+        return Determinant((), EXACT)  # the degree bound of g is negative
     n_evals = n_coeffs if c is None else (c + 3) // 2
     bound_sq = _coefficient_bound_sq(rows)
     m = max(len(rows), max(degrees) + 1)
     primes: list[int] = []
     modulus = 1
-    for p in _primes_below(isqrt((2 ** 63 - 1) // (m + 1))):
+    for p in _primes_below(isqrt(_INT64_MAX // (m + 1))):
         if modulus * modulus > 4 * bound_sq:
             break
         if 1 in _powers(2, n_coeffs, p)[1:]:
             continue  # 2 has order below n_coeffs: the nodes repeat
         primes.append(p)
         modulus *= p
+    # With one point per prime, a prime costs about what the certificate
+    # costs, and stopping early cannot pay.
+    early = n_evals > 1
     evaluate = _Evaluator(rows, n_evals) if _is_symmetric(rows) else None
     residues: list[int] = [0] * n_coeffs
+    lift: list[int] = []
     modulus = 1
-    for p in primes:
+    for used, p in enumerate(primes, 1):
         inv2 = (p + 1) // 2
         det = np.zeros(n_evals, dtype=np.int64)
         plain = np.ones(n_evals, dtype=bool)
@@ -383,8 +473,18 @@ def _modular_det(rows, shift: int, c: int | None) -> IntPoly:
             z = residues[k]
             residues[k] = z + modulus * ((r - z) * inv % p)
         modulus *= p
-    half = modulus // 2
-    return IntPoly(z - modulus if z > half else z for z in residues)
+        half = modulus // 2
+        previous, lift = lift, [z - modulus if z > half else z for z in residues]
+        if early and lift == previous and used < len(primes):
+            if certificate.passes(lift):
+                method = Method(certificate.error_bits(n_coeffs, bound_sq),
+                                used, len(primes))
+                return Determinant(lift, method)
+            early = False  # eps bounds the one certificate that may stop early
+    if not certificate.passes(lift):
+        raise CertificateError(f"determinant certificate failed after all "
+                               f"{len(primes)} primes of the coefficient bound")
+    return Determinant(lift, Method(None, len(primes), len(primes)))
 
 
 def _band_order(n: int, pattern: Sequence[tuple[int, int]]) -> list[int]:
@@ -487,17 +587,18 @@ def _palindrome_weights(n: int, entries: Sequence[tuple[int, int, tuple[int, ...
     return _potentials(2 * n, edges, lambda w, x: w - x)
 
 
-def det(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Exact determinant over Z[q] of a square grid of IntPoly.
+def det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
+    """Determinant over Z[q] of a square grid of IntPoly, exact or certified.
 
     The one entry point of the engine.  Rows and columns are band-ordered;
     a graded matrix runs in t = q**2; palindrome weights, when they exist,
-    give _modular_det its degree c.  poly_det certifies the result, and
-    int_det passes a constant grid, which takes c = 0 and one point.
+    give _modular_det its degree c.  The certificate evaluates rows as
+    given.  int_det passes a constant grid, which takes c = 0 and one point
+    per prime, so its result is always exact.
     """
     n = len(rows)
     if not n:
-        return ONE  # the empty product, as int_det([]) is 1
+        return Determinant((1,), EXACT)  # the empty product, as int_det([]) is 1
     entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
                for j, e in enumerate(row) if e.coeffs]
     at = [0] * n
@@ -512,7 +613,10 @@ def det(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
     shift = 0 if s is None else sum(s)
     weights = _palindrome_weights(n, graded)
     g = _modular_det(banded, shift,
-                     None if weights is None else sum(weights) - 2 * shift)
+                     None if weights is None else sum(weights) - 2 * shift,
+                     _Certificate(rows, 1 if s is None else 2))
     # g is interpolated from det N(t) / t**shift, so it has no coefficient
-    # below t**0 to check; poly_det's certificate catches any wrong value.
-    return g if s is None else IntPoly(c for x in g.coeffs for c in (x, 0))
+    # below t**0 to check; the certificate catches any wrong value.
+    if s is None:
+        return g
+    return Determinant((c for x in g.coeffs for c in (x, 0)), g.method)

@@ -13,15 +13,15 @@ poly_det hands it each matrix over Z[q], and int_det any other integer
 matrix.  Both import det only when they call it, so a process that takes
 no such determinant never loads numpy.
 
-Each result of poly_det is certified by a second, independent route: the
-determinant of the untransformed matrix at a random point modulo 2**61 - 1,
-by plain elimination on Python ints.
+poly_det returns a Determinant: the polynomial together with its Method,
+which says whether the result is exact or certified, and with what error
+bound.  The engine stops adding primes once its lift repeats and a
+certificate at a random point confirms it; see chamberforms.modular.
 """
 
 from __future__ import annotations
 
-import secrets
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class ExactDivisionError(ArithmeticError):
@@ -143,6 +143,34 @@ ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
+class Method(NamedTuple):
+    """How a determinant was established.
+
+    error_bits is None for an exact result.  A certified result is wrong
+    with probability at most 2**-error_bits, a bound that depends only on
+    the matrix.  primes counts the primes the modular engine used, and
+    bound the primes its coefficient bound allows; both are 0 for a result
+    that took no prime.
+    """
+
+    error_bits: Optional[int]
+    primes: int = 0
+    bound: int = 0
+
+
+EXACT = Method(None)
+
+
+class Determinant(IntPoly):
+    """A determinant over Z[q] and the Method that established it."""
+
+    __slots__ = ("method",)
+
+    def __init__(self, coeffs: Iterable[int], method: Method):
+        super().__init__(coeffs)
+        object.__setattr__(self, "method", method)
+
+
 def const(c: int) -> IntPoly:
     return IntPoly((c,))
 
@@ -232,9 +260,10 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return det([[const(x) for x in row] for row in rows])[0]
 
 
-# -- arithmetic modulo a prime, and the certificate --------------------------
+# -- arithmetic modulo a prime -------------------------------------------------
 
-# Certificate modulus: the Mersenne prime 2**61 - 1.
+# The modulus of the flag-space oracle's boundary rank: the Mersenne prime
+# 2**61 - 1.
 _CERT_PRIME = (1 << 61) - 1
 
 
@@ -273,16 +302,17 @@ def _eliminate_mod(rows: Sequence[Sequence[int]], m: int) -> tuple[int, int]:
     return rank, det % m
 
 
-def poly_det(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Exact determinant over Z[q], certified at a random point.
+def poly_det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
+    """Determinant over Z[q], exact or certified, with its Method.
 
-    rows is a square grid of IntPoly.  Constant matrices go to int_det, all
-    others to modular.det, the engine's one entry point.  The result is
-    exact: the engine's prime count is fixed by a coefficient bound before
-    any prime is used.  As a certificate, the matrix exactly as passed in is
-    evaluated at a random point modulo 2**61 - 1, and its determinant
-    there, by plain elimination, must equal the result's value; a wrong
-    result passes with probability at most deg / (2**61 - 1).
+    rows is a square grid of IntPoly.  A constant grid goes to int_det and
+    is exact.  Any other goes to modular.det, the engine's one entry point,
+    which stops adding primes once its CRT lift repeats and a certificate
+    confirms it: the grid exactly as passed in, evaluated at a random point
+    modulo a random 61-bit prime, must have the lift's value there.  Such a
+    result is certified, wrong with probability at most 2**-error_bits of
+    its Method; a result that took every prime the coefficient bound allows
+    is exact, and the certificate still checks it.
 
     Raises ValueError on a matrix that is not square, and CertificateError
     (or ExactDivisionError from int_det) on an internal arithmetic bug.
@@ -291,14 +321,6 @@ def poly_det(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
     if any(len(r) != n for r in rows):
         raise ValueError("poly_det requires a square matrix")
     if all(len(e.coeffs) <= 1 for row in rows for e in row):
-        return const(int_det([[e[0] for e in row] for row in rows]))
+        return Determinant((int_det([[e[0] for e in row] for row in rows]),), EXACT)
     from .modular import det
-    result = det(rows)
-    point = secrets.randbelow(_CERT_PRIME)
-    at_point = _eliminate_mod([[_eval_mod(e, point, _CERT_PRIME) for e in row]
-                               for row in rows], _CERT_PRIME)[1]
-    if at_point != _eval_mod(result, point, _CERT_PRIME):
-        raise CertificateError(
-            f"determinant certificate failed at q={point} mod 2**61-1: "
-            f"{at_point} != {_eval_mod(result, point, _CERT_PRIME)}")
-    return result
+    return det(rows)

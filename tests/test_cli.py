@@ -97,6 +97,22 @@ class TestCheck:
                            str(FIXTURE_DIR / "example13-C.json"), "--timings"])
         assert "forms_s" in rep["timings"]
 
+    def test_timings_count_the_primes_of_det_sq(self):
+        _, rep = run_main(["check", "--input", str(FIXTURE_DIR / "vamos.json"),
+                           "--timings"])
+        assert rep["timings"]["det_Sq_primes"] == 3
+        assert rep["timings"]["det_Sq_prime_bound"] == 5
+
+    def test_method_says_how_each_determinant_was_established(self):
+        vamos = str(FIXTURE_DIR / "vamos.json")
+        _, check = run_main(["check", "--input", vamos])
+        _, det = run_main(["det", "--input", vamos])
+        assert check["verdict"]["method"] == det["method"]
+        assert det["method"]["det_S"] == {"kind": "exact"}
+        how = det["method"]["det_Sq"]
+        assert how["kind"] == "certified"
+        assert how["error_bound"] == f"2^-{int(how['error_bound'][3:])}"
+
     def test_matrix_gate(self):
         _, rep = run_main(["check", "--input", str(FIXTURE_DIR / "vamos.json")])
         assert rep["matrices"] is not None  # 30 <= 40
@@ -259,6 +275,22 @@ class TestErrors:
                          str(FIXTURE_DIR / "example13-C.json")]) == 1
         err = capsys.readouterr().err
         assert "internal inconsistency: determinant certificate failed" in err
+
+    def test_wrong_engine_result_is_internal_inconsistency(self, monkeypatch, capsys):
+        """A wrong lift fails the certificate up to the coefficient bound."""
+        from chamberforms import modular
+        interpolate = modular._interpolate_mod
+
+        def off_by_one(e0, y, p):
+            coeffs = interpolate(e0, y, p)
+            return [(coeffs[0] + 1) % p] + coeffs[1:]
+        monkeypatch.setattr(modular, "_interpolate_mod", off_by_one)
+        for command in ("check", "det"):
+            assert cli.main([command, "--input",
+                             str(FIXTURE_DIR / "vamos.json")]) == 1
+            err = capsys.readouterr().err
+            assert "internal inconsistency: determinant certificate failed" in err
+            assert "all 5 primes" in err
 
     def test_chirotope_flip_is_an_input_error(self, tmp_path):
         # flipping one chirotope sign leaves the exchange axiom intact, but

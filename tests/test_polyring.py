@@ -1,5 +1,8 @@
 import ast
+import os
 import random
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import islice
@@ -198,9 +201,31 @@ def graded_matrices(max_n=5):
     return st.integers(1, max_n).flatmap(build).map(to_rows)
 
 
-def wrong_g(rows, shift, c):
-    """det N / t**shift plus one: what a faulty engine might return."""
-    return IntPoly(det_by_expansion(rows).coeffs[shift:]) + ONE
+def wrong_interpolation(monkeypatch):
+    """Make every prime's g one too large in its constant term, as a faulty
+    engine might: the lift then repeats, but it is wrong.  Returns the list
+    that collects the prime of each interpolation."""
+    primes = []
+    interpolate = modular._interpolate_mod
+
+    def wrong(e0, y, p):
+        primes.append(p)
+        coeffs = interpolate(e0, y, p)
+        return [(coeffs[0] + 1) % p] + coeffs[1:]
+    monkeypatch.setattr(modular, "_interpolate_mod", wrong)
+    return primes
+
+
+def assert_raises_at_the_bound(monkeypatch, mat):
+    """A wrong lift fails the certificate after every prime the bound allows,
+    also where the true lift stops early."""
+    early = poly_det(mat).method
+    with monkeypatch.context() as m:
+        primes = wrong_interpolation(m)
+        with pytest.raises(CertificateError, match=f"all {early.bound} primes"):
+            poly_det(mat)
+    assert len(primes) == early.bound
+    return early
 
 
 class TestModularEngine:
@@ -244,19 +269,21 @@ class TestModularEngine:
         assert poly_det([[q, q + ONE], [q, q]]) == -q
 
     def test_certificate_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(modular, "_modular_det", wrong_g)
         q = IntPoly([0, 1])
-        with pytest.raises(CertificateError):
-            poly_det([[q, ONE], [ONE, q]])
+        big = 2 ** 60  # det = big (1 + q) + q: 61 bits against a 121-bit bound
+        assert_raises_at_the_bound(monkeypatch, [[q, ONE], [ONE, q]])
+        early = assert_raises_at_the_bound(
+            monkeypatch, [[const(big) + q, const(big)], [const(big), const(big + 1)]])
+        assert early.error_bits is not None and early.primes < early.bound
 
     def test_certificate_failure_raises_on_graded_path(self, monkeypatch):
-        monkeypatch.setattr(modular, "_modular_det", wrong_g)
         q, q2 = IntPoly([0, 1]), IntPoly([0, 0, 1])
+        big = const(2 ** 60)
         for mat in ([[ONE, q], [q, ONE]],      # s = (0, 1)
-                    [[ONE, q2], [q2, ONE]]):  # s = (0, 0)
+                    [[ONE, q2], [q2, ONE]],   # s = (0, 0)
+                    [[big + q2, big], [big, big + ONE]]):
             assert graded(mat)
-            with pytest.raises(CertificateError):
-                poly_det(mat)
+            assert_raises_at_the_bound(monkeypatch, mat)
 
     @given(graded_matrices())
     @settings(deadline=None, max_examples=60)
@@ -346,17 +373,17 @@ def traced_det(rows):
     without weights); an engine call on a constant matrix comes from
     int_det's fallback, where c is 0 with one point, and is not listed.  The point counts are those of
     each prime: the points whose det a batched elimination gave, plus those
-    the engine eliminated plain (the certificate's elimination in polyring
-    is not seen).
+    the engine eliminated plain (the certificate's eliminations, modulo a
+    61-bit prime, are not counted).
     """
     cs, points = [], Counter()
     engine, batch = modular._modular_det, modular._batch_det_mod
     eliminate = modular._eliminate_mod
 
-    def spy_engine(rows, shift, c):
+    def spy_engine(rows, shift, c, certificate):
         if any(len(e.coeffs) > 1 for row in rows for e in row):
             cs.append(c)
-        return engine(rows, shift, c)
+        return engine(rows, shift, c, certificate)
 
     def spy_batch(a, p):
         det, marked = batch(a, p)
@@ -364,7 +391,8 @@ def traced_det(rows):
         return det, marked
 
     def spy_plain(rows, m):
-        points[m] += 1
+        if m < 2 ** 60:
+            points[m] += 1
         return eliminate(rows, m)
     with mock.patch.object(modular, "_modular_det", spy_engine), \
             mock.patch.object(modular, "_batch_det_mod", spy_batch), \
@@ -457,7 +485,7 @@ def first_prime(monkeypatch, n, width):
     with monkeypatch.context() as m:
         m.setattr(modular, "_primes_below", capture)
         with pytest.raises(Stop):
-            modular._modular_det(rows, 0, None)
+            modular._modular_det(rows, 0, None, None)
     return next(modular._primes_below(tops[0]))
 
 
@@ -499,6 +527,40 @@ class TestWordKernel:
         assert list(modular._primes_below(12)) == [11, 7, 5, 3]
         assert list(modular._primes_below(11)) == [7, 5, 3]
         assert list(modular._primes_below(12)) == [11, 7, 5, 3]
+
+    def test_is_prime_beyond_the_word_primes(self):
+        # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the
+        # bases 2, 3, 5 and 7, which alone decide only p < 3.2e9
+        assert 3215031751 == 151 * 751 * 28351
+        assert not modular._is_prime(3215031751)
+        assert modular._is_prime(2 ** 61 - 1)
+        assert not modular._is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+        top = 10 ** 5
+        sieve = bytearray([1]) * top
+        sieve[:2] = b"\0\0"
+        for i in range(2, isqrt(top) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, top, i)))
+        assert [p for p in range(top) if modular._is_prime(p)] == [
+            p for p in range(top) if sieve[p]]
+
+    def test_oversized_prime_raises(self, monkeypatch):
+        """The kernel needs n (p - 1)**2 and the evaluator width (p - 1)**2
+        to fit in an int64; the first prime past either limit raises."""
+        for n in (3, 84):
+            limit = isqrt((2 ** 63 - 1) // n) + 1  # the least p - 1 past it
+            p = next(x for x in range(limit + 1, limit + 200) if modular._is_prime(x))
+            ok = first_prime(monkeypatch, n, 1)
+            a = np.zeros((1, n, n), dtype=np.int64)
+            assert modular._batch_det_mod(a.copy(), ok)[0].tolist() == [0]
+            with pytest.raises(ValueError, match="overflows"):
+                modular._batch_det_mod(a.copy(), p)
+            rows = [[IntPoly([1] * n) if i == j else ZERO for j in range(2)]
+                    for i in range(2)]  # width n
+            evaluate = modular._Evaluator(rows, 2)
+            assert evaluate(ok).shape == (2, 2, 2)
+            with pytest.raises(ValueError, match="overflows"):
+                evaluate(p)
 
     @given(st.lists(st.one_of(st.just(0), st.integers(1, 2 ** 31 - 2)), max_size=20))
     def test_batch_inverse_with_zeros(self, values):
@@ -552,6 +614,7 @@ def spied_det(rows):
 
     It asserts that plain elimination ran at exactly the marked points:
     each prime's plain matrices are those of its batches at their marks.
+    The certificate's eliminations, modulo a 61-bit prime, are left out.
     """
     calls, plain, marked_matrices = [], defaultdict(list), defaultdict(list)
     batch, eliminate = modular._batch_det_mod, modular._eliminate_mod
@@ -565,7 +628,8 @@ def spied_det(rows):
         return det, marked
 
     def spy_plain(rows, m):
-        plain[m].append([list(row) for row in rows])
+        if m < 2 ** 60:
+            plain[m].append([list(row) for row in rows])
         return eliminate(rows, m)
     with mock.patch.object(modular, "_batch_det_mod", spy_batch), \
             mock.patch.object(modular, "_eliminate_mod", spy_plain):
@@ -747,3 +811,70 @@ class TestRankMod:
         assert polyring._eliminate_mod(rows, 2) == (1, 0)
         assert polyring._eliminate_mod(rows, 3) == (2, 1)
         assert rows == [[1, 1], [1, -1]]  # the input is left as it was
+
+
+class TestEarlyStop:
+    """The engine stops once its CRT lift repeats and the certificate at a
+    random point confirms it; otherwise it runs to the coefficient bound."""
+
+    def test_stable_wrong_lift_runs_to_the_bound(self, monkeypatch):
+        # [[a + q]] with a = p1 p2 + 5: modulo p1 and then p1 p2 the lift is
+        # 5 + q, so it repeats at the second prime.  det - lift = p1 p2 has
+        # only word-size prime factors, so no 61-bit prime divides it and the
+        # certificate fails at every point.  The bound allows three primes.
+        p1 = first_prime(monkeypatch, 1, 2)
+        p2 = next(islice(modular._primes_below(p1 + 1), 1, None))
+        a = p1 * p2 + 5
+        det, cs, points = traced_det([[IntPoly([a, 1])]])
+        assert det == IntPoly([a, 1])
+        assert det.method == polyring.Method(None, 3, 3)
+        assert cs == [None] and points == {2}
+
+    def test_fixtures_stop_early(self):
+        from chamberforms.cli import load_instance
+        from chamberforms.forms import build_Sq
+        from conftest import FIXTURE_DIR
+        for name, primes, bound in (("vamos.json", 3, 5),
+                                    ("cyclic-r3-n7.json", 2, 3)):
+            om = load_instance(str(FIXTURE_DIR / name)).om
+            first, second = (poly_det(build_Sq(om).matrix) for _ in range(2))
+            assert first == second and first.method == second.method
+            assert first.method.primes == primes and first.method.bound == bound
+            assert 45 <= first.method.error_bits < 60
+
+    def test_constant_grid_runs_to_the_bound(self):
+        big = 2 ** 60  # det = big, against a bound of about 2 big**2
+        rows = [[const(big), const(big)], [const(big), const(big + 1)]]
+        det = modular.det(rows)
+        assert det == const(big)
+        assert det.method.error_bits is None
+        assert det.method.primes == det.method.bound > 3
+        assert int_det([[big, big], [big, big + 1]]) == big
+
+    def test_results_off_the_engine_are_exact(self):
+        q = IntPoly([0, 1])
+        for det in (poly_det([[const(3), ONE], [ONE, const(2)]]), poly_det([]),
+                    modular.det([]), poly_det([[q, ZERO], [ZERO, ZERO]])):
+            assert det.method.error_bits is None
+            assert det.method.primes == det.method.bound
+
+    @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 4), st.integers(1, 2))
+    def test_error_bits_bound_eps(self, n_coeffs, h_bits, power):
+        """floor(-log2 eps) or one less, for eps = deg / 2**60 +
+        ceil(log2(2H) / 60) / 2**54, deg = power (n_coeffs - 1)."""
+        bound_sq = 1 << (2 * h_bits)  # H = 2**h_bits
+        bits = modular._Certificate(None, power).error_bits(n_coeffs + 1, bound_sq)
+        eps = (Fraction(power * n_coeffs, 2 ** 60)
+               + Fraction(-(-(h_bits + 1) // 60), 2 ** 54))
+        assert Fraction(1, 2 ** (bits + 2)) < eps <= Fraction(1, 2 ** bits)
+
+    def test_certificate_prime_is_drawn_once_and_not_at_import(self):
+        code = ("from chamberforms import modular; "
+                "print(modular._certificate_prime.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(modular.__file__).parent.parent))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+        m = modular._certificate_prime()
+        assert m == modular._certificate_prime()
+        assert 2 ** 60 < m < 2 ** 61 and modular._is_prime(m)

@@ -50,6 +50,66 @@ def test_report_matches_pinned_digest(case, pinned, tmp_path):
     assert run_case(case, tmp_path) == pinned[case]
 
 
+# The check, det and random reports before they said how each determinant
+# was established: with its method field taken out, each report must hash
+# to these.
+WITHOUT_METHOD = {
+    "check --input fixtures/example13-C.json":
+        "422f0b83087bdcff91a95295e763a12d6f2876283c32211ab4cf5811af3ee8b1",
+    "det --input fixtures/example13-C.json":
+        "a67e67318f227470f89d833e1a9585675036408592883eea43590ea08910009e",
+    "check --input fixtures/example13-Cprime.json":
+        "7a62c23a4f5ea82627295d02ccede0e77c5d1d94c22b3550d4ebcad44775d9a2",
+    "det --input fixtures/example13-Cprime.json":
+        "145533b0217c668e0602fbb79ce2adccd74b048a927c2411789009c5a83e1709",
+    "check --input fixtures/line-n5.json":
+        "5773a82115adc4cb261c17f49489a9bb959d311ba3f55580b7a3578580b1ea81",
+    "det --input fixtures/line-n5.json":
+        "90b2d17b033e29aa446405f0da41b6d8c7415ab2992a43a4b715de293ea45c12",
+    "check --input fixtures/line-n10.json":
+        "6a89e146e4fc755bc4566945da1ec0267a926fd6824c15e8f6a8ecaeb8b0b046",
+    "det --input fixtures/line-n10.json":
+        "e235c5dcf05bd5cb25d040cb7226e86bc711bf0c87f7d213c8ad21ab4793dbbf",
+    "check --input fixtures/cyclic-r3-n7.json":
+        "f70bc3d3e257fc4174b388f587984798a210dbbb75fab6f46d80103838e45996",
+    "det --input fixtures/cyclic-r3-n7.json":
+        "d1fe99f3478b7c1a7410465c5ed7b8cba9c099c1f1be98be4992d9130237a039",
+    "check --input fixtures/vamos.json":
+        "41c44c758c8ccfe77fbd45e1c3325436d249d46346b7bd2a37cc46437824db1c",
+    "det --input fixtures/vamos.json":
+        "98aab20442f98c9141da45010db8c15059bdfb4fdd7e2e1746e37cb1c25dd2b2",
+    "random --dim 3 --n 7 --count 5 --seed 4":
+        "5b0d29cbda51b0aa3348abc91c09f8e736f7d96b1ad92bb0ee1847397010afd5",
+}
+
+
+def without_method(case: str, text: str) -> bytes:
+    """The report with every method field taken out, re-serialised as the
+    CLI writes it: one indented document, or for random one compact line
+    per instance."""
+    def strip(report: dict) -> dict:
+        holder = report["verdict"] if "verdict" in report else report
+        how = holder.pop("method")
+        assert set(how) == {"det_S", "det_Sq"}
+        for entry in how.values():  # no random point or prime
+            assert set(entry) <= {"kind", "error_bound"}
+        return report
+    if case.startswith("random"):
+        lines = [json.dumps(strip(json.loads(line)), separators=(",", ":"))
+                 for line in text.splitlines()]
+        return ("\n".join(lines) + "\n").encode()
+    return (json.dumps(strip(json.loads(text)), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", sorted(WITHOUT_METHOD))
+def test_reports_differ_only_by_method(case, tmp_path):
+    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in case.split()]
+    out = tmp_path / "report.out"
+    assert main(argv + ["--out", str(out)]) == 0
+    stripped = without_method(case, out.read_text())
+    assert hashlib.sha256(stripped).hexdigest() == WITHOUT_METHOD[case]
+
+
 # The flag-space oracle certifies by peeling and by a rank mod p; when those
 # fail it falls back to exact elimination, which must give the same reports.
 FALLBACKS = {"peel": ("_peel", lambda rows: None),
