@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .matroid import bits, r_subsets
 from .oriented_matroid import (AffineOrientedMatroid, Chirotope, SignVector,
-                               name_from_json)
+                               check_star_cap, name_from_json)
 
 
 class Hyperplane(NamedTuple):
@@ -163,6 +163,7 @@ class Arrangement:
         """
         if self._scan is None:
             r = self.dim
+            check_star_cap(1, r)  # an essential arrangement has a vertex
             subsets = r_subsets(len(self.rows), r)
             cofactors = [_cofactors([self.rows[i] for i in bits(b)], r + 1)
                          for b in subsets]

@@ -9,19 +9,21 @@ together they must form a Z-basis of that kernel (unit Smith divisors).
 For realizable inputs the module also builds the square sign matrix y
 indexed by generic-functional-bounded regions and bases.
 
-The unimodularity claims are certified in time linear in the nonzero
-entries, by the triangular order the proof uses.  _peel removes, one at a
-time, a row that is the only one left with a nonzero entry in some column,
-when that entry is +-1.  If every row goes, the peeled columns form a
-maximal minor that is triangular with a +-1 diagonal.  On the phi matrix
-that minor proves rank n_topes and unit Smith divisors; on the square y it
-gives det y as the sign of the row-to-column permutation times the product
-of the pivots.  The boundary kernel dimension is pinned from both sides: n
-independent phi vectors in the kernel bound it below by n, and the rank of
-the boundary matrix modulo a prime, never above its rank over Q, bounds it
-above.  Whenever a certificate does not hold, the exact computation runs
-instead (smith_divisors, int_det), so no value or verdict depends on which
-route was taken.
+The rank and divisors of phi, det y and the boundary kernel dimension are
+all certified in time linear in the nonzero entries, by the triangular
+order the proof uses.  _peel removes, one at a time, a row that is the only
+one left with a nonzero entry in some column, when that entry is +-1.  If
+every row goes, the peeled columns form a maximal minor that is triangular
+with a +-1 diagonal.  On the phi matrix that minor proves rank n_topes and
+unit Smith divisors; on the square y it gives det y as the sign of the
+row-to-column permutation times the product of the pivots.  The boundary
+kernel dimension is pinned from both sides: n independent phi vectors in
+the kernel bound it below by n, and a peel of the boundary rows of the
+bases that are not pivots of the phi peel bounds the rank of the boundary
+below by |bases| - n, so the kernel above by n.
+Whenever a certificate does not hold, the exact computation runs instead
+(smith_divisors, int_det), so no value or verdict depends on which route
+was taken.
 
 Sets of ground elements are masks (bit i for ground[i], as in the matroid
 module): phi vectors and their boundaries are dicts keyed by the masks of
@@ -38,7 +40,7 @@ from .arrangement import Arrangement
 from .matroid import bits, r_subsets
 from .oriented_matroid import (AffineOrientedMatroid, SignVector, _fillings,
                                separation)
-from .polyring import _CERT_PRIME, _eliminate_mod, int_det
+from .polyring import int_det
 
 
 def _monomial_sign(om: AffineOrientedMatroid, b: int, t: SignVector) -> int:
@@ -191,31 +193,32 @@ def check_basis_of_kernel(om: AffineOrientedMatroid,
     is the computed boundary of its vector.
     When _peel removes every row of the phi matrix, a maximal minor is +-1,
     so the rank is len(vectors) and every divisor is 1; otherwise
-    smith_divisors computes them.  The boundary kernel dimension is
-    len(vectors) when those vectors are certified independent and all in the
-    kernel, and the rank of the boundary matrix modulo a prime leaves a
-    kernel of exactly that dimension; otherwise smith_divisors gives the
-    rank of the boundary matrix.
+    smith_divisors computes them.  If, besides, every vector is a cycle and
+    _peel removes the boundary rows of the bases off the phi pivots, those
+    rows hold a +-1 minor of size len(bases) - len(vectors), which bounds
+    the kernel dimension above by len(vectors), as the cycles bound it
+    below.  Otherwise smith_divisors gives the rank of the boundary matrix.
     """
     bases = om.central.bases()
     flags = tuple(not boundary(v) for v in vectors)
     n = len(vectors)
-    phi_certified = _peel(vectors) is not None
-    if phi_certified:
+    peeled = _peel(vectors)
+    if peeled is not None:
         divisors = (1,) * n
     else:
         divisors = tuple(smith_divisors([[v.get(b, 0) for b in bases]
                                          for v in vectors]))
 
-    col = {s: j for j, s in enumerate(r_subsets(len(om.ground), om.central.rank - 1))}
-    bmatrix = [[0] * len(col) for _ in bases]
-    for row, b in zip(bmatrix, bases):
-        for face, c in boundary({b: 1}).items():
-            row[col[face]] = c
-    if (phi_certified and all(flags)
-            and len(bases) - _eliminate_mod(bmatrix, _CERT_PRIME)[0] == n):
-        kernel_dim = n  # n independent kernel vectors; rank over Q >= rank mod p
+    pivots = {b for _, b, _ in peeled or ()}
+    if peeled is not None and all(flags) and _peel(
+            [boundary({b: 1}) for b in bases if b not in pivots]) is not None:
+        kernel_dim = n
     else:
+        col = {s: j for j, s in enumerate(r_subsets(len(om.ground), om.central.rank - 1))}
+        bmatrix = [[0] * len(col) for _ in bases]
+        for row, b in zip(bmatrix, bases):
+            for face, c in boundary({b: 1}).items():
+                row[col[face]] = c
         kernel_dim = len(bases) - len(smith_divisors(bmatrix))
 
     mu_dual = om.matroid().tutte(0, 1)  # mu+ of the dual matroid

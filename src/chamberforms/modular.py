@@ -82,7 +82,7 @@ from typing import Sequence
 import numpy as np
 
 from .polyring import (EXACT, ZERO, CertificateError, Determinant, IntPoly,
-                       Method, _eliminate_mod, _eval_mod, _is_symmetric)
+                       Method, _is_symmetric)
 
 # The Miller-Rabin bases of _is_prime: the twelve primes up to 37.  The
 # least strong pseudoprime to all of them is about 3.18e23 (Sorenson and
@@ -309,6 +309,35 @@ def _batch_det_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return det, marked
 
 
+def _eval_mod(p: IntPoly, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _eliminate_mod(rows: Sequence[Sequence[int]], m: int) -> int:
+    """det mod a prime m of a square grid, by Gaussian elimination with row
+    pivoting on Python ints; rows is left as it was."""
+    a = [[x % m for x in row] for row in rows]
+    n, det = len(a), 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        row_k = a[k]
+        det = det * row_k[k] % m
+        inv = pow(row_k[k], -1, m)
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % m
+            if f:
+                a[i] = [(x - f * y) % m for x, y in zip(a[i], row_k)]
+    return det % m
+
+
 def _interpolate_mod(e0: int, y: np.ndarray, p: int) -> list[int]:
     """Coefficients mod p of the polynomial of degree < len(y) through
     (2**(e0 + i), y_i).
@@ -381,7 +410,7 @@ class _Certificate:
         m = _certificate_prime()
         x = secrets.randbelow(m)
         at_x = _eliminate_mod([[_eval_mod(e, x, m) for e in row]
-                               for row in self.rows], m)[1]
+                               for row in self.rows], m)
         return at_x == _eval_mod(IntPoly(g), pow(x, self.power, m), m)
 
     def error_bits(self, n_coeffs: int, bound_sq: int) -> int:
@@ -460,7 +489,7 @@ def _modular_det(rows, shift: int, c: int | None,
         for e in np.flatnonzero(plain).tolist():
             t = pow(2, e, p)
             det[e] = _eliminate_mod([[_eval_mod(x, t, p) for x in row]
-                                     for row in rows], p)[1]
+                                     for row in rows], p)
         g = det * _powers(pow(inv2, shift, p), n_evals, p) % p  # at t = 2**e
         if c is None:
             e0, y = 0, g

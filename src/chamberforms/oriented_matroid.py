@@ -20,6 +20,7 @@ matroid module: bit i stands for ground[i].
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .matroid import Matroid, bits, r_subsets
@@ -29,6 +30,14 @@ class ClosureCapExceeded(RuntimeError):
 
 
 _CLOSURE_CAP = 10 ** 6  # most sign vectors all vertex stars may hold
+
+
+def check_star_cap(stars: int, r: int) -> None:
+    """Raise ClosureCapExceeded when stars vertex stars of 2^r topes exceed the cap."""
+    if stars << r > _CLOSURE_CAP:
+        held = f"{stars} vertex stars" if stars > 1 else "a vertex star"
+        raise ClosureCapExceeded(
+            f"{held} of 2^{r} topes would exceed the cap {_CLOSURE_CAP}")
 
 
 def name_from_json(value, field: str) -> str:
@@ -183,14 +192,15 @@ class Chirotope:
     def __init__(self, rank: int, ground: Sequence, signs: Sequence[int]):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "ground", tuple(ground))
-        subsets = r_subsets(len(self.ground), rank)
         signs = list(signs)
-        if len(signs) != len(subsets):
-            raise ValueError(f"chirotope needs {len(subsets)} signs, one per "
+        count = comb(len(self.ground), rank)  # before listing them: they may be many
+        if len(signs) != count:
+            raise ValueError(f"chirotope needs {count} signs, one per "
                              f"lex r-subset, got {len(signs)}")
         if not any(signs):
             raise ValueError("chirotope must not be identically zero")
-        object.__setattr__(self, "_signs", dict(zip(subsets, signs)))
+        object.__setattr__(self, "_signs",
+                           dict(zip(r_subsets(len(self.ground), rank), signs)))
         object.__setattr__(self, "_matroid", None)
 
     def __setattr__(self, *_):
@@ -306,11 +316,7 @@ class AffineOrientedMatroid:
         |common| * 2^dim faces.
         """
         if self._bounded is None:
-            r = self.central.rank
-            if len(self.feasible) << r > _CLOSURE_CAP:
-                raise ClosureCapExceeded(
-                    f"{len(self.feasible)} vertex stars of 2^{r} topes exceed "
-                    f"the cap {_CLOSURE_CAP}")
+            check_star_cap(len(self.feasible), self.central.rank)
             n = len(self.ground)
             edges = Counter(y.bits | c for y in self.feasible
                             for c in _zero_codes(y.bits, n))

@@ -1,7 +1,9 @@
 """Exact arithmetic over Z and Z[q]: q-integers and determinants.
 
 Polynomials are dense integer-coefficient vectors in the single variable q.
-All arithmetic is exact.  Products are schoolbook convolutions: they build
+All arithmetic is exact: nothing here works modulo a prime, and every
+residue, the engine's and its certificate's, is computed in
+chamberforms.modular.  Products are schoolbook convolutions: they build
 only h-polynomials and the q-integer powers of the right-hand sides, since
 the determinant engine multiplies no polynomials.
 
@@ -258,48 +260,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
             return det
     from .modular import det
     return det([[const(x) for x in row] for row in rows])[0]
-
-
-# -- arithmetic modulo a prime -------------------------------------------------
-
-# The modulus of the flag-space oracle's boundary rank: the Mersenne prime
-# 2**61 - 1.
-_CERT_PRIME = (1 << 61) - 1
-
-
-def _eval_mod(p: IntPoly, x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _eliminate_mod(rows: Sequence[Sequence[int]], m: int) -> tuple[int, int]:
-    """Rank and determinant mod a prime m by Gaussian elimination with row
-    pivoting on Python ints; rows is left as it was.
-
-    The determinant is that of a square grid, and 0 below full rank.  The
-    rank is never above the rank over Q: a minor nonzero mod m is nonzero.
-    """
-    a = [[x % m for x in row] for row in rows]
-    rank, det = 0, 1
-    for k in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][k]), None)
-        if piv is None:
-            det = 0
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            det = -det
-        row_k = a[rank]
-        det = det * row_k[k] % m
-        inv = pow(row_k[k], -1, m)
-        for i in range(rank + 1, len(a)):
-            f = a[i][k] * inv % m
-            if f:
-                a[i] = [(x - f * y) % m for x, y in zip(a[i], row_k)]
-        rank += 1
-    return rank, det % m
 
 
 def poly_det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:

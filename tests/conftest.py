@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, permutations
+from math import comb
 from operator import or_
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,12 +27,17 @@ def random_arrangement(rng: random.Random, dim: int, n: int):
     return generate_random_arrangement(rng, dim, n)
 
 
+def uniform_arrangement(rng: random.Random, r: int, n: int) -> Arrangement:
+    """A generic arrangement whose normal matroid is U(r, n), like `dense`'s."""
+    while True:
+        arr = random_arrangement(rng, r, n)
+        if arr is not None and len(arr.compile().matroid().bases) == comb(n, r):
+            return arr
+
+
 def uniform_lines(rng: random.Random, n: int = 8) -> Arrangement:
     """Generic lines in the plane whose normal matroid is uniform."""
-    while True:
-        arr = random_arrangement(rng, 2, n)
-        if arr is not None and len(arr.compile().matroid().bases) == n * (n - 1) // 2:
-            return arr
+    return uniform_arrangement(rng, 2, n)
 
 
 # Fraction linear algebra: the reference for the integer minors that

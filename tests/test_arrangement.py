@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chamberforms.arrangement import Arrangement, Hyperplane, _cofactors
 from chamberforms.polyring import int_det
-from chamberforms.oriented_matroid import SignVector
+from chamberforms.oriented_matroid import ClosureCapExceeded, SignVector
 from chamberforms.matroid import Matroid
 from conftest import (chirotope_sign, circuits, cocircuit_faces, conforms,
                       example13_C, example13_Cprime, kernel_vector, line_points,
@@ -156,6 +156,21 @@ def test_cofactors_are_the_signed_maximal_minors(args):
 
 class TestValidateGeneric:
     def test_example13_ok(self):
+        assert example13_C().validate_generic() is None
+
+    def test_one_vertex_star_over_the_cap_stops_the_scan(self, monkeypatch):
+        """A vertex star of the plane holds 2^2 topes: a cap of 3 rejects
+        the arrangement before the scan, and a cap of 4 lets it through."""
+        from chamberforms import arrangement, oriented_matroid
+
+        def no_scan(rows, width):
+            raise AssertionError("scanned the r-subsets")
+        monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 3)
+        monkeypatch.setattr(arrangement, "_cofactors", no_scan)
+        with pytest.raises(ClosureCapExceeded, match=r"a vertex star of 2\^2 topes"):
+            example13_C().validate_generic()
+        monkeypatch.undo()
+        monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 4)
         assert example13_C().validate_generic() is None
 
     def test_coincident_lines_violate(self):

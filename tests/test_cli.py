@@ -242,6 +242,40 @@ class TestErrors:
         assert cli.main(["check", "--input", str(p)]) == 1
         assert "error: basis exchange fails" in capsys.readouterr().err
 
+    def test_short_chirotope_lists_no_r_subsets(self, tmp_path, capsys, monkeypatch):
+        """Rank 12 on 24 elements has 2,704,156 r-subsets: one sign is
+        rejected by their count, before any of them is listed."""
+        from chamberforms import oriented_matroid
+
+        def no_listing(n, r):
+            raise AssertionError("listed the r-subsets")
+        monkeypatch.setattr(oriented_matroid, "r_subsets", no_listing)
+        doc = {"rank": 12, "elements": [str(i) for i in range(1, 25)],
+               "chirotope": "+", "lift": {"feasible_cocircuits": []}}
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["check", "--input", str(p)]) == 1
+        assert ("error: chirotope needs 2704156 signs, one per lex r-subset, "
+                "got 1") in capsys.readouterr().err
+
+    def test_dimension_over_the_cap_skips_the_vertex_scan(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """Every vertex of an essential arrangement in R^20 has a star of
+        2^20 > 10^6 topes, so the cap rejects it before any minor is taken."""
+        from chamberforms import arrangement
+
+        def no_scan(rows, width):
+            raise AssertionError("scanned the r-subsets")
+        monkeypatch.setattr(arrangement, "_cofactors", no_scan)
+        doc = {"dim": 20, "hyperplanes": [
+            {"label": f"H{i}", "normal": [str(int(i == j)) for j in range(20)],
+             "offset": "0"} for i in range(20)]}
+        p = tmp_path / "dim20.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["check", "--input", str(p)]) == 1
+        assert ("error: a vertex star of 2^20 topes would exceed the cap 1000000"
+                in capsys.readouterr().err)
+
     def test_nudge_recovers_non_generic_input(self, tmp_path):
         doc = {"dim": 2, "hyperplanes": [
             {"label": "H1", "normal": ["1", "0"], "offset": "0"},

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from chamberforms.oriented_matroid import separation
 from chamberforms.polyring import int_det, poly_eval
 from conftest import (FIXTURE_DIR, cocircuit_faces, conforms, example13_C,
                       example13_Cprime, line_points, load_fixture, mask,
-                      random_arrangement)
+                      random_arrangement, uniform_arrangement)
 
 
 def phis(om):
@@ -151,6 +152,24 @@ class TestKernelReport:
         rep = check_basis_of_kernel(om, [a, {basis: coeff}])
         assert rep.kernel_flags == (True, False)
 
+    @pytest.mark.parametrize("change", ["dropped", "duplicated"])
+    def test_wrong_count_takes_the_exact_kernel_dimension(self, change, monkeypatch):
+        """With a phi vector dropped, the boundary rows off the phi pivots
+        are one more than the boundary rank, so they cannot peel; with one
+        duplicated, phi does not peel.  Either way the Smith form of the
+        boundary matrix gives the kernel dimension."""
+        om = uniform_arrangement(random.Random(2), 3, 7).compile()
+        vectors = phis(om)
+        n, n_bases = len(vectors), len(om.central.bases())
+        vectors = vectors[1:] if change == "dropped" else vectors + vectors[:1]
+        sizes = []
+        monkeypatch.setattr(flagspace, "smith_divisors",
+                            lambda rows: sizes.append(len(rows)) or smith_divisors(rows))
+        rep = check_basis_of_kernel(om, vectors)
+        assert all(rep.kernel_flags)
+        assert rep.boundary_kernel_dim == n != len(vectors)
+        assert sizes == ([n_bases] if change == "dropped" else [n + 1, n_bases])
+
 
 class TestYMatrix:
     def test_one_dimensional_two_bases(self):
@@ -267,12 +286,27 @@ class TestPeel:
         assert rep.boundary_kernel_dim == 2
 
 
-@pytest.mark.parametrize("name", list(FIXTURES))
+# Seeded inputs beyond the fixtures: uniform ones, shaped like the bench's,
+# and small ones with parallel and dependent normals.
+SEEDED = {**{f"uniform-r{r}-n{n}": (uniform_arrangement, r, n)
+             for r, n in ((1, 6), (2, 9), (3, 8), (4, 8))},
+          **{f"small-r{r}-n{n}": (random_arrangement, r, n)
+             for r, n in ((2, 6), (3, 6), (3, 7), (4, 7))}}
+
+
+@pytest.mark.parametrize("name", list(FIXTURES) + sorted(SEEDED))
 def test_invariants_certifies_without_elimination(name, monkeypatch, tmp_path):
-    """On every fixture the certificates hold: no Smith form, no Bareiss."""
+    """On every fixture and seeded input the certificates hold: no Smith
+    form, no Bareiss."""
+    path = FIXTURE_DIR / name
+    if name in SEEDED:
+        draw, r, n = SEEDED[name]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(draw(random.Random(name), r, n).to_json()))
+
     def forbidden(rows):
         raise AssertionError("exact fallback called")
     monkeypatch.setattr(flagspace, "smith_divisors", forbidden)
     monkeypatch.setattr(flagspace, "int_det", forbidden)
-    assert cli.main(["invariants", "--input", str(FIXTURE_DIR / name),
+    assert cli.main(["invariants", "--input", str(path),
                      "--out", str(tmp_path / "report.json")]) == 0

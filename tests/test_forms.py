@@ -95,6 +95,7 @@ class TestBuildSq:
         n = s.n
         for i in range(n):
             for j in range(n):
+                assert s.matrix[i][j] == s.matrix[j][i]
                 assert sq.matrix[i][j] == sq.matrix[j][i]
                 assert poly_eval(sq.matrix[i][j], 1) == poly_eval(s.matrix[i][j], 1)
 

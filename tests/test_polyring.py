@@ -18,7 +18,7 @@ from chamberforms import modular, polyring
 from chamberforms.polyring import (CertificateError, IntPoly, ONE, ZERO,
                                    const, int_det, poly_det, poly_eval,
                                    poly_pow, q_integer)
-from conftest import det_by_expansion, row_reduce
+from conftest import det_by_expansion, uniform_arrangement
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
 
@@ -581,7 +581,7 @@ class TestWordKernel:
         for e in range(n_pts):
             t = pow(2, e, p)
             assert batch[e].tolist() == [  # the upper triangle, 0 below it
-                [polyring._eval_mod(x, t, p) if j >= i else 0 for j, x in enumerate(row)]
+                [modular._eval_mod(x, t, p) if j >= i else 0 for j, x in enumerate(row)]
                 for i, row in enumerate(rows)]
 
 
@@ -600,7 +600,7 @@ def symmetric_edge_batch(rng, n_pts, n, p):
 
 
 def assert_symmetric_kernel_matches(a, p):
-    expected = [polyring._eliminate_mod([[int(x) for x in row] for row in m], p)[1]
+    expected = [modular._eliminate_mod([[int(x) for x in row] for row in m], p)
                 for m in a]
     upper = np.triu(a)  # the symmetric kernel reads nothing below the diagonal
     for batch in (upper.copy(), points_last(upper)):
@@ -636,15 +636,6 @@ def spied_det(rows):
         det = poly_det(rows)
     assert plain == marked_matrices
     return det, calls
-
-
-def uniform_arrangement(rng, r, n):
-    """A generic arrangement whose normal matroid is U(r, n), like `dense`'s."""
-    from conftest import random_arrangement
-    while True:
-        arr = random_arrangement(rng, r, n)
-        if arr is not None and len(arr.compile().matroid().bases) == comb(n, r):
-            return arr
 
 
 def symmetric_matrices(entry, max_n):
@@ -771,6 +762,24 @@ def test_modular_is_entered_only_through_det():
     assert imported == {"polyring.py": {"det"}, "cli.py": {"<module>"}}
 
 
+def test_private_names_cross_two_module_boundaries():
+    """The only underscore names a module of chamberforms imports from
+    another: the vertex-star fillings that build_y_matrix walks, and the
+    symmetry test that the engine shares with int_det."""
+    src = Path(modular.__file__).parent
+    crossings = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            module = node.module.removeprefix("chamberforms.")
+            if node.level or module != node.module:
+                crossings |= {(path.stem, module, a.name) for a in node.names
+                              if a.name.startswith("_")}
+    assert crossings == {("flagspace", "oriented_matroid", "_fillings"),
+                         ("modular", "polyring", "_is_symmetric")}
+
+
 class TestShapeAndSerialization:
     def test_non_square_rejected(self):
         q = IntPoly([0, 1])
@@ -794,22 +803,21 @@ def test_poly_pow():
             product = product * p
 
 
-small_int_matrices = st.integers(1, 6).flatmap(lambda cols: st.lists(
-    st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), max_size=7))
+square_int_matrices = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
 
 
-class TestRankMod:
-    @given(small_int_matrices)
+class TestDetMod:
+    @given(square_int_matrices, st.sampled_from([2, 3, 7, (1 << 61) - 1]))
     @settings(deadline=None, max_examples=150)
-    def test_equals_rational_rank_below_the_modulus(self, rows):
-        # every minor is far below 2**61 - 1, so none vanishes only mod p
-        expected = row_reduce([[Fraction(x) for x in row] for row in rows])
-        assert polyring._eliminate_mod(rows, polyring._CERT_PRIME)[0] == expected
+    def test_equals_the_exact_det_mod_p(self, rows, p):
+        exact = det_by_expansion([[IntPoly([x]) for x in row] for row in rows])[0]
+        assert modular._eliminate_mod(rows, p) == exact % p
 
-    def test_never_above_the_rational_rank(self):
+    def test_singular_mod_2_only(self):
         rows = [[1, 1], [1, -1]]  # det -2
-        assert polyring._eliminate_mod(rows, 2) == (1, 0)
-        assert polyring._eliminate_mod(rows, 3) == (2, 1)
+        assert modular._eliminate_mod(rows, 2) == 0
+        assert modular._eliminate_mod(rows, 3) == 1
         assert rows == [[1, 1], [1, -1]]  # the input is left as it was
 
 

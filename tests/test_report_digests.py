@@ -110,18 +110,35 @@ def test_reports_differ_only_by_method(case, tmp_path):
     assert hashlib.sha256(stripped).hexdigest() == WITHOUT_METHOD[case]
 
 
-# The flag-space oracle certifies by peeling and by a rank mod p; when those
-# fail it falls back to exact elimination, which must give the same reports.
-FALLBACKS = {"peel": ("_peel", lambda rows: None),
-             "rank_mod": ("_eliminate_mod", lambda rows, m: (0, 0))}
+# The flag-space oracle certifies by peeling, in this order: the phi rows,
+# the boundary rows of the bases off the phi pivots, and y.  A peel that
+# fails hands its claim to exact elimination, which must give the same
+# reports.  Each case names the peels that fail; without the phi peel there
+# are no pivots, so the boundary takes its Smith form too.
+FALLBACKS = {"peel": {"phi", "boundary", "y"},
+             "phi": {"phi"},
+             "boundary": {"boundary"}}
 
 
 @pytest.mark.parametrize("broken", sorted(FALLBACKS))
 @pytest.mark.parametrize("case", [c for c in CASES if c.startswith("invariants")])
 def test_invariants_digest_holds_through_the_fallback(case, broken, pinned,
                                                       tmp_path, monkeypatch):
-    monkeypatch.setattr(flagspace, *FALLBACKS[broken])
+    peel, smith = flagspace._peel, flagspace.smith_divisors
+    order = iter(["phi", "boundary"])  # the peels with mapping rows
+    smith_forms = []
+
+    def fallible(rows):
+        kind = next(order) if isinstance(rows[0], dict) else "y"
+        return None if kind in FALLBACKS[broken] else peel(rows)
+
+    def counted(rows):
+        smith_forms.append(len(rows))
+        return smith(rows)
+    monkeypatch.setattr(flagspace, "_peel", fallible)
+    monkeypatch.setattr(flagspace, "smith_divisors", counted)
     assert run_case(case, tmp_path) == pinned[case]
+    assert len(smith_forms) == (1 if broken == "boundary" else 2)
 
 
 # With no matrix taken as symmetric, int_det hands S to the modular engine
