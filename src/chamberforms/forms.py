@@ -14,7 +14,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .matroid import Matroid
-from .oriented_matroid import AffineOrientedMatroid, SignVector, separation
+from .oriented_matroid import (AffineOrientedMatroid, SignVector,
+                               check_form_cap, separation)
 from .polyring import (IntPoly, ONE, ZERO, const, poly_det, poly_eval,
                        poly_pow, q_integer)
 
@@ -69,6 +70,7 @@ class DeterminantVerdict(NamedTuple):
 def _pair_entries(om: AffineOrientedMatroid, entry_fn):
     topes = om.bounded_topes()
     n = len(topes)
+    check_form_cap(n)
     grid = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

@@ -11,9 +11,10 @@ Mulders, ISSAC 1999), preceded by two exact transforms that keep the
 determinant and two passes that read its symmetries:
 
 - Band order: rows and columns are permuted alike by reverse Cuthill-McKee
-  on the symmetrised nonzero pattern.  A symmetric permutation P M P^T has
-  det(P)^2 det(M) = det(M), and each elimination step updates only the span
-  of nonzero rows and columns, which a narrow band keeps small.
+  on the symmetrised nonzero pattern (polyring.band_order).  A symmetric
+  permutation P M P^T has det(P)^2 det(M) = det(M), and each elimination
+  step updates only the span of nonzero rows and columns, which a narrow
+  band keeps small.
 - Grading: when a 0/1 vector s gives every nonzero coefficient of entry
   (i, j) an exponent of parity s_i + s_j, as it does in S_q, the engine runs
   on N(t) with N(q^2) = D M D, D = diag(q^s_i).  Then det N(t) =
@@ -25,13 +26,14 @@ determinant and two passes that read its symmetries:
   g(t) then also gives g(1/t) = t^-c g(t), again about half the points.
 - Symmetry: both transforms act alike on rows and columns, so N is
   symmetric exactly when M is, as S and S_q are.  The engine evaluates
-  only the upper triangle of N and eliminates it with diagonal pivots,
-  reading and updating only the upper triangle.  S_q(0) = I, so every
-  leading principal minor of S_q is a nonzero polynomial and a diagonal
-  pivot vanishes only at isolated points.  Such a point, and every point
-  of a matrix that is not symmetric, takes plain elimination instead.
-  int_det eliminates a symmetric integer matrix, such as S, on its upper
-  triangle in the same way, and hands any other to the engine.
+  only the upper triangle of N, each distinct entry once per point, and
+  eliminates it with diagonal pivots, reading and updating only the upper
+  triangle.  S_q(0) = I, so every leading principal minor of S_q is a
+  nonzero polynomial and a diagonal pivot vanishes only at isolated
+  points.  Such a point, and every point of a matrix that is not
+  symmetric, takes plain elimination instead.  int_det eliminates a
+  symmetric integer matrix, such as S, by Bareiss on its upper triangle
+  in band order, and hands any other to the engine.
 
 The engine interpolates g itself from det N(t) / t^(sum s) at powers of 2
 with consecutive exponents.  It evaluates at t = 2^0 .. 2^(K-1).  On a
@@ -52,8 +54,12 @@ symmetric CRT lift is then the exact g.  The engine stops sooner when it can
 (the early termination of Abbott, Bronstein and Mulders): from the second
 prime on it compares the lift with the previous prime's, and when the two
 agree it runs the certificate, the determinant of the untransformed matrix
-at a random point x modulo a random 61-bit prime Q, by plain elimination on
-Python ints, against the lift's value at x.  Q is drawn once per process,
+at a random point x modulo a random 61-bit prime Q, against the lift's
+value at x.  The certificate evaluates each distinct entry at x once and
+eliminates on Python ints: a symmetric matrix with diagonal pivots in the
+band order, where each step updates only the pairs of its nonzero
+columns, and any other matrix, or one whose pivot vanishes at x, by plain
+elimination of the same values.  Q is drawn once per process,
 at the first certificate.  If the certificate passes, the lift is returned,
 labelled certified.  If it fails, the engine runs to the bound, where the
 certificate runs again and a failure raises CertificateError; so only one
@@ -82,7 +88,7 @@ from typing import Sequence
 import numpy as np
 
 from .polyring import (EXACT, ZERO, CertificateError, Determinant, IntPoly,
-                       Method, _is_symmetric)
+                       Method, _is_symmetric, band_order)
 
 # The Miller-Rabin bases of _is_prime: the twelve primes up to 37.  The
 # least strong pseudoprime to all of them is about 3.18e23 (Sorenson and
@@ -183,29 +189,35 @@ class _Evaluator:
     """Evaluates the upper triangle of a symmetric Z[t] matrix at
     t = 2**0 .. 2**(n_points - 1) modulo a prime.
 
-    Only the nonzero entries (i, j) with j >= i are computed, so sparse
-    matrices cost little: one int64 product of the node-power table
-    (points x width) with the coefficient table (width x entries), reduced
-    once.  Each sum has at most width products of residues, so the prime
-    must keep width (p - 1)**2 in an int64.  Below the diagonal each matrix
-    is 0, and _batch_det_mod reads nothing there.  The points are evaluated
-    in chunks of step points, starting at lo, whose (points, n, n) batch
-    and entry values fit in _BATCH_BYTES; every chunk refills one buffer,
-    allocated once.
+    Only the nonzero entries (i, j) with j >= i are computed, and each
+    distinct coefficient tuple among them once, so sparse matrices whose
+    entries repeat, as S_q's do, cost little: one int64 product of the
+    node-power table (points x width) with the coefficient table (width x
+    distinct tuples), reduced once, then scattered to the entries through
+    an index array.  Each sum has at most width products of residues, so
+    the prime must keep width (p - 1)**2 in an int64.  Below the diagonal
+    each matrix is 0, and _batch_det_mod reads nothing there.  The points
+    are evaluated in chunks of step points, starting at lo, whose
+    (points, n, n) batch and entry values fit in _BATCH_BYTES; every chunk
+    refills one buffer, allocated once.
     """
 
     def __init__(self, rows, n_points: int):
         n = len(rows)
-        entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
-                   for j, e in enumerate(row) if e.coeffs and j >= i]
-        self.rows = np.array([i for i, _, _ in entries], dtype=np.intp)
-        self.cols = np.array([j for _, j, _ in entries], dtype=np.intp)
-        self.width = max(len(c) for _, _, c in entries)
-        # coeffs[k][m] is the coefficient of t**k in the m-th nonzero entry
-        self.coeffs = [[c[k] if k < len(c) else 0 for _, _, c in entries]
+        upper = [(i, j, row[j].coeffs) for i, row in enumerate(rows)
+                 for j in range(i, n) if row[j].coeffs]
+        distinct: dict[tuple[int, ...], int] = {}
+        self.rows = np.array([i for i, _, _ in upper], dtype=np.intp)
+        self.cols = np.array([j for _, j, _ in upper], dtype=np.intp)
+        # the m-th nonzero entry holds the which[m]-th distinct tuple
+        self.which = np.array([distinct.setdefault(c, len(distinct))
+                               for _, _, c in upper], dtype=np.intp)
+        self.width = max(map(len, distinct))
+        # coeffs[k][d] is the coefficient of t**k in the d-th distinct tuple
+        self.coeffs = [[c[k] if k < len(c) else 0 for c in distinct]
                        for k in range(self.width)]
         self.n_points = n_points
-        per_point = 8 * (n * n + len(entries))
+        per_point = 8 * (n * n + len(upper))
         self.step = max(1, min(n_points, _BATCH_BYTES // per_point))
         # (points, n, n), laid out points-last for _batch_det_mod
         self.batch = np.zeros((n, n, self.step), dtype=np.int64).transpose(2, 0, 1)
@@ -229,7 +241,8 @@ class _Evaluator:
         values = table @ coeffs
         batch = self.batch[:count]
         batch.fill(0)
-        batch[:, self.rows, self.cols] = np.remainder(values, p, out=values)
+        np.remainder(values, p, out=values)
+        batch[:, self.rows, self.cols] = values[:, self.which]
         return batch
 
 
@@ -309,9 +322,10 @@ def _batch_det_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return det, marked
 
 
-def _eval_mod(p: IntPoly, x: int, m: int) -> int:
+def _eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
+    """The polynomial with these coefficients, constant first, at x mod m."""
     acc = 0
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = (acc * x + c) % m
     return acc
 
@@ -336,6 +350,34 @@ def _eliminate_mod(rows: Sequence[Sequence[int]], m: int) -> int:
             if f:
                 a[i] = [(x - f * y) % m for x, y in zip(a[i], row_k)]
     return det % m
+
+
+def _symmetric_eliminate_mod(rows: Sequence[Sequence[int]], order: Sequence[int],
+                             m: int) -> int | None:
+    """det mod a prime m of a symmetric grid of residues, or None.
+
+    Gaussian elimination with diagonal pivots on the upper triangle, rows
+    and columns taken alike in the given order, which keeps the
+    determinant.  Step k updates only the pairs i <= j of the columns
+    right of the pivot where row k is nonzero, which by symmetry are also
+    the rows to update, so a band order keeps each step small.  None when
+    a pivot vanishes; rows is left as it was.
+    """
+    a = [[rows[i][j] for j in order] for i in order]
+    n, det = len(a), 1
+    for k, row_k in enumerate(a):
+        pivot = row_k[k]
+        if not pivot:
+            return None
+        det = det * pivot % m
+        cols = [j for j in range(k + 1, n) if row_k[j]]
+        vals = [row_k[j] for j in cols]
+        inv = pow(pivot, -1, m)
+        for s, i in enumerate(cols):
+            row_i, f = a[i], vals[s] * inv % m
+            for j, y in zip(cols[s:], vals[s:]):
+                row_i[j] = (row_i[j] - f * y) % m
+    return det
 
 
 def _interpolate_mod(e0: int, y: np.ndarray, p: int) -> list[int]:
@@ -379,9 +421,11 @@ def _coefficient_bound_sq(rows) -> int:
     bounds |det M(q)| by H there, and Cauchy's estimate bounds each
     coefficient of det M by its maximum on the unit circle.
     """
+    norm_sq = {c: sum(map(abs, c)) ** 2
+               for c in {e.coeffs for row in rows for e in row}}
     out = 1
     for row in rows:
-        out *= sum(sum(abs(c) for c in e.coeffs) ** 2 for e in row)
+        out *= sum(norm_sq[e.coeffs] for e in row)
     return out
 
 
@@ -400,18 +444,27 @@ class _Certificate:
 
     g is a polynomial in t = q**power.  Each check draws a fresh random
     point x below the certificate prime Q and compares the determinant of
-    rows at x, by plain elimination, with g(x**power) mod Q.
+    rows at x with g(x**power) mod Q.  rows is evaluated at x once per
+    distinct entry.  When det found rows symmetric it passes its band
+    order, and the values are eliminated with diagonal pivots in that
+    order (_symmetric_eliminate_mod); with order None, or where a pivot
+    vanishes, the same values take plain elimination.
     """
 
-    def __init__(self, rows, power: int):
-        self.rows, self.power = rows, power
+    def __init__(self, rows, power: int, order: Sequence[int] | None):
+        self.rows, self.power, self.order = rows, power, order
 
     def passes(self, g: list[int]) -> bool:
         m = _certificate_prime()
         x = secrets.randbelow(m)
-        at_x = _eliminate_mod([[_eval_mod(e, x, m) for e in row]
-                               for row in self.rows], m)
-        return at_x == _eval_mod(IntPoly(g), pow(x, self.power, m), m)
+        at = {c: _eval_mod(c, x, m)
+              for c in {e.coeffs for row in self.rows for e in row}}
+        values = [[at[e.coeffs] for e in row] for row in self.rows]
+        at_x = (None if self.order is None
+                else _symmetric_eliminate_mod(values, self.order, m))
+        if at_x is None:
+            at_x = _eliminate_mod(values, m)
+        return at_x == _eval_mod(g, pow(x, self.power, m), m)
 
     def error_bits(self, n_coeffs: int, bound_sq: int) -> int:
         """floor(-log2 eps) for a g of n_coeffs coefficients and H**2 = bound_sq.
@@ -488,7 +541,7 @@ def _modular_det(rows, shift: int, c: int | None,
                 det[lo:hi], plain[lo:hi] = _batch_det_mod(evaluate(p, lo), p)
         for e in np.flatnonzero(plain).tolist():
             t = pow(2, e, p)
-            det[e] = _eliminate_mod([[_eval_mod(x, t, p) for x in row]
+            det[e] = _eliminate_mod([[_eval_mod(x.coeffs, t, p) for x in row]
                                      for row in rows], p)
         g = det * _powers(pow(inv2, shift, p), n_evals, p) % p  # at t = 2**e
         if c is None:
@@ -514,45 +567,6 @@ def _modular_det(rows, shift: int, c: int | None,
         raise CertificateError(f"determinant certificate failed after all "
                                f"{len(primes)} primes of the coefficient bound")
     return Determinant(lift, Method(None, len(primes), len(primes)))
-
-
-def _band_order(n: int, pattern: Sequence[tuple[int, int]]) -> list[int]:
-    """Reverse Cuthill-McKee order of the symmetrised nonzero pattern.
-
-    Each connected component is searched breadth first from its vertex of
-    least degree, neighbours in order of increasing degree, and the whole
-    order is reversed.  Bucketing the vertices by degree keeps the pass
-    linear in the number of nonzero entries.
-    """
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in pattern:
-        if i != j:
-            adj[i].add(j)
-            adj[j].add(i)
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        buckets[len(adj[v])].append(v)
-    by_degree = [v for bucket in buckets for v in bucket]
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for v in by_degree:
-        for u in adj[v]:
-            neighbours[u].append(v)
-    seen = [False] * n
-    order: list[int] = []
-    for start in by_degree:
-        if seen[start]:
-            continue
-        seen[start] = True
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            for u in neighbours[order[head]]:
-                if not seen[u]:
-                    seen[u] = True
-                    order.append(u)
-            head += 1
-    order.reverse()
-    return order
 
 
 def _potentials(n: int, edges, across):
@@ -589,13 +603,14 @@ def _grading(n: int, entries: Sequence[tuple[int, int, tuple[int, ...]]]):
     entries lists the nonzero entries as (i, j, coeffs).  The result is None
     when an entry mixes parities or the parities admit no such s.
     """
-    edges = []
-    for i, j, c in entries:
+    parity = {}
+    for c in {c for _, _, c in entries}:
         odd = any(c[1::2])
         if odd and any(c[::2]):
             return None
-        edges.append((i, j, int(odd)))
-    return _potentials(n, edges, lambda w, x: w ^ x)
+        parity[c] = int(odd)
+    return _potentials(n, [(i, j, parity[c]) for i, j, c in entries],
+                       lambda w, x: w ^ x)
 
 
 def _palindrome_weights(n: int, entries: Sequence[tuple[int, int, tuple[int, ...]]]):
@@ -607,13 +622,14 @@ def _palindrome_weights(n: int, entries: Sequence[tuple[int, int, tuple[int, ...
     lo + hi.  Rows are the vertices 0 .. n - 1 and columns n .. 2n - 1 of
     one bipartite search.
     """
-    edges = []
-    for i, j, c in entries:
+    weight = {}
+    for c in {c for _, _, c in entries}:
         body = c[next(k for k, x in enumerate(c) if x):]
         if body != body[::-1]:
             return None
-        edges.append((i, n + j, 2 * len(c) - len(body) - 1))
-    return _potentials(2 * n, edges, lambda w, x: w - x)
+        weight[c] = 2 * len(c) - len(body) - 1
+    return _potentials(2 * n, [(i, n + j, weight[c]) for i, j, c in entries],
+                       lambda w, x: w - x)
 
 
 def det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
@@ -622,28 +638,32 @@ def det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
     The one entry point of the engine.  Rows and columns are band-ordered;
     a graded matrix runs in t = q**2; palindrome weights, when they exist,
     give _modular_det its degree c.  The certificate evaluates rows as
-    given.  int_det passes a constant grid, which takes c = 0 and one point
-    per prime, so its result is always exact.
+    given, and eliminates a symmetric one in the same band order.  int_det
+    passes a constant grid, which takes c = 0 and one point per prime, so
+    its result is always exact.
     """
     n = len(rows)
     if not n:
         return Determinant((1,), EXACT)  # the empty product, as int_det([]) is 1
     entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
                for j, e in enumerate(row) if e.coeffs]
+    order = band_order(n, [(i, j) for i, j, _ in entries])
     at = [0] * n
-    for k, i in enumerate(_band_order(n, [(i, j) for i, j, _ in entries])):
+    for k, i in enumerate(order):
         at[i] = k
     s = _grading(n, entries)
     graded = [(at[i], at[j], e if s is None else ((0,) * (s[i] + s[j]) + e)[::2])
               for i, j, e in entries]
+    polys = {e: IntPoly(e) for e in {e for _, _, e in graded}}
     banded = [[ZERO] * n for _ in range(n)]
     for i, j, e in graded:
-        banded[i][j] = IntPoly(e)
+        banded[i][j] = polys[e]
     shift = 0 if s is None else sum(s)
     weights = _palindrome_weights(n, graded)
     g = _modular_det(banded, shift,
                      None if weights is None else sum(weights) - 2 * shift,
-                     _Certificate(rows, 1 if s is None else 2))
+                     _Certificate(rows, 1 if s is None else 2,
+                                  order if _is_symmetric(rows) else None))
     # g is interpolated from det N(t) / t**shift, so it has no coefficient
     # below t**0 to check; the certificate catches any wrong value.
     if s is None:

@@ -26,10 +26,12 @@ from typing import Iterable, Optional, Sequence
 from .matroid import Matroid, bits, r_subsets
 
 class ClosureCapExceeded(RuntimeError):
-    """The vertex stars would hold more than _CLOSURE_CAP sign vectors."""
+    """The vertex stars would hold more than _CLOSURE_CAP sign vectors, or
+    S and S_q more than _CLOSURE_CAP entries each."""
 
 
-_CLOSURE_CAP = 10 ** 6  # most sign vectors all vertex stars may hold
+# most sign vectors all vertex stars may hold, and most entries of S or S_q
+_CLOSURE_CAP = 10 ** 6
 
 
 def check_star_cap(stars: int, r: int) -> None:
@@ -38,6 +40,14 @@ def check_star_cap(stars: int, r: int) -> None:
         held = f"{stars} vertex stars" if stars > 1 else "a vertex star"
         raise ClosureCapExceeded(
             f"{held} of 2^{r} topes would exceed the cap {_CLOSURE_CAP}")
+
+
+def check_form_cap(n_topes: int) -> None:
+    """Raise ClosureCapExceeded when the n_topes x n_topes forms exceed the cap."""
+    if n_topes * n_topes > _CLOSURE_CAP:
+        raise ClosureCapExceeded(
+            f"S and S_q on {n_topes} bounded topes would hold {n_topes ** 2} "
+            f"entries each and exceed the cap {_CLOSURE_CAP}")
 
 
 def name_from_json(value, field: str) -> str:

@@ -8,12 +8,17 @@ only h-polynomials and the q-integer powers of the right-hand sides, since
 the determinant engine multiplies no polynomials.
 
 int_det eliminates a symmetric integer matrix, such as S, by Bareiss on its
-upper triangle with diagonal pivots, on Python ints.  Every other
-determinant comes from the word-size modular engine in chamberforms.modular,
-the one module that imports numpy, entered only through modular.det:
-poly_det hands it each matrix over Z[q], and int_det any other integer
-matrix.  Both import det only when they call it, so a process that takes
-no such determinant never loads numpy.
+upper triangle with diagonal pivots, on Python ints (Bareiss, Math. Comp.
+22, 1968).  It runs in the reverse Cuthill-McKee order of band_order
+(George and Liu, Computer Solution of Large Sparse Positive Definite
+Systems, 1981), which the engine and its certificate also use: each step
+updates only the rows it touches, and every other row catches up by an
+exact pivot ratio when it is next read.  Every other determinant comes
+from the word-size modular engine in chamberforms.modular, the one module
+that imports numpy, entered only through modular.det: poly_det hands it
+each matrix over Z[q], and int_det any other integer matrix.  Both import
+det only when they call it, so a process that takes no such determinant
+never loads numpy.
 
 poly_det returns a Determinant: the polynomial together with its Method,
 which says whether the result is exact or certified, and with what error
@@ -209,34 +214,114 @@ def poly_pow(p: IntPoly, e: int) -> IntPoly:
 
 
 def _is_symmetric(rows: Sequence[Sequence]) -> bool:
-    n = len(rows)
-    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+    """Whether a square grid equals its transpose.
+
+    Whole rows are compared with the columns as tuples, so an entry shared
+    by (i, j) and (j, i), as forms._pair_entries shares it, is matched by
+    identity without a call to its __eq__.
+    """
+    return all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
+
+
+def band_order(n: int, pattern: Iterable[tuple[int, int]]) -> list[int]:
+    """Reverse Cuthill-McKee order of the symmetrised nonzero pattern.
+
+    Each connected component is searched breadth first from its vertex of
+    least degree, neighbours in order of increasing degree, and the whole
+    order is reversed.  Bucketing the vertices by degree keeps the pass
+    linear in the number of nonzero entries.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pattern:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        buckets[len(adj[v])].append(v)
+    by_degree = [v for bucket in buckets for v in bucket]
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for v in by_degree:
+        for u in adj[v]:
+            neighbours[u].append(v)
+    seen = [False] * n
+    order: list[int] = []
+    for start in by_degree:
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for u in neighbours[order[head]]:
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+            head += 1
+    order.reverse()
+    return order
 
 
 def _symmetric_bareiss(rows: Sequence[Sequence[int]]) -> int | None:
-    """det of a symmetric matrix by Bareiss on its upper triangle, or None.
+    """det of a symmetric matrix by Bareiss on its upper triangle in band
+    order, or None.
 
-    Step k sets m_ij <- (m_kk m_ij - m_ki m_kj) / m_(k-1)(k-1) for
-    k < i <= j, reading m_ik as m_ki: the trailing matrix of each step is
-    symmetric again, so the lower triangle is never read or written.  The
-    pivots are the diagonal entries; None when one vanishes before the last.
+    Rows and columns are permuted alike by band_order, which keeps the
+    determinant.  Step k sets m_ij <- (m_kk m_ij - m_ki m_kj) / p for
+    k < i <= j, p the pivot m_(k-1)(k-1) of the step before (1 at the
+    first), reading m_ik as m_ki: the trailing matrix of each step is
+    symmetric again, so the lower triangle is never read or written.  A
+    row i with m_ki = 0 would only be scaled by m_kk / p, so step k leaves
+    it alone: each row records the number s of steps it has taken, and a
+    later step k that reads it first catches it up by the exact factor
+    p_k / p_s, where p_t is the pivot of step t - 1 and p_0 = 1.  A row is
+    read and written only up to its envelope end, one past the last column
+    that it, or a pivot row that updated it, has held nonzero; fill-in
+    stays inside it.  Every division checks its remainder.  The pivots are
+    the diagonal entries; None when one vanishes before the last.
     """
     n = len(rows)
-    m = [list(r) for r in rows]
-    prev = 1
+    order = band_order(n, [(i, j) for i, row in enumerate(rows)
+                           for j in range(i + 1, n) if row[j]])
+    m = [[rows[i][j] for j in order] for i in order]
+    end = [max((j for j in range(i, n) if row[j]), default=i) + 1
+           for i, row in enumerate(m)]
+    pivots = [1]  # p_t
+    stamp = [0] * n  # the steps each row has taken
+
+    def catch_up(i: int, k: int) -> None:
+        row, num, den = m[i], pivots[k], pivots[stamp[i]]
+        for j in range(i, end[i]):
+            q, r = divmod(row[j] * num, den)
+            if r:
+                raise ExactDivisionError("Bareiss integer division was inexact")
+            row[j] = q
+
     for k in range(n - 1):
+        if stamp[k] < k:
+            catch_up(k, k)
         row_k = m[k]
-        pivot = row_k[k]
+        pivot, prev, end_k = row_k[k], pivots[k], end[k]
         if not pivot:
             return None
-        for i in range(k + 1, n):
-            row_i, mki = m[i], row_k[i]
-            for j in range(i, n):
+        for i in range(k + 1, end_k):
+            mki = row_k[i]
+            if not mki:
+                continue
+            if stamp[i] < k:
+                catch_up(i, k)
+            if end[i] < end_k:
+                end[i] = end_k
+            row_i = m[i]
+            for j in range(i, end[i]):
                 q, r = divmod(pivot * row_i[j] - mki * row_k[j], prev)
                 if r:
                     raise ExactDivisionError("Bareiss integer division was inexact")
                 row_i[j] = q
-        prev = pivot
+            stamp[i] = k + 1
+        pivots.append(pivot)
+    if stamp[n - 1] < n - 1:
+        catch_up(n - 1, n - 1)
     return m[n - 1][n - 1]
 
 
@@ -244,7 +329,7 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant.
 
     A symmetric matrix, such as S, is eliminated by Bareiss on its upper
-    triangle with diagonal pivots (_symmetric_bareiss).  Any other matrix,
+    triangle with diagonal pivots, in band order (_symmetric_bareiss).  Any other matrix,
     and a symmetric one whose diagonal pivot vanishes, goes to the modular
     engine as a constant matrix: one point per prime, plain elimination,
     and CRT up to the Hadamard bound, so the result is exact.
@@ -281,6 +366,8 @@ def poly_det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
     if any(len(r) != n for r in rows):
         raise ValueError("poly_det requires a square matrix")
     if all(len(e.coeffs) <= 1 for row in rows for e in row):
-        return Determinant((int_det([[e[0] for e in row] for row in rows]),), EXACT)
+        # the coefficients of a constant sum to its value
+        return Determinant((int_det([[sum(e.coeffs) for e in row] for row in rows]),),
+                           EXACT)
     from .modular import det
     return det(rows)

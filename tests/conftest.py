@@ -41,7 +41,7 @@ def uniform_lines(rng: random.Random, n: int = 8) -> Arrangement:
 
 
 # Fraction linear algebra: the reference for the integer minors that
-# Arrangement reads its vertices and edge directions from.
+# Arrangement reads its vertices and edge directions from, and for int_det.
 
 def row_reduce(rows: list[list[Fraction]]) -> int:
     """In-place reduced row echelon form over Q; returns the rank."""
@@ -64,6 +64,25 @@ def row_reduce(rows: list[list[Fraction]]) -> int:
         if r == len(rows):
             break
     return r
+
+
+def fraction_det(rows) -> int:
+    """Determinant of a square integer matrix by elimination over Q."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
 
 
 def kernel_vector(rows, dim: int):

@@ -298,6 +298,31 @@ class TestErrors:
                          str(FIXTURE_DIR / "example13-C.json")]) == 1
         assert "error: covector closure exceeded cap 3" in capsys.readouterr().err
 
+    def test_form_cap_stops_47_lines_before_the_matrices(self, tmp_path, capsys):
+        """47 tangent lines x0 + t x1 = t^2 of a parabola, no three through
+        a point: 4,324 star sign vectors pass the star cap, but S and S_q on
+        C(46, 2) = 1,035 bounded topes would hold 1,071,225 entries each."""
+        doc = {"dim": 2, "hyperplanes": [
+            {"label": f"H{t}", "normal": ["1", str(t)], "offset": str(t * t)}
+            for t in range(1, 48)]}
+        path = tmp_path / "lines-47.json"
+        path.write_text(json.dumps(doc))
+        for command in ("check", "matrix"):
+            start = time.perf_counter()
+            assert cli.main([command, "--input", str(path)]) == 1
+            assert time.perf_counter() - start < 1.0
+            assert ("error: S and S_q on 1035 bounded topes would hold 1071225 "
+                    "entries each") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap, code", [(399, 1), (400, 0)])
+    def test_form_cap_boundary(self, monkeypatch, capsys, cap, code):
+        """cyclic-r3-n7 has 20 bounded topes: 400 entries per form."""
+        from chamberforms import oriented_matroid
+        monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", cap)
+        assert cli.main(["matrix", "--input",
+                         str(FIXTURE_DIR / "cyclic-r3-n7.json")]) == code
+        assert ("20 bounded topes" in capsys.readouterr().err) == (code == 1)
+
     def test_failed_certificate_is_internal_inconsistency(self, monkeypatch, capsys):
         import chamberforms.forms as forms_mod
         from chamberforms.polyring import CertificateError

@@ -1,8 +1,9 @@
 import random
+from math import prod
 
 import pytest
 
-from chamberforms import modular
+from chamberforms import modular, polyring
 from chamberforms.cli import load_instance
 from chamberforms.forms import (TheoremViolation, build_S, build_Sq, h_poly,
                                 rhs_classical, rhs_q)
@@ -122,7 +123,7 @@ class TestBuildSq:
         entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
                    for j, e in enumerate(row) if e.coeffs]
         assert modular._grading(n, entries) is not None
-        order = modular._band_order(n, [(i, j) for i, j, _ in entries])
+        order = polyring.band_order(n, [(i, j) for i, j, _ in entries])
         pos = {v: k for k, v in enumerate(order)}
         banded = max(abs(pos[i] - pos[j]) for i, j, _ in entries)
         assert banded <= max(abs(i - j) for i, j, _ in entries)
@@ -173,7 +174,54 @@ class TestRhs:
         assert vs.match and vq.match and vq.lhs == ONE
 
 
+def braid_normals(m):
+    """K_m: e_i - e_j for 0 <= i < j < m in R^(m - 1), with x_0 = 0."""
+    unit = [[int(i == k) for k in range(m - 1)] for i in range(m - 1)]
+    return unit + [[a - b for a, b in zip(unit[i], unit[j])]
+                   for i in range(m - 1) for j in range(i + 1, m - 1)]
+
+
+def type_b_normals(r):
+    """B_r: e_i and e_i +- e_j in R^r."""
+    unit = [[int(i == k) for k in range(r)] for i in range(r)]
+    return unit + [[a + s * b for a, b in zip(unit[i], unit[j])]
+                   for i in range(r) for j in range(i + 1, r) for s in (1, -1)]
+
+
+def generic_translate(normals, rng):
+    """The central arrangement of normals, moved by random offsets until
+    no r + 1 hyperplanes share a point."""
+    from fractions import Fraction
+    from chamberforms.arrangement import Arrangement, Hyperplane
+    while True:
+        arr = Arrangement(len(normals[0]), [
+            Hyperplane.make(f"H{k}", a, Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                  rng.randint(1, 97)))
+            for k, a in enumerate(normals, 1)])
+        if arr.validate_generic() is None:
+            return arr
+
+
 class TestVerify:
+    @pytest.mark.parametrize("normals, topes, by_base", [
+        (braid_normals(5), 51, {4: 30, 7: 10, 10: 6}),
+        (type_b_normals(3), 40, {5: 9, 6: 4, 9: 8}),
+    ], ids=["K5", "B3"])
+    def test_reflection_arrangements(self, normals, topes, by_base):
+        """Generic translates of K5 and B3: flat lattices with factors of
+        three bases, where uniform inputs give one."""
+        om = generic_translate(normals, random.Random(0)).compile()
+        vs, vq = verify_built(om)
+        assert len(om.bounded_topes()) == topes
+        summed = dict.fromkeys(by_base, 0)
+        for f in vq.factors:
+            summed[f.base] += f.exponent
+        assert summed == by_base and vs.factors == vq.factors
+        assert vs.match and vq.match
+        assert vs.lhs == prod(b ** e for b, e in by_base.items())
+        assert vq.lhs == prod((poly_pow(q_integer(b), e) for b, e in by_base.items()),
+                              start=ONE)
+
     def test_example13_both_match(self):
         vs, vq = verify_built(example13_C().compile())
         assert vs.match and vq.match

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import islice
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ from chamberforms import modular, polyring
 from chamberforms.polyring import (CertificateError, IntPoly, ONE, ZERO,
                                    const, int_det, poly_det, poly_eval,
                                    poly_pow, q_integer)
-from conftest import det_by_expansion, uniform_arrangement
+from conftest import det_by_expansion, fraction_det, uniform_arrangement
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=8)
 
@@ -319,7 +320,7 @@ class TestModularEngine:
                     [ZERO, ZERO, q2 + -ONE]]
         assert graded(lopsided)
         assert poly_det(lopsided) == det_by_expansion(lopsided)
-        order = modular._band_order(3, [(0, 0), (0, 2), (1, 0), (1, 1), (2, 2)])
+        order = polyring.band_order(3, [(0, 0), (0, 2), (1, 0), (1, 1), (2, 2)])
         assert sorted(order) == [0, 1, 2]
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -581,7 +582,7 @@ class TestWordKernel:
         for e in range(n_pts):
             t = pow(2, e, p)
             assert batch[e].tolist() == [  # the upper triangle, 0 below it
-                [modular._eval_mod(x, t, p) if j >= i else 0 for j, x in enumerate(row)]
+                [modular._eval_mod(x.coeffs, t, p) if j >= i else 0 for j, x in enumerate(row)]
                 for i, row in enumerate(rows)]
 
 
@@ -745,6 +746,229 @@ class TestSymmetricElimination:
             assert polyring._symmetric_bareiss(s) is not None
 
 
+def sparse_symmetric(rng, n, density):
+    """A seeded sparse symmetric integer matrix whose diagonal strictly
+    dominates each row, so that no diagonal pivot vanishes in any order."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+    for i, row in enumerate(rows):
+        row[i] = rng.choice((-1, 1)) * (1 + sum(map(abs, row)) + rng.randint(0, 5))
+    return rows
+
+
+def block_diagonal(*blocks):
+    n = sum(map(len, blocks))
+    rows, at = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at:at + len(row)] = row
+        at += len(block)
+    return rows
+
+
+class TestBandBareiss:
+    """int_det's Bareiss in band order, rows catching up lazily, against
+    elimination over Q."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_matches_fractions(self, seed):
+        rng = random.Random(seed)
+        for n in (1, 2, 3, 7, 16, 29, 40):
+            rows = sparse_symmetric(rng, n, rng.choice((0.03, 0.1, 0.3, 0.8)))
+            assert polyring._symmetric_bareiss(rows) == fraction_det(rows)
+            assert int_det(rows) == fraction_det(rows)
+
+    def test_components_sit_out_each_others_steps(self):
+        """Band order keeps each connected component together, so the rows
+        of the later blocks stay untouched through every step of the
+        earlier ones and catch up by the product of their pivots."""
+        rng = random.Random(21)
+        blocks = [sparse_symmetric(rng, n, 0.5) for n in (9, 1, 14, 6)]
+        rows = block_diagonal(*blocks)
+        expected = fraction_det(rows)
+        assert expected == prod(fraction_det(b) for b in blocks)
+        assert polyring._symmetric_bareiss(rows) == expected
+
+    def test_scrambled_order_catches_up_over_gaps(self, monkeypatch):
+        """In a random order most rows sit out several steps between two
+        that touch them; the result is the same."""
+        rng = random.Random(5)
+        for n in (12, 25, 40):
+            rows = sparse_symmetric(rng, n, 0.12)
+            expected = fraction_det(rows)
+            monkeypatch.setattr(polyring, "band_order",
+                                lambda n, pattern: rng.sample(range(n), n))
+            assert polyring._symmetric_bareiss(rows) == expected
+            monkeypatch.undo()
+
+
+CERT_PRIME = 2 ** 61 - 1
+
+
+def symmetric_residues(max_n):
+    """(grid, order): a symmetric grid of residues mod CERT_PRIME, with many
+    zeros and small values, and a permutation of its indices."""
+    entry = st.one_of(st.just(0), st.integers(0, 3),
+                      st.integers(0, CERT_PRIME - 1))
+    return symmetric_matrices(entry, max_n).flatmap(lambda rows: st.tuples(
+        st.just(rows), st.permutations(range(len(rows)))))
+
+
+class TestCertificateElimination:
+    """The certificate's diagonal-pivot elimination in band order, and its
+    fallback to plain elimination."""
+
+    @given(symmetric_residues(8))
+    @example(([[0, 1], [1, 0]], [0, 1]))
+    @example(([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [0, 1, 2]))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_plain_elimination(self, drawn):
+        rows, order = drawn
+        before = [list(row) for row in rows]
+        det = modular._symmetric_eliminate_mod(rows, order, CERT_PRIME)
+        permuted = [[rows[i][j] for j in order] for i in order]
+        if det is None:  # only where a leading principal minor vanishes
+            assert any(modular._eliminate_mod([row[:k] for row in permuted[:k]],
+                                              CERT_PRIME) == 0
+                       for k in range(1, len(rows) + 1))
+        else:
+            assert det == modular._eliminate_mod(rows, CERT_PRIME)
+        assert rows == before
+
+    def test_root_of_a_pivot_falls_back_to_the_true_det(self, monkeypatch):
+        """With x a root of the first diagonal entry, the symmetric pass
+        gives up and plain elimination of the same values gives the true
+        det -3 at x = 4, not 0."""
+        q4 = IntPoly([-4, 1])
+        rows = [[q4, ONE, ZERO], [ONE, q4, ONE], [ZERO, ONE, const(3)]]
+        g = list(det_by_expansion(rows).coeffs)
+        plain = []
+        eliminate = modular._eliminate_mod
+
+        def spy(values, m):
+            plain.append(values)
+            return eliminate(values, m)
+        monkeypatch.setattr(modular, "_eliminate_mod", spy)
+        monkeypatch.setattr(modular.secrets, "randbelow", lambda m: 4)
+        certificate = modular._Certificate(rows, 1, [0, 1, 2])
+        assert certificate.passes(g)
+        assert plain == [[[0, 1, 0], [1, 0, 1], [0, 1, 3]]]
+        assert poly_eval(det_by_expansion(rows), 4) == -3
+        assert not certificate.passes([g[0] + 1] + g[1:])
+
+    def test_check_never_eliminates_plain(self, tmp_path, monkeypatch):
+        """`check` on the six fixtures and a `dense`-shaped arrangement:
+        no engine point and no certificate takes plain elimination."""
+        from chamberforms import cli
+        from chamberforms.make_fixtures import FIXTURES
+        from conftest import FIXTURE_DIR
+        dense = tmp_path / "dense-r3-n9.json"
+        dense.write_text(json.dumps(
+            uniform_arrangement(random.Random(1), 3, 9).to_json()))
+        paths = [FIXTURE_DIR / name for name in FIXTURES] + [dense]
+        assert len(paths) == 7
+        calls = []
+        eliminate = modular._eliminate_mod
+
+        def spy(rows, m):
+            calls.append(m)
+            return eliminate(rows, m)
+        monkeypatch.setattr(modular, "_eliminate_mod", spy)
+        for path in paths:
+            assert cli.main(["check", "--input", str(path),
+                             "--out", str(tmp_path / "report.json")]) == 0
+        assert calls == []
+
+
+def per_entry_grading(n, entries):
+    edges = []
+    for i, j, c in entries:
+        odd = any(c[1::2])
+        if odd and any(c[::2]):
+            return None
+        edges.append((i, j, int(odd)))
+    return modular._potentials(n, edges, lambda w, x: w ^ x)
+
+
+def per_entry_palindrome_weights(n, entries):
+    edges = []
+    for i, j, c in entries:
+        body = c[next(k for k, x in enumerate(c) if x):]
+        if body != body[::-1]:
+            return None
+        edges.append((i, n + j, 2 * len(c) - len(body) - 1))
+    return modular._potentials(2 * n, edges, lambda w, x: w - x)
+
+
+def per_entry_bound_sq(rows):
+    out = 1
+    for row in rows:
+        out *= sum(sum(abs(c) for c in e.coeffs) ** 2 for e in row)
+    return out
+
+
+def repeated(rows, k):
+    """rows with each entry blown up into a k x k block of copies."""
+    return [[rows[i // k][j // k] for j in range(k * len(rows))]
+            for i in range(k * len(rows))]
+
+
+def nonzero_entries(rows):
+    return [(i, j, e.coeffs) for i, row in enumerate(rows)
+            for j, e in enumerate(row) if e.coeffs]
+
+
+class TestDistinctEntries:
+    """Reading each distinct entry once gives what reading every entry gave."""
+
+    def assert_reads_match(self, rows):
+        n, entries = len(rows), nonzero_entries(rows)
+        assert modular._grading(n, entries) == per_entry_grading(n, entries)
+        assert (modular._palindrome_weights(n, entries)
+                == per_entry_palindrome_weights(n, entries))
+        assert modular._coefficient_bound_sq(rows) == per_entry_bound_sq(rows)
+
+    @given(st.one_of(graded_matrices(3), palindromic_matrices(3)))
+    @settings(deadline=None, max_examples=80)
+    def test_bound_grading_and_weights(self, rows):
+        self.assert_reads_match(repeated(rows, 2))
+
+    def test_on_the_fixtures_s_q(self):
+        from chamberforms.cli import load_instance
+        from chamberforms.forms import build_Sq
+        from chamberforms.make_fixtures import FIXTURES
+        from conftest import FIXTURE_DIR
+        for name in FIXTURES:
+            rows = build_Sq(load_instance(str(FIXTURE_DIR / name)).om).matrix
+            entries = nonzero_entries(rows)
+            assert len({c for _, _, c in entries}) < len(entries)
+            assert modular._grading(len(rows), entries) is not None
+            assert modular._palindrome_weights(len(rows), entries) is not None
+            self.assert_reads_match(rows)
+
+    def test_evaluator_with_repeated_entries(self, monkeypatch):
+        rng = random.Random(8)
+        pool = [ZERO] + [IntPoly([rng.randrange(-2 ** 70, 2 ** 70)
+                                  for _ in range(rng.randrange(1, 5))])
+                         for _ in range(4)]
+        small = [[rng.choice(pool) for _ in range(3)] for _ in range(3)]
+        small = [[small[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+        rows = repeated(small, 3)
+        n, n_pts = len(rows), 5
+        p = first_prime(monkeypatch, n, 5)
+        evaluate = modular._Evaluator(rows, n_pts)
+        assert len(evaluate.coeffs[0]) < len(evaluate.rows)
+        batch = evaluate(p)
+        for e in range(n_pts):
+            t = pow(2, e, p)
+            assert batch[e].tolist() == [
+                [modular._eval_mod(x.coeffs, t, p) if j >= i else 0
+                 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
 def test_modular_is_entered_only_through_det():
     """No module of chamberforms imports a name from modular but det; only
     the cli imports the module itself, to load it at dispatch."""
@@ -871,7 +1095,7 @@ class TestEarlyStop:
         """floor(-log2 eps) or one less, for eps = deg / 2**60 +
         ceil(log2(2H) / 60) / 2**54, deg = power (n_coeffs - 1)."""
         bound_sq = 1 << (2 * h_bits)  # H = 2**h_bits
-        bits = modular._Certificate(None, power).error_bits(n_coeffs + 1, bound_sq)
+        bits = modular._Certificate(None, power, None).error_bits(n_coeffs + 1, bound_sq)
         eps = (Fraction(power * n_coeffs, 2 ** 60)
                + Fraction(-(-(h_bits + 1) // 60), 2 ** 54))
         assert Fraction(1, 2 ** (bits + 2)) < eps <= Fraction(1, 2 ** bits)
