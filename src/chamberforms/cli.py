@@ -8,6 +8,11 @@ which _report wraps in one envelope; random writes one line per instance.
 The check, det and random reports say in method how each determinant was
 established: exact, or certified with an error bound that depends only on
 the matrix, never on the random point or prime of the certificate.
+check and random certify det S_q against the right-hand side where they
+can, and reconstruct it only when that does not succeed; det always
+reconstructs it.  So in check --timings, det_Sq_primes 0 with a nonzero
+det_Sq_prime_bound means det S_q was certified equal to the right-hand
+side, not reconstructed.
 
 check, det and random take determinants over Z[q], whose word-size engine
 (chamberforms.modular) is the one module that imports numpy; matrix, rhs

@@ -16,8 +16,8 @@ from typing import NamedTuple
 from .matroid import Matroid
 from .oriented_matroid import (AffineOrientedMatroid, SignVector,
                                check_form_cap, separation)
-from .polyring import (IntPoly, ONE, ZERO, const, poly_det, poly_eval,
-                       poly_pow, q_integer)
+from .polyring import (IntPoly, ONE, ZERO, certify_det, const, poly_det,
+                       poly_eval, poly_pow, q_integer)
 
 
 class TheoremViolation(RuntimeError):
@@ -146,6 +146,13 @@ def verify(om: AffineOrientedMatroid,
 
     A mismatch in the integer identity is fatal (the formula is a theorem);
     a mismatch in the q-identity is reported as a finding, never an abort.
+
+    The right-hand side of the q-identity comes first, and certify_det
+    puts det S_q = rhs_q to the certificate at a random point without
+    reconstructing det S_q.  Only when that does not succeed does
+    poly_det reconstruct det S_q, which then supplies the mismatch
+    witness.  On the certified route det S_q is rhs_q, so the q = 1 check
+    compares rhs_q(1) with det S.
     """
     s, sq = forms
     m = om.matroid()
@@ -159,8 +166,10 @@ def verify(om: AffineOrientedMatroid,
             f"det S = {det_s} but the product formula gives {rhs_s}; "
             f"factors {factors}")
 
-    det_sq = poly_det(sq.matrix)
     rhs_sq, factors_q = rhs_q(m)
+    det_sq = certify_det(sq.matrix, rhs_sq)
+    if det_sq is None:
+        det_sq = poly_det(sq.matrix)
     verdict_sq = DeterminantVerdict(det_sq, rhs_sq, tuple(factors_q),
                                     det_sq == rhs_sq)
 

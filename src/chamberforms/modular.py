@@ -2,9 +2,9 @@
 
 This is the one module of chamberforms that imports numpy, and det is its
 one entry point: no other module reads its private names.  polyring imports
-det inside poly_det and int_det, and the cli imports the module when it
-dispatches a command that takes a determinant over Z[q], so a process that
-takes none never loads numpy.
+det inside poly_det, int_det and certify_det, and the cli imports the
+module when it dispatches a command that takes a determinant over Z[q], so
+a process that takes none never loads numpy.
 
 Determinants over Z[q] come from one modular engine (Abbott, Bronstein and
 Mulders, ISSAC 1999), preceded by two exact transforms that keep the
@@ -76,14 +76,31 @@ the more than 2**54 primes in [2**60, 2**61) do (Rosser and Schoenfeld), or
 when x is a root of D mod Q, with probability at most deg / 2**60 (Schwartz,
 JACM 27, 1980).  eps depends only on the matrix, and the result's Method
 carries floor(-log2 eps).
+
+Given an expected determinant E, as forms.verify passes the right-hand side
+of the q-identity, det reconstructs nothing: it puts E to the certificate
+in place of a lift.  A gate comes first, before band order or grading: when
+the two largest primes below the ceiling for m = n have a product above 2H,
+the bound may allow fewer than three primes, the engine would run to its
+bound, its result would be exact at about the cost of the certificate, and
+det returns None.  Otherwise det prepares the matrix once and returns None
+without a draw when E cannot be det M: its degree exceeds the engine's
+degree bound, a coefficient exceeds H, or M is graded and E has an odd
+exponent.  One certificate, on the same rows in the same band order with
+the same Q, then decides: a pass returns E with the Method of an early
+stop, with 0 primes used and the primes the bound allows, and a failure
+returns None, so the caller takes the engine, which supplies the witness.
+eps holds verbatim: D = det M - E has degree within the bound, and |D_j| <=
+|det_j| + |E_j| <= 2H, the two facts the argument above reads.
 """
 
 from __future__ import annotations
 
 import secrets
 from functools import cache
+from itertools import islice
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -479,6 +496,44 @@ class _Certificate:
         return 60 - (cases - 1).bit_length()
 
 
+class _Plan(NamedTuple):
+    """What the engine fixes before its first prime: the coefficient count
+    of g, the points per prime, H**2, and the primes the bound allows."""
+
+    n_coeffs: int
+    n_evals: int
+    bound_sq: int
+    primes: list[int]
+
+
+def _prime_ceiling(m: int) -> int:
+    """The top of the primes for sums of m + 1 products of residues."""
+    return isqrt(_INT64_MAX // (m + 1))
+
+
+def _plan(rows, shift: int, c: int | None, bound_sq: int) -> _Plan | None:
+    """The engine's plan for g(t) = det N(t) / t**shift, N given by rows
+    and H**2 = bound_sq, or None when g is 0 by its shape: N has a zero
+    row, or the degree bound of g is negative.  See _modular_det."""
+    degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
+    if min(degrees) < 0:
+        return None
+    n_coeffs = sum(degrees) - shift + 1 if c is None else c + 1
+    if n_coeffs <= 0:
+        return None
+    primes: list[int] = []
+    modulus = 1
+    for p in _primes_below(_prime_ceiling(max(len(rows), max(degrees) + 1))):
+        if modulus * modulus > 4 * bound_sq:
+            break
+        if 1 in _powers(2, n_coeffs, p)[1:]:
+            continue  # 2 has order below n_coeffs: the nodes repeat
+        primes.append(p)
+        modulus *= p
+    return _Plan(n_coeffs, n_coeffs if c is None else (c + 3) // 2, bound_sq,
+                 primes)
+
+
 def _modular_det(rows, shift: int, c: int | None,
                  certificate: _Certificate) -> Determinant:
     """g(t) = det N(t) / t**shift over Z[t], N given by rows, and its Method.
@@ -506,24 +561,10 @@ def _modular_det(rows, shift: int, c: int | None,
     lift at the bound is exact, and a certificate that fails there raises
     CertificateError.  With K = 1 the engine always runs to the bound.
     """
-    degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
-    if min(degrees) < 0:
-        return Determinant((), EXACT)  # a zero row
-    n_coeffs = sum(degrees) - shift + 1 if c is None else c + 1
-    if n_coeffs <= 0:
-        return Determinant((), EXACT)  # the degree bound of g is negative
-    n_evals = n_coeffs if c is None else (c + 3) // 2
-    bound_sq = _coefficient_bound_sq(rows)
-    m = max(len(rows), max(degrees) + 1)
-    primes: list[int] = []
-    modulus = 1
-    for p in _primes_below(isqrt(_INT64_MAX // (m + 1))):
-        if modulus * modulus > 4 * bound_sq:
-            break
-        if 1 in _powers(2, n_coeffs, p)[1:]:
-            continue  # 2 has order below n_coeffs: the nodes repeat
-        primes.append(p)
-        modulus *= p
+    plan = _plan(rows, shift, c, _coefficient_bound_sq(rows))
+    if plan is None:
+        return Determinant((), EXACT)
+    n_coeffs, n_evals, bound_sq, primes = plan
     # With one point per prime, a prime costs about what the certificate
     # costs, and stopping early cannot pay.
     early = n_evals > 1
@@ -632,7 +673,47 @@ def _palindrome_weights(n: int, entries: Sequence[tuple[int, int, tuple[int, ...
                        lambda w, x: w - x)
 
 
-def det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
+def _few_primes(n: int, bound_sq: int) -> bool:
+    """Whether the coefficient bound H**2 = bound_sq of an n x n grid may
+    allow the engine fewer than three primes.
+
+    The engine's primes lie below the ceiling of m >= n, so the two largest
+    primes below the ceiling of n are at least its first two.  When their
+    product is at most 2H, the engine takes at least three primes.
+    """
+    p1, p2 = islice(_primes_below(_prime_ceiling(n)), 2)
+    return (p1 * p2) ** 2 > 4 * bound_sq
+
+
+def _identity(expect: IntPoly, graded: bool, plan: _Plan | None,
+              certificate: _Certificate) -> Determinant | None:
+    """expect as the determinant of the certificate's rows, certified by one
+    certificate at a random point, or None.
+
+    None without a draw when the engine never stops early (plan None, or one
+    point per prime) or when expect cannot be the determinant: a graded grid
+    with an odd exponent in expect, a degree above the engine's bound, or a
+    coefficient above H.  Otherwise D = det - expect has degree within the
+    engine's bound and |D_j| <= 2H, as the difference with a lift has, so
+    the engine's eps and error_bits hold verbatim.
+    """
+    if plan is None or plan.n_evals == 1:
+        return None
+    g = expect.coeffs
+    if graded:
+        if any(g[1::2]):
+            return None
+        g = g[::2]
+    if len(g) > plan.n_coeffs or any(x * x > plan.bound_sq for x in g):
+        return None
+    if not certificate.passes(g):
+        return None
+    bits = certificate.error_bits(plan.n_coeffs, plan.bound_sq)
+    return Determinant(expect.coeffs, Method(bits, 0, len(plan.primes)))
+
+
+def det(rows: Sequence[Sequence[IntPoly]],
+        expect: IntPoly | None = None) -> Determinant | None:
     """Determinant over Z[q] of a square grid of IntPoly, exact or certified.
 
     The one entry point of the engine.  Rows and columns are band-ordered;
@@ -641,8 +722,17 @@ def det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
     given, and eliminates a symmetric one in the same band order.  int_det
     passes a constant grid, which takes c = 0 and one point per prime, so
     its result is always exact.
+
+    Given expect, det reconstructs nothing: it returns expect, certified by
+    one certificate at a random point, or None when that does not succeed,
+    and the caller takes the engine.  The module docstring gives the gate
+    (_few_primes), the screen and the draw (_identity), and why eps holds.
     """
     n = len(rows)
+    if expect is not None:
+        bound_sq = _coefficient_bound_sq(rows)
+        if _few_primes(n, bound_sq):
+            return None
     if not n:
         return Determinant((1,), EXACT)  # the empty product, as int_det([]) is 1
     entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
@@ -660,12 +750,15 @@ def det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
         banded[i][j] = polys[e]
     shift = 0 if s is None else sum(s)
     weights = _palindrome_weights(n, graded)
-    g = _modular_det(banded, shift,
-                     None if weights is None else sum(weights) - 2 * shift,
-                     _Certificate(rows, 1 if s is None else 2,
-                                  order if _is_symmetric(rows) else None))
+    c = None if weights is None else sum(weights) - 2 * shift
+    certificate = _Certificate(rows, 1 if s is None else 2,
+                               order if _is_symmetric(rows) else None)
+    if expect is not None:
+        return _identity(expect, s is not None,
+                         _plan(banded, shift, c, bound_sq), certificate)
+    g = _modular_det(banded, shift, c, certificate)
     # g is interpolated from det N(t) / t**shift, so it has no coefficient
     # below t**0 to check; the certificate catches any wrong value.
     if s is None:
         return g
-    return Determinant((c for x in g.coeffs for c in (x, 0)), g.method)
+    return Determinant((y for x in g.coeffs for y in (x, 0)), g.method)

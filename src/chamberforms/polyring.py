@@ -16,9 +16,10 @@ updates only the rows it touches, and every other row catches up by an
 exact pivot ratio when it is next read.  Every other determinant comes
 from the word-size modular engine in chamberforms.modular, the one module
 that imports numpy, entered only through modular.det: poly_det hands it
-each matrix over Z[q], and int_det any other integer matrix.  Both import
-det only when they call it, so a process that takes no such determinant
-never loads numpy.
+each matrix over Z[q], int_det any other integer matrix, and certify_det a
+matrix over Z[q] with the polynomial its determinant should be.  Each
+imports det only when it calls it, so a process that takes no such
+determinant never loads numpy.
 
 poly_det returns a Determinant: the polynomial together with its Method,
 which says whether the result is exact or certified, and with what error
@@ -157,7 +158,9 @@ class Method(NamedTuple):
     with probability at most 2**-error_bits, a bound that depends only on
     the matrix.  primes counts the primes the modular engine used, and
     bound the primes its coefficient bound allows; both are 0 for a result
-    that took no prime.
+    that took no prime.  A result certified against an expected polynomial
+    (certify_det) reconstructed nothing: primes is 0, and bound is the
+    count the engine would have been allowed.
     """
 
     error_bits: Optional[int]
@@ -371,3 +374,19 @@ def poly_det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
                            EXACT)
     from .modular import det
     return det(rows)
+
+
+def certify_det(rows: Sequence[Sequence[IntPoly]],
+                expect: IntPoly) -> Determinant | None:
+    """expect as the determinant of rows, certified without reconstructing
+    it, or None.
+
+    modular.det puts expect to one certificate at a random point, where
+    the engine's early stop would put its CRT lift, and the result carries
+    the Method that stop would carry, with no prime used.  None when the
+    bound allows fewer than three primes (the engine's result is then
+    exact), when expect cannot be the determinant by degree, size or
+    parity, or when the certificate fails; the caller then takes poly_det.
+    """
+    from .modular import det
+    return det(rows, expect)

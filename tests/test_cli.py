@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from chamberforms import cli
+from chamberforms.make_fixtures import FIXTURES
 from chamberforms.matroid import Matroid
-from conftest import FIXTURE_DIR, line_points
+from chamberforms.polyring import IntPoly
+from conftest import FIXTURE_DIR, line_points, uniform_arrangement
 
 
 def run_cli(args, module="chamberforms.cli", env=(), **kw):
@@ -31,6 +34,28 @@ def run_main(args):
         code = cli.main(args)
     out = buf.getvalue()
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def tangent_lines(tmp_path, n: int) -> Path:
+    """n tangent lines x0 + t x1 = t^2 of a parabola, t = 1 .. n: no three
+    through a point, so C(n - 1, 2) bounded topes."""
+    doc = {"dim": 2, "hyperplanes": [
+        {"label": f"H{t}", "normal": ["1", str(t)], "offset": str(t * t)}
+        for t in range(1, n + 1)]}
+    path = tmp_path / f"lines-{n}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def patch_rhs_q(monkeypatch, change):
+    """forms.rhs_q with its polynomial replaced by change(polynomial)."""
+    import chamberforms.forms as forms_mod
+    real = forms_mod.rhs_q
+
+    def patched(m):
+        value, factors = real(m)
+        return change(value), factors
+    monkeypatch.setattr(forms_mod, "rhs_q", patched)
 
 
 class TestCheck:
@@ -89,6 +114,17 @@ class TestCheck:
         doc = json.loads((FIXTURE_DIR / name).read_text())
         assert len(calls) == (1 if "chirotope" in doc else 0)
 
+    def test_tangent_lines_30(self, tmp_path):
+        """406 bounded topes: det S_q is certified against the right-hand
+        side, with a verify_s of about 0.15 s, not reconstructed from 6 of
+        38 primes, which took about 2.8 s (2-core VM)."""
+        path = tangent_lines(tmp_path, 30)
+        start = time.perf_counter()
+        code, rep = run_main(["check", "--input", str(path), "--timings"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and rep["instance"]["n_bounded_topes"] == 406
+        assert rep["timings"]["det_Sq_primes"] == 0
+
     def test_timings_excluded_by_default(self):
         _, rep = run_main(["check", "--input",
                            str(FIXTURE_DIR / "example13-C.json")])
@@ -98,10 +134,12 @@ class TestCheck:
         assert "forms_s" in rep["timings"]
 
     def test_timings_count_the_primes_of_det_sq(self):
-        _, rep = run_main(["check", "--input", str(FIXTURE_DIR / "vamos.json"),
-                           "--timings"])
-        assert rep["timings"]["det_Sq_primes"] == 3
-        assert rep["timings"]["det_Sq_prime_bound"] == 5
+        # det S_q is certified against the right-hand side: no prime is used
+        for name, bound in (("vamos.json", 5), ("cyclic-r3-n7.json", 3)):
+            _, rep = run_main(["check", "--input", str(FIXTURE_DIR / name),
+                               "--timings"])
+            assert rep["timings"]["det_Sq_primes"] == 0
+            assert rep["timings"]["det_Sq_prime_bound"] == bound
 
     def test_method_says_how_each_determinant_was_established(self):
         vamos = str(FIXTURE_DIR / "vamos.json")
@@ -121,19 +159,119 @@ class TestCheck:
         assert rep["matrices"]["S"] == [["3", "1"], ["1", "3"]]
 
     def test_conjecture_mismatch_exit_2(self, monkeypatch):
-        import chamberforms.forms as forms_mod
-        real = forms_mod.rhs_q
-
-        def wrong(m):
-            value, factors = real(m)
-            from chamberforms.polyring import q_integer
-            return value * q_integer(2), factors
-        monkeypatch.setattr(forms_mod, "rhs_q", wrong)
+        from chamberforms.polyring import q_integer
+        patch_rhs_q(monkeypatch, lambda value: value * q_integer(2))
         code, rep = run_main(["check", "--input",
                               str(FIXTURE_DIR / "example13-C.json")])
         assert code == 2
         assert rep["verdict"]["conjecture_match"] is False
         assert rep["verdict"]["theorem_match"] is True
+
+
+class TestIdentityRoute:
+    """check certifies det S_q = RHS at one random point, and takes the
+    engine only when the bound allows under three primes or the
+    certificate does not succeed."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(certificate, g) for each certificate draw, in order."""
+        from chamberforms import modular
+        passes = modular._Certificate.passes
+        seen = []
+
+        def spy(certificate, g):
+            seen.append((certificate, tuple(g)))
+            return passes(certificate, g)
+        monkeypatch.setattr(modular._Certificate, "passes", spy)
+        return seen
+
+    @pytest.fixture
+    def engine_batches(self, monkeypatch):
+        """The primes of each batched elimination of the engine."""
+        from chamberforms import modular
+        batch = modular._batch_det_mod
+        primes = []
+
+        def spy(a, p):
+            primes.append(p)
+            return batch(a, p)
+        monkeypatch.setattr(modular, "_batch_det_mod", spy)
+        return primes
+
+    def test_plausible_wrong_rhs_gets_the_engine_witness(self, monkeypatch,
+                                                         draws, tmp_path):
+        """An even RHS within H and of the right degree fails the one
+        identity certificate; the engine then supplies the witness."""
+        vamos = str(FIXTURE_DIR / "vamos.json")
+        _, det = run_main(["det", "--input", vamos])
+        draws.clear()
+        patch_rhs_q(monkeypatch, lambda value: value + IntPoly((0, 0, 1)))
+        code, rep = run_main(["check", "--input", vamos, "--timings"])
+        assert code == 2 and rep["verdict"]["conjecture_match"] is False
+        assert rep["timings"]["det_Sq_primes"] > 0
+        assert rep["matrices"] is not None
+        assert rep["verdict"]["det_Sq"] == det["det_Sq"]
+        assert rep["verdict"]["method"] == det["method"]
+        # one draw against the RHS, in t = q^2, then the engine's own
+        wrong = tuple(int(c) for c in rep["verdict"]["rhs_Sq"][::2])
+        identity = draws[0][0]
+        assert [g for c, g in draws if c is identity] == [wrong]
+        assert len({c for c, _ in draws}) == 2
+
+        draws.clear()
+        out = tmp_path / "random.jsonl"
+        assert cli.main(["random", "--dim", "3", "--n", "7", "--count", "1",
+                         "--seed", "5", "--out", str(out)]) == 2
+        rep = json.loads(out.read_text())
+        assert rep["verdict"]["conjecture_match"] is False
+        assert rep["matrices"] is not None
+        assert draws[0][1] == tuple(int(c) for c in rep["verdict"]["rhs_Sq"][::2])
+
+    @pytest.mark.parametrize("change", [
+        lambda value: value + IntPoly((2 ** 400,)),    # a coefficient above H
+        lambda value: value.shifted(1000),             # degree above the bound
+        lambda value: value + IntPoly((0, 1)),         # an odd exponent
+    ], ids=["above-H", "degree", "odd"])
+    def test_impossible_rhs_takes_the_engine_without_a_draw(self, monkeypatch,
+                                                            draws, change):
+        patch_rhs_q(monkeypatch, change)
+        code, rep = run_main(["check", "--input", str(FIXTURE_DIR / "vamos.json"),
+                              "--timings"])
+        assert code == 2 and rep["timings"]["det_Sq_primes"] > 0
+        assert len({c for c, _ in draws}) == 1  # the engine's certificate only
+
+    @pytest.mark.parametrize("name", ["vamos", "cyclic-r3-n7", "dense-r3-n9",
+                                      "lines-30"])
+    def test_check_takes_no_engine_point(self, name, engine_batches, tmp_path):
+        if name == "dense-r3-n9":
+            path = tmp_path / "dense-r3-n9.json"
+            path.write_text(json.dumps(
+                uniform_arrangement(random.Random(1), 3, 9).to_json()))
+        elif name == "lines-30":
+            path = tangent_lines(tmp_path, 30)
+        else:
+            path = FIXTURE_DIR / f"{name}.json"
+        code, rep = run_main(["check", "--input", str(path), "--timings"])
+        assert code == 0 and rep["timings"]["det_Sq_primes"] == 0
+        assert rep["verdict"]["method"]["det_Sq"]["kind"] == "certified"
+        assert engine_batches == []
+
+    @pytest.mark.parametrize("name", ["line-n5", "example13-C"])
+    def test_below_three_primes_takes_the_engine(self, name, engine_batches):
+        code, rep = run_main(["check", "--input", str(FIXTURE_DIR / f"{name}.json"),
+                              "--timings"])
+        assert code == 0
+        assert rep["timings"]["det_Sq_prime_bound"] < 3
+        assert rep["verdict"]["method"]["det_Sq"] == {"kind": "exact"}
+        assert engine_batches
+
+    def test_check_and_det_agree_on_method(self):
+        for name in FIXTURES:
+            path = str(FIXTURE_DIR / name)
+            _, check = run_main(["check", "--input", path])
+            _, det = run_main(["det", "--input", path])
+            assert check["verdict"]["method"] == det["method"], name
 
 
 class TestErrors:
@@ -302,11 +440,7 @@ class TestErrors:
         """47 tangent lines x0 + t x1 = t^2 of a parabola, no three through
         a point: 4,324 star sign vectors pass the star cap, but S and S_q on
         C(46, 2) = 1,035 bounded topes would hold 1,071,225 entries each."""
-        doc = {"dim": 2, "hyperplanes": [
-            {"label": f"H{t}", "normal": ["1", str(t)], "offset": str(t * t)}
-            for t in range(1, 48)]}
-        path = tmp_path / "lines-47.json"
-        path.write_text(json.dumps(doc))
+        path = tangent_lines(tmp_path, 47)
         for command in ("check", "matrix"):
             start = time.perf_counter()
             assert cli.main([command, "--input", str(path)]) == 1
@@ -344,12 +478,14 @@ class TestErrors:
             coeffs = interpolate(e0, y, p)
             return [(coeffs[0] + 1) % p] + coeffs[1:]
         monkeypatch.setattr(modular, "_interpolate_mod", off_by_one)
-        for command in ("check", "det"):
-            assert cli.main([command, "--input",
-                             str(FIXTURE_DIR / "vamos.json")]) == 1
+        # check reconstructs det S_q only where the bound allows under three
+        # primes, as on example13-C; on vamos it certifies the right-hand side
+        for command, name, primes in (("check", "example13-C.json", 1),
+                                      ("det", "vamos.json", 5)):
+            assert cli.main([command, "--input", str(FIXTURE_DIR / name)]) == 1
             err = capsys.readouterr().err
             assert "internal inconsistency: determinant certificate failed" in err
-            assert "all 5 primes" in err
+            assert f"all {primes} primes" in err
 
     def test_chirotope_flip_is_an_input_error(self, tmp_path):
         # flipping one chirotope sign leaves the exchange axiom intact, but
@@ -515,7 +651,6 @@ class TestPartialCommands:
     def test_invariants_witness_names_its_own_pair(self, monkeypatch):
         # example13-C's two bounded topes share one vertex and lie two apart,
         # so S_q(0,1) = q^2; on the diagonal d = 0 and the entry is h itself
-        from chamberforms.polyring import IntPoly
 
         def fake(grid):
             assert grid[0][1] == IntPoly((0, 0, 1))

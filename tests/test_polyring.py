@@ -1074,6 +1074,27 @@ class TestEarlyStop:
             assert first.method.primes == primes and first.method.bound == bound
             assert 45 <= first.method.error_bits < 60
 
+    def test_identity_carries_the_early_stop_method(self, monkeypatch):
+        """certify_det of S_q against its determinant: the Method of the
+        engine's early stop with no prime used, and no engine point.  Where
+        the bound allows under three primes it returns None unprepared."""
+        from chamberforms.cli import load_instance
+        from chamberforms.forms import build_Sq
+        from conftest import FIXTURE_DIR
+        for name in ("vamos.json", "cyclic-r3-n7.json"):
+            sq = build_Sq(load_instance(str(FIXTURE_DIR / name)).om).matrix
+            det = poly_det(sq)
+            with monkeypatch.context() as m:
+                m.setattr(modular, "_batch_det_mod", None)
+                certified = polyring.certify_det(sq, det)
+            assert certified == det
+            assert certified.method == det.method._replace(primes=0)
+            assert polyring.certify_det(sq, det + ONE) is None
+        sq = build_Sq(load_instance(str(FIXTURE_DIR / "line-n5.json")).om).matrix
+        det = poly_det(sq)
+        monkeypatch.setattr(modular, "band_order", None)
+        assert polyring.certify_det(sq, det) is None
+
     def test_constant_grid_runs_to_the_bound(self):
         big = 2 ** 60  # det = big, against a bound of about 2 big**2
         rows = [[const(big), const(big)], [const(big), const(big + 1)]]

@@ -2,9 +2,10 @@
 
 perfbench/tracing.py wraps named functions of chamberforms in place; a
 renamed or removed function would leave its metric at zero.  This runs one
-traced `invariants` and one traced `check` and checks that the tracer saw
-the oracle, the tope enumeration, the engine, the Matroid methods and the
-right-hand side, and put every original back.
+traced `invariants`, `check` and `det` and checks that the tracer saw the
+oracle, the tope enumeration, the Matroid methods and the right-hand side,
+the Z[q] engine under `det` (`check` certifies det S_q against the
+right-hand side without it), and put every original back.
 """
 
 import importlib.util
@@ -45,7 +46,7 @@ def test_tracer_sees_the_oracle_and_the_engine_and_restores(tmp_path):
     runs = {}
     tracer.install()
     try:
-        for command in ("invariants", "check"):
+        for command in ("invariants", "check", "det"):
             tracer.reset()
             assert cli.main([command, "--input", fixture,
                              "--out", str(tmp_path / command)]) == 0
@@ -56,8 +57,8 @@ def test_tracer_sees_the_oracle_and_the_engine_and_restores(tmp_path):
     for totals in runs.values():
         assert totals["oriented_matroid.topes_s"] > 0
         assert totals["oriented_matroid.topes"] == 20  # bounded topes
+    assert runs["det"]["polyring.det_Sq_calls"] > 0
     check = runs["check"]
-    assert check["polyring.det_Sq_calls"] > 0
     # the Matroid methods and the RHS each keep a nonzero metric
     for name in ("matroid.construct_s", "matroid.flats_s", "matroid.beta_s",
                  "forms.rhs_s", "matroid.constructions"):
