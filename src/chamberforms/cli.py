@@ -219,8 +219,9 @@ def structural_invariants(inst: Instance, seed: int) -> list[dict]:
 
     Each failing entry carries the first witness of its own check.  For an
     arrangement, det y and the phi expansion use the functional drawn from
-    seed.  symmetry_S and symmetry_Sq hold by construction, as forms._pair_entries
-    writes each unordered pair to both of its cells; it is pinned by
+    seed.  symmetry_S and symmetry_Sq hold by construction, as forms._sparse_form
+    writes each unordered pair that shares a vertex to both of its cells; it
+    is pinned by
     tests/test_forms.py::TestBuildSq::test_symmetry_and_q1_specialization.
     """
     om = inst.om

@@ -67,14 +67,15 @@ class DeterminantVerdict(NamedTuple):
     match: bool
 
 
-def _pair_entries(om: AffineOrientedMatroid, entry_fn):
+def _sparse_form(om: AffineOrientedMatroid, entry_fn) -> IntersectionForm:
+    """The form with entry_fn(a, b) in both cells of each pair of bounded
+    topes that share a vertex, and ZERO in every other cell."""
     topes = om.bounded_topes()
     n = len(topes)
     check_form_cap(n)
     grid = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            grid[i][j] = grid[j][i] = entry_fn(topes[i], topes[j])
+    for i, j in om.vertex_pairs():
+        grid[i][j] = grid[j][i] = entry_fn(topes[i], topes[j])
     return IntersectionForm(tuple(topes), tuple(map(tuple, grid)))
 
 
@@ -83,25 +84,27 @@ def build_S(om: AffineOrientedMatroid) -> IntersectionForm:
 
     def entry(a: SignVector, b: SignVector) -> IntPoly:
         f0 = (om.face_mask(a) & om.face_mask(b)).bit_count()
-        if f0 == 0:
-            return ZERO
         return const(f0 if separation(a, b) % 2 == 0 else -f0)
 
-    return _pair_entries(om, entry)
+    return _sparse_form(om, entry)
 
 
 def build_Sq(om: AffineOrientedMatroid) -> IntersectionForm:
-    """q-form: entries (-q)^d * h(meet, q^2); zero on empty meets."""
+    """q-form: entries (-q)^d * h(meet, q^2); zero on empty meets.
+
+    Entries with the same d and meet f-vector are one IntPoly.
+    """
+    classes: dict[tuple[int, tuple[int, ...]], IntPoly] = {}
 
     def entry(a: SignVector, b: SignVector) -> IntPoly:
-        f = om.meet_faces(a, b)
-        if f is None:
-            return ZERO
-        d = separation(a, b)
-        h = h_poly(f)
-        return h.shifted(d) if d % 2 == 0 else (-h).shifted(d)
+        d, f = separation(a, b), om.meet_faces(a, b)
+        e = classes.get((d, f))
+        if e is None:
+            h = h_poly(f)
+            e = classes[d, f] = h.shifted(d) if d % 2 == 0 else (-h).shifted(d)
+        return e
 
-    return _pair_entries(om, entry)
+    return _sparse_form(om, entry)
 
 
 @lru_cache(maxsize=1)  # rhs_classical and rhs_q read the same matroid's factors

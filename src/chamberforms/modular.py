@@ -82,11 +82,14 @@ of the q-identity, det reconstructs nothing: it puts E to the certificate
 in place of a lift.  A gate comes first, before band order or grading: when
 the two largest primes below the ceiling for m = n have a product above 2H,
 the bound may allow fewer than three primes, the engine would run to its
-bound, its result would be exact at about the cost of the certificate, and
-det returns None.  Otherwise det prepares the matrix once and returns None
-without a draw when E cannot be det M: its degree exceeds the engine's
-degree bound, a coefficient exceeds H, or M is graded and E has an odd
-exponent.  One certificate, on the same rows in the same band order with
+bound and its result would be exact, and det returns None so that the
+caller takes that exact result.  It is not cheap: on such small grids the
+engine costs several times what det with E costs, certificate included,
+and perfbench's sweep workload sends 123 S_q a round through the gate.
+Otherwise det prepares the matrix once and returns None without a draw
+when E cannot be det M: its degree exceeds the engine's degree bound, a
+coefficient exceeds H, or M is graded and E has an odd exponent.  One
+certificate, on the same rows in the same band order with
 the same Q, then decides: a pass returns E with the Method of an early
 stop, with 0 primes used and the primes the bound allows, and a failure
 returns None, so the caller takes the engine, which supplies the witness.
@@ -679,7 +682,9 @@ def _few_primes(n: int, bound_sq: int) -> bool:
 
     The engine's primes lie below the ceiling of m >= n, so the two largest
     primes below the ceiling of n are at least its first two.  When their
-    product is at most 2H, the engine takes at least three primes.
+    product is at most 2H, the engine takes at least three primes.  When
+    it is not, det with an expected determinant defers to the engine,
+    whose result is then exact but costs several certificates.
     """
     p1, p2 = islice(_primes_below(_prime_ceiling(n)), 2)
     return (p1 * p2) ** 2 > 4 * bound_sq

@@ -12,6 +12,12 @@ segment when two vertices lie on it and a ray when one does; a tope is
 bounded exactly when none of its edges is a ray, since its vertices and
 segments form a connected graph.
 
+A face of a bounded tope is fixed by its vertex set, which composes to it,
+so two bounded topes meet only where they share a vertex, and a meet is
+named by its mask of common vertices.  Each face is a simple polytope, so
+its f-vector follows from those of its facets, each the face's vertices on
+one more hyperplane; meet_faces computes it once per mask.
+
 Sets of ground elements (zero sets, bases, chirotope keys, and the plus
 and minus halves of a sign vector) are masks in the convention of the
 matroid module: bit i stands for ground[i].
@@ -264,6 +270,9 @@ class AffineOrientedMatroid:
         self.feasible = tuple(sorted(feasible, key=SignVector.key))
         self._bounded: Optional[tuple[SignVector, ...]] = None
         self._face_masks: dict[int, int] = {}
+        self._vertex_pairs: Optional[tuple[tuple[int, int], ...]] = None
+        self._f_vectors: dict[int, tuple[int, ...]] = {}
+        self._on_hyperplane: list[int] = []  # per element e, the vertices on e
         self._by_zero_set: dict[int, SignVector] = {}
         self._validate()
 
@@ -396,27 +405,84 @@ class AffineOrientedMatroid:
                      "feasible_cocircuits": [y.text() for y in self.feasible]},
         }
 
-    def meet_faces(self, a: SignVector, b: SignVector) -> Optional[tuple[int, ...]]:
-        """F-vector f_0..f_dim of the common face of bounded topes a and b, or None.
+    def vertex_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The index pairs i <= j of the bounded topes, in bounded_topes
+        order, that share a vertex, sorted; built once.
 
-        Every face is a common vertex Y with some of its zeros filled in by
-        the signs of the top face, which composes all common vertices.  Its
-        zero set lies inside Y's, a basis by genericity, so the face has
-        dimension r minus its size.
+        Each vertex star is a mask of tope indices, and the union of the
+        stars of tope i's vertices holds every j that shares one with it.
         """
-        common = [y.bits for y in self.cocircuits_in(self.face_mask(a)
-                                                     & self.face_mask(b))]
-        if not common:
-            return None
-        n = len(self.ground)
-        top = 0
-        for y in common:
-            top |= y
-        # below bit 2n, where top lies, y | y >> n | y << n sets both bits
-        # of each nonzero of y
-        faces = {y | s for y in common for s in _subsets(top & ~(y | y >> n | y << n))}
-        zero_dim = self.central.rank - n  # + support size
-        counts = [0] * (zero_dim + _support(top, n).bit_count() + 1)
-        for x in faces:
-            counts[zero_dim + _support(x, n).bit_count()] += 1
-        return tuple(counts)  # top is the one face of top dim
+        if self._vertex_pairs is None:
+            masks = [self._face_masks[t.bits] for t in self.bounded_topes()]
+            stars = [0] * len(self.feasible)
+            for i, mask in enumerate(masks):
+                for k in bits(mask):
+                    stars[k] |= 1 << i
+            pairs = []
+            for i, mask in enumerate(masks):
+                near = 0
+                for k in bits(mask):
+                    near |= stars[k]
+                pairs.extend((i, j) for j in bits(near >> i << i))
+            self._vertex_pairs = tuple(pairs)
+        return self._vertex_pairs
+
+    def meet_faces(self, a: SignVector, b: SignVector) -> Optional[tuple[int, ...]]:
+        """F-vector f_0..f_dim of the common face of bounded topes a and b, or
+        None when they share no vertex.
+
+        The common face is the composition of the common vertices, so its
+        mask of vertices names it, and _f_vector computes each mask's
+        f-vector once per instance.
+        """
+        common = self.face_mask(a) & self.face_mask(b)
+        return self._f_vector(common) if common else None
+
+    def _f_vector(self, face: int) -> tuple[int, ...]:
+        """F-vector of the bounded face whose vertex mask is face, memoised.
+
+        A face of dimension k has the zero set its vertices share, of size
+        r - k by genericity.  Its facets are the nonempty proper masks
+        face & Z_e, Z_e the vertices on hyperplane e: each is the face cut
+        by e, and it is a facet since the hyperplanes through a vertex are
+        independent.  The face is a simple polytope, each vertex lying on
+        k of its edges, so each of its i-faces lies in exactly k - i
+        facets (Ziegler, Lectures on Polytopes, 1995, section 2.5) and
+        f_i = sum over facets of f_i / (k - i), f_k = 1.  A facet of the
+        wrong dimension or a sum with a remainder raises ValueError: the
+        input is then not an oriented matroid.
+        """
+        f = self._f_vectors.get(face)
+        if f is not None:
+            return f
+        if not face & face - 1:
+            f = (1,)
+        else:
+            if not self._on_hyperplane:
+                self._on_hyperplane = [0] * len(self.ground)
+                for k, y in enumerate(self.feasible):
+                    for e in bits(y.zero_set()):
+                        self._on_hyperplane[e] |= 1 << k
+            dim = self.central.rank
+            facets = []
+            for z in self._on_hyperplane:
+                cut = face & z
+                if cut == face:
+                    dim -= 1
+                elif cut:
+                    facets.append(self._f_vector(cut))
+            if not facets or any(len(g) != dim for g in facets):
+                raise ValueError(f"a face with {face.bit_count()} vertices has a "
+                                 "facet of the wrong dimension: the input is not "
+                                 "an oriented matroid")
+            f = []
+            for i, total in enumerate(map(sum, zip(*facets))):
+                fi, rem = divmod(total, dim - i)
+                if rem:
+                    raise ValueError(f"a face with {face.bit_count()} vertices is "
+                                     "not a simple polytope: the input is not an "
+                                     "oriented matroid")
+                f.append(fi)
+            f = (*f, 1)
+        self._f_vectors[face] = f
+        return f

@@ -3,9 +3,10 @@
 Polynomials are dense integer-coefficient vectors in the single variable q.
 All arithmetic is exact: nothing here works modulo a prime, and every
 residue, the engine's and its certificate's, is computed in
-chamberforms.modular.  Products are schoolbook convolutions: they build
-only h-polynomials and the q-integer powers of the right-hand sides, since
-the determinant engine multiplies no polynomials.
+chamberforms.modular.  Products are schoolbook convolutions, and powers
+one integer power by Kronecker substitution: they build only h-polynomials
+and the right-hand sides, since the determinant engine multiplies no
+polynomials.
 
 int_det eliminates a symmetric integer matrix, such as S, by Bareiss on its
 upper triangle with diagonal pivots, on Python ints (Bareiss, Math. Comp.
@@ -204,23 +205,41 @@ def poly_eval(p: IntPoly, x: int) -> int:
 
 
 def poly_pow(p: IntPoly, e: int) -> IntPoly:
+    """p**e by Kronecker substitution: one integer power of p at q = 2**w.
+
+    Every coefficient of p**e is at most s**e in size, s the sum of the
+    sizes of p's, and w, a whole number of bytes, has s**e < 2**(w - 1).
+    Adding 2**(w - 1) to each w-bit slot makes every slot a nonnegative
+    w-bit number, so signed coefficients pack and unpack bytewise with no
+    carry between slots.
+    """
     if e < 0:
         raise ValueError("negative exponent")
-    out = ONE
-    while e:  # square and multiply, low bit first
-        if e & 1:
-            out = out * p
-        e >>= 1
-        if e:
-            p = p * p
-    return out
+    if e == 0:
+        return ONE
+    if not p:
+        return ZERO
+    size = e * sum(map(abs, p.coeffs)).bit_length() // 8 + 1  # bytes per slot
+    half = 1 << 8 * size - 1
+    slot_bias = bytes(size - 1) + b"\x80"  # half, little-endian
+
+    def biased(n_slots: int) -> int:
+        return int.from_bytes(slot_bias * n_slots, "little")
+
+    packed = int.from_bytes(b"".join((c + half).to_bytes(size, "little")
+                                     for c in p.coeffs), "little")
+    slots = e * (len(p.coeffs) - 1) + 1
+    value = (packed - biased(len(p.coeffs))) ** e + biased(slots)
+    data = value.to_bytes(size * slots, "little")
+    return IntPoly(int.from_bytes(data[k:k + size], "little") - half
+                   for k in range(0, size * slots, size))
 
 
 def _is_symmetric(rows: Sequence[Sequence]) -> bool:
     """Whether a square grid equals its transpose.
 
     Whole rows are compared with the columns as tuples, so an entry shared
-    by (i, j) and (j, i), as forms._pair_entries shares it, is matched by
+    by (i, j) and (j, i), as forms._sparse_form shares it, is matched by
     identity without a call to its __eq__.
     """
     return all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
@@ -385,8 +404,9 @@ def certify_det(rows: Sequence[Sequence[IntPoly]],
     the engine's early stop would put its CRT lift, and the result carries
     the Method that stop would carry, with no prime used.  None when the
     bound allows fewer than three primes (the engine's result is then
-    exact), when expect cannot be the determinant by degree, size or
-    parity, or when the certificate fails; the caller then takes poly_det.
+    exact, at several times the cost of a certificate), when expect cannot
+    be the determinant by degree, size or parity, or when the certificate
+    fails; the caller then takes poly_det.
     """
     from .modular import det
     return det(rows, expect)

@@ -11,13 +11,14 @@ from typing import Optional, Sequence
 import pytest
 
 from chamberforms.arrangement import Arrangement
-from chamberforms.forms import build_S, build_Sq, verify
+from chamberforms.forms import (IntersectionForm, build_S, build_Sq, h_poly,
+                                verify)
 # the fixture builders, re-exported to the test modules
 from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
 from chamberforms.matroid import Flat, Matroid, r_subsets
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            SignVector)
-from chamberforms.polyring import ONE, ZERO, IntPoly
+from chamberforms.polyring import ONE, ZERO, IntPoly, const
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -427,6 +428,31 @@ def meet_f_vector_by_rank(om: AffineOrientedMatroid, a: SignVector,
     for x in _composition_closure(common, len(om.ground)):
         counts[dim(x)] += 1
     return tuple(counts)
+
+
+def forms_by_all_pairs(om: AffineOrientedMatroid):
+    """S and S_q with every pair of bounded topes met, the second route to
+    build_S and build_Sq.
+
+    S(a, b) is (-1)^d times the common cocircuit faces of a and b, S_q(a, b)
+    is (-q)^d h(q^2) with the meet's f-vector from meet_f_vector_by_rank,
+    and both are ZERO where no vertex is shared.
+    """
+    topes = om.bounded_topes()
+    n = len(topes)
+    s = [[ZERO] * n for _ in range(n)]
+    sq = [[ZERO] * n for _ in range(n)]
+    for i, a in enumerate(topes):
+        for j, b in enumerate(topes):
+            f = meet_f_vector_by_rank(om, a, b)
+            if f is None:
+                continue
+            d = support(a.bits ^ b.bits, len(om.ground)).bit_count()
+            f0 = len([y for y in om.feasible if conforms(y, a) and conforms(y, b)])
+            s[i][j] = const((-1) ** d * f0)
+            sq[i][j] = h_poly(f).scaled((-1) ** d).shifted(d)
+    return tuple(IntersectionForm(tuple(topes), tuple(map(tuple, grid)))
+                 for grid in (s, sq))
 
 
 def verify_built(om: AffineOrientedMatroid):

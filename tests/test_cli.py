@@ -672,7 +672,18 @@ class TestPartialCommands:
             "name": "euler_relation", "pass": False, "witness": "pair (1,1) h(0)=-1"}
 
     def test_each_tope_pair_meets_once(self, monkeypatch):
+        # each pair of bounded topes that shares a vertex meets exactly
+        # once, and no other pair meets: one call per nonzero upper entry
+        from chamberforms.forms import build_S
         from chamberforms.oriented_matroid import AffineOrientedMatroid
+        fixture = str(FIXTURE_DIR / "cyclic-r3-n7.json")
+        om = cli.load_instance(fixture).om
+        topes = om.bounded_topes()
+        sharing = {frozenset((a.bits, b.bits)) for i, a in enumerate(topes)
+                   for b in topes[i:] if om.face_mask(a) & om.face_mask(b)}
+        s = build_S(om).matrix
+        nonzero = sum(1 for i, row in enumerate(s) for e in row[i:] if e)
+        assert len(topes) == 20 and nonzero == len(sharing) < 20 * 21 // 2
         pairs = []
         real = AffineOrientedMatroid.meet_faces
 
@@ -682,11 +693,11 @@ class TestPartialCommands:
         monkeypatch.setattr(AffineOrientedMatroid, "meet_faces", spy)
         for command in ("check", "invariants"):
             pairs.clear()
-            code, rep = run_main([command, "--input",
-                                  str(FIXTURE_DIR / "cyclic-r3-n7.json")])
+            code, rep = run_main([command, "--input", fixture])
             assert code == 0
             assert rep["instance"]["n_bounded_topes"] == 20
-            assert len(pairs) == len(set(pairs)) == 20 * 21 // 2, command
+            assert len(pairs) == len(set(pairs)) == nonzero, command
+            assert set(pairs) == sharing, command
 
     def test_invariants_vamos_skips_y(self):
         code, rep = run_main(["invariants", "--input",

@@ -10,8 +10,8 @@ from chamberforms.forms import (TheoremViolation, build_S, build_Sq, h_poly,
 from chamberforms.polyring import (IntPoly, ONE, poly_det, poly_eval, poly_pow,
                                    q_integer)
 from conftest import (FIXTURE_DIR, cocircuit_faces, example13_C, example13_Cprime,
-                      line_points, random_arrangement, uniform_lines,
-                      uniform_matroid, verify_built)
+                      forms_by_all_pairs, line_points, random_arrangement,
+                      uniform_lines, uniform_matroid, verify_built)
 
 
 def ints(form):
@@ -269,3 +269,35 @@ class TestVerify:
         monkeypatch.setattr(forms_mod, "rhs_q", wrong)
         vs, vq = verify_built(example13_C().compile())
         assert vs.match and not vq.match
+
+
+class TestAllPairsRoute:
+    """build_S and build_Sq meet only the pairs that share a vertex; the
+    second route meets every pair."""
+
+    @staticmethod
+    def assert_matches_all_pairs(om):
+        s, sq = forms_by_all_pairs(om)
+        assert build_S(om) == s
+        assert build_Sq(om) == sq
+
+    @pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_fixtures(self, path):
+        self.assert_matches_all_pairs(load_instance(str(path)).om)
+
+    @pytest.mark.parametrize("normals", [braid_normals(5), type_b_normals(3)],
+                             ids=["K5", "B3"])
+    def test_reflection_arrangements(self, normals):
+        self.assert_matches_all_pairs(
+            generic_translate(normals, random.Random(0)).compile())
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_random_arrangements(self, r):
+        rng = random.Random(30 + r)
+        checked = 0
+        while checked < 3:
+            arr = random_arrangement(rng, r, rng.randint(r + 1, r + 4))
+            if arr is not None:
+                self.assert_matches_all_pairs(arr.compile())
+                checked += 1

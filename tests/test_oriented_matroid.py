@@ -323,6 +323,20 @@ class TestMeetFaces:
         topes = om.bounded_topes()
         assert om.meet_faces(topes[0], topes[2]) is None
 
+    def test_vertex_mask_of_no_face_raises(self):
+        # two opposite corners of the square chamber share no hyperplane,
+        # so their mask cuts into two points, not into edges
+        from conftest import example13_Cprime
+        om = example13_Cprime().compile()
+        square = max((om.face_mask(t) for t in om.bounded_topes()), key=int.bit_count)
+        corners = om.cocircuits_in(square)
+        assert len(corners) == 4
+        k, l = next((k, l) for k, y in enumerate(om.feasible) if y in corners
+                    for l, z in enumerate(om.feasible) if z in corners
+                    and not y.zero_set() & z.zero_set())
+        with pytest.raises(ValueError, match="not an oriented matroid"):
+            om._f_vector(1 << k | 1 << l)
+
     def test_euler_on_all_pairs(self, vamos_om):
         topes = vamos_om.bounded_topes()
         for i in range(0, len(topes), 7):

@@ -1027,6 +1027,16 @@ def test_poly_pow():
             product = product * p
 
 
+@given(st.lists(st.integers(-300, 300), max_size=6), st.integers(0, 9))
+@settings(deadline=None, max_examples=150)
+def test_poly_pow_is_the_repeated_product(coeffs, e):
+    # a monomial's power has a coefficient of size s**e, the slot bound
+    p, product = IntPoly(coeffs), ONE
+    for _ in range(e):
+        product = product * p
+    assert poly_pow(p, e) == product
+
+
 square_int_matrices = st.integers(0, 5).flatmap(lambda n: st.lists(
     st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
 

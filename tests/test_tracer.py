@@ -5,7 +5,8 @@ renamed or removed function would leave its metric at zero.  This runs one
 traced `invariants`, `check` and `det` and checks that the tracer saw the
 oracle, the tope enumeration, the Matroid methods and the right-hand side,
 the Z[q] engine under `det` (`check` certifies det S_q against the
-right-hand side without it), and put every original back.
+right-hand side without it), one meet per nonzero upper entry of S under
+`check`, and put every original back.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 from chamberforms import cli
+from chamberforms.forms import build_S
 from conftest import FIXTURE_DIR
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -63,5 +65,8 @@ def test_tracer_sees_the_oracle_and_the_engine_and_restores(tmp_path):
     for name in ("matroid.construct_s", "matroid.flats_s", "matroid.beta_s",
                  "forms.rhs_s", "matroid.constructions"):
         assert check[name] > 0, name
+    s = build_S(cli.load_instance(fixture).om).matrix
+    nonzero = sum(1 for i, row in enumerate(s) for e in row[i:] if e)
+    assert 0 < check["oriented_matroid.meet_faces_calls"] == nonzero
     after = bindings()
     assert [k for k in before if after.get(k) is not before[k]] == []
