@@ -11,6 +11,7 @@ with_offsets.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
@@ -27,10 +28,35 @@ class Hyperplane(NamedTuple):
 
     @classmethod
     def make(cls, label, normal, offset) -> "Hyperplane":
-        normal = tuple(Fraction(x) for x in normal)
+        normal = tuple(_coordinate(label, x) for x in normal)
         if not any(normal):
             raise ValueError(f"hyperplane {label!r} has zero normal")
-        return cls(str(label), normal, Fraction(offset))
+        return cls(str(label), normal, _coordinate(label, offset))
+
+
+def _coordinate(label, x) -> Fraction:
+    """x as a Fraction whose numerator and denominator fit the interpreter's
+    int-string limit.
+
+    Fraction expands a string's exponent e as 10**e in full, which that limit
+    does not bound, so a string with one is checked before Fraction builds
+    it: |e| beyond the limit plus the mantissa's length puts the value above
+    10**limit or below 10**-limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not (limit and isinstance(x, str) and ("e" in x or "E" in x)):
+        return Fraction(x)
+    mantissa, _, exp = x.lower().partition("e")
+    try:
+        e = int(exp)
+    except ValueError:
+        e = 0  # not an exponent: Fraction names the literal it rejects
+    if abs(e) <= limit + len(mantissa):
+        v = Fraction(x)
+        if max(abs(v.numerator), v.denominator) < 10 ** limit:
+            return v
+    raise ValueError(f"hyperplane {label!r} has a coordinate that needs more "
+                     f"than {limit} digits")
 
 
 class GenericityViolation(NamedTuple):
@@ -203,7 +229,10 @@ class Arrangement:
             chi, violation, feasible = self._vertex_scan()
             if violation is not None:
                 raise ValueError(f"arrangement is not generic: {violation.describe()}")
-            self._compiled = AffineOrientedMatroid(chi, feasible)
+            g = "g"  # the lift's label is internal: any outside the ground set
+            while g in self.ground:
+                g += "'"
+            self._compiled = AffineOrientedMatroid(chi, feasible, g)
         return self._compiled
 
     def kernel_direction(self, idxs: Sequence[int]) -> tuple[int, ...]:

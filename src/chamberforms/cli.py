@@ -75,6 +75,8 @@ def load_instance(path: str, nudge: Optional[int] = None) -> Instance:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
+    except RecursionError:
+        raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON must be an object")
     if "hyperplanes" in doc:

@@ -10,17 +10,44 @@ from typing import Optional, Sequence
 
 import pytest
 
-from chamberforms.arrangement import Arrangement
+from chamberforms.arrangement import Arrangement, Hyperplane
 from chamberforms.forms import (IntersectionForm, build_S, build_Sq, h_poly,
                                 verify)
-# the fixture builders, re-exported to the test modules
-from chamberforms.make_fixtures import example13_C, example13_Cprime, line_points
 from chamberforms.matroid import Flat, Matroid, r_subsets
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            SignVector)
 from chamberforms.polyring import ONE, ZERO, IntPoly, const
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_NAMES = sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
+
+
+def load_fixture(name: str) -> dict:
+    return json.loads((FIXTURE_DIR / name).read_text())
+
+
+def load_arrangement(name: str) -> Arrangement:
+    return Arrangement.from_json(load_fixture(name))
+
+
+# The two parametric families among the fixtures: line-n5.json, line-n10.json
+# and cyclic-r3-n7.json are line_points(5), line_points(10) and cyclic_r3(7).
+
+def line_points(n: int) -> Arrangement:
+    """n+1 points -i on the real line; n bounded segments."""
+    return Arrangement(1, [Hyperplane.make(f"H{i}", ["1"], str(-i))
+                           for i in range(1, n + 2)])
+
+
+def cyclic_r3(n: int) -> Arrangement:
+    """Planes x0 + t x1 + t^2 x2 = t^3 for t = 1..n.
+
+    Generic: three planes meet where a cubic in t has their three roots, so
+    no fourth plane passes through that point.
+    """
+    return Arrangement(3, [Hyperplane.make(f"H{t}", ["1", str(t), str(t * t)],
+                                           str(t ** 3))
+                           for t in range(1, n + 1)])
 
 
 def random_arrangement(rng: random.Random, dim: int, n: int):
@@ -475,17 +502,3 @@ def det_by_expansion(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
 @pytest.fixture(scope="session")
 def vamos_om() -> AffineOrientedMatroid:
     return AffineOrientedMatroid.from_json(load_fixture("vamos.json"))
-
-
-@pytest.fixture(scope="session")
-def example_c_om():
-    return example13_C().compile()
-
-
-@pytest.fixture(scope="session")
-def example_cprime_om():
-    return example13_Cprime().compile()
-
-
-def load_fixture(name: str) -> dict:
-    return json.loads((FIXTURE_DIR / name).read_text())

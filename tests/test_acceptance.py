@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from chamberforms import cli, vamos
+from chamberforms import cli
 from chamberforms.arrangement import Arrangement
 from chamberforms.flagspace import (build_y_matrix, check_basis_of_kernel,
                                     pairing, phi)
@@ -19,10 +19,9 @@ from chamberforms.forms import build_S, build_Sq, rhs_classical, verify
 from chamberforms.oriented_matroid import SignVector
 from chamberforms.polyring import (IntPoly, poly_det, poly_eval, poly_pow,
                                    q_integer)
-from conftest import (FIXTURE_DIR, dual, example13_C, example13_Cprime,
-                      line_points, load_fixture, mask, mobius_plus,
-                      random_arrangement, uniform_lines, uniform_matroid,
-                      verify_built)
+from conftest import (FIXTURE_DIR, dual, line_points, load_arrangement, mask,
+                      mobius_plus, random_arrangement, uniform_lines,
+                      uniform_matroid, verify_built)
 from test_vamos import BOUNDED_TOPES
 
 
@@ -76,7 +75,7 @@ def test_criterion_1_example_reproduction():
     }
     target_q = q_integer(4) * q_integer(2)
     for name, want_s in expectations.items():
-        arr = Arrangement.from_json(load_fixture(name))
+        arr = load_arrangement(name)
         om = arr.compile()
         s, sq = build_S(om), build_Sq(om)
         assert [[poly_eval(e, 1) for e in row] for row in s.matrix] == want_s
@@ -123,7 +122,7 @@ def test_criterion_4_vamos():
     om = AffineOrientedMatroid.from_json(
         json.loads((FIXTURE_DIR / "vamos.json").read_text()))
     topes = om.bounded_topes()
-    expected = sorted(SignVector.from_text(vamos.GROUND, t).key()
+    expected = sorted(SignVector.from_text(om.ground, t).key()
                       for t in BOUNDED_TOPES)
     assert [t.key() for t in topes] == expected
     det = poly_det(build_Sq(om).matrix)
@@ -133,11 +132,11 @@ def test_criterion_4_vamos():
     report(4, elapsed, "30 published topes and det S_q = [8]^15 [4]^5")
 
 
-def test_criterion_5_matroid_invariants():
+def test_criterion_5_matroid_invariants(vamos_om):
     t0 = time.perf_counter()
     assert uniform_matroid(2, 8).beta() == 6
     assert uniform_matroid(1, 4).beta() == 1
-    v = vamos.derive_chirotope().to_matroid()
+    v = vamos_om.matroid()
     assert v.beta() == 15
     proper = [set(v.elements(f.elements)) for f in v.coloop_free_flats()
               if f.elements and f.elements != mask(v, v.ground)]
@@ -145,7 +144,7 @@ def test_criterion_5_matroid_invariants():
                       {"2", "4", "5", "6"}, {"2", "4", "7", "8"},
                       {"5", "6", "7", "8"}]
     suite = [uniform_matroid(1, 2), uniform_matroid(2, 3), uniform_matroid(1, 4),
-             uniform_matroid(2, 8), example13_C().compile().matroid(), v, dual(v)]
+             uniform_matroid(2, 8), load_arrangement("example13-C.json").compile().matroid(), v, dual(v)]
     for m in suite:
         for f in m.flats():
             assert mobius_plus(m, f) == m.restrict(f.elements).tutte(1, 0)
@@ -167,7 +166,7 @@ def test_criterion_6_theorem_identity_sweep(random_sweep):
 
 def test_criterion_7_proof_machinery_oracle(random_sweep):
     t0 = time.perf_counter()
-    fixture_oms = [example13_C().compile(), example13_Cprime().compile(),
+    fixture_oms = [load_arrangement("example13-C.json").compile(), load_arrangement("example13-Cprime.json").compile(),
                    line_points(5).compile(), line_points(10).compile()]
     from chamberforms.oriented_matroid import AffineOrientedMatroid
     fixture_oms.append(AffineOrientedMatroid.from_json(
@@ -191,7 +190,7 @@ def test_criterion_7_proof_machinery_oracle(random_sweep):
         assert all(d == 1 for d in rep.phi_divisors)
     for k, arr in enumerate(random_instances):
         assert build_y_matrix(arr, seed=k).det_y in (1, -1)
-    for arr in (example13_C(), example13_Cprime(), line_points(5),
+    for arr in (load_arrangement("example13-C.json"), load_arrangement("example13-Cprime.json"), line_points(5),
                 line_points(10)):
         assert build_y_matrix(arr, seed=1).det_y in (1, -1)
     elapsed = time.perf_counter() - t0
@@ -202,7 +201,7 @@ def test_criterion_7_proof_machinery_oracle(random_sweep):
 def test_criterion_8_structural_invariants():
     t0 = time.perf_counter()
     rng = random.Random(88)
-    instances = [example13_C(), example13_Cprime(), line_points(6)]
+    instances = [load_arrangement("example13-C.json"), load_arrangement("example13-Cprime.json"), line_points(6)]
     while len(instances) < 8:
         arr = random_arrangement(rng, rng.choice([2, 3]), rng.randint(3, 7))
         if arr is not None:
@@ -260,7 +259,7 @@ def test_criterion_9_conjecture_sweep(random_sweep, monkeypatch, tmp_path, capsy
     mismatches = [i for i, rec in enumerate(random_sweep.records)
                   if rec.det_sq != rec.rhs_sq]
     # paper-covered instances must match
-    for om in (example13_C().compile(), example13_Cprime().compile(),
+    for om in (load_arrangement("example13-C.json").compile(), load_arrangement("example13-Cprime.json").compile(),
                line_points(10).compile()):
         _, vq = verify_built(om)
         assert vq.match

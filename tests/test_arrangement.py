@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from chamberforms.arrangement import Arrangement, Hyperplane, _cofactors
 from chamberforms.polyring import int_det
-from chamberforms.oriented_matroid import ClosureCapExceeded, SignVector
+from chamberforms.oriented_matroid import (AffineOrientedMatroid,
+                                           ClosureCapExceeded, SignVector)
 from chamberforms.matroid import Matroid
 from conftest import (chirotope_sign, circuits, cocircuit_faces, conforms,
-                      example13_C, example13_Cprime, kernel_vector, line_points,
-                      mask, normal_matroid, point_signs, random_arrangement,
+                      kernel_vector, line_points, load_arrangement, mask,
+                      normal_matroid, point_signs, random_arrangement,
                       row_reduce, verify_built, vertices)
 
 
@@ -34,7 +35,7 @@ class TestChirotope:
         assert chirotope_sign(chi, ("1", "2")) == -1  # det [[0,1],[1,0]]
 
     def test_parallel_pair_is_zero(self):
-        chi = example13_C().compile().central
+        chi = load_arrangement("example13-C.json").compile().central
         assert chirotope_sign(chi, ("H1", "H2")) == 0
         assert chirotope_sign(chi, ("H3", "H4")) != 0
 
@@ -59,13 +60,13 @@ class TestChirotope:
 
 class TestVertices:
     def test_example13_vertex_coordinates(self):
-        arr = example13_C()
+        arr = load_arrangement("example13-C.json")
         verts, m = vertices(arr), arr.compile().matroid()
         assert verts[mask(m, {"H1", "H3"})] == (Fraction(0), Fraction(1))
         assert verts[mask(m, {"H3", "H4"})] == (Fraction(0), Fraction(0))
 
     def test_example13_has_five_vertices(self):
-        assert len(vertices(example13_C())) == 5
+        assert len(vertices(load_arrangement("example13-C.json"))) == 5
 
     def test_generic_eight_lines_have_28(self):
         from conftest import uniform_lines
@@ -156,7 +157,7 @@ def test_cofactors_are_the_signed_maximal_minors(args):
 
 class TestValidateGeneric:
     def test_example13_ok(self):
-        assert example13_C().validate_generic() is None
+        assert load_arrangement("example13-C.json").validate_generic() is None
 
     def test_one_vertex_star_over_the_cap_stops_the_scan(self, monkeypatch):
         """A vertex star of the plane holds 2^2 topes: a cap of 3 rejects
@@ -168,10 +169,10 @@ class TestValidateGeneric:
         monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 3)
         monkeypatch.setattr(arrangement, "_cofactors", no_scan)
         with pytest.raises(ClosureCapExceeded, match=r"a vertex star of 2\^2 topes"):
-            example13_C().validate_generic()
+            load_arrangement("example13-C.json").validate_generic()
         monkeypatch.undo()
         monkeypatch.setattr(oriented_matroid, "_CLOSURE_CAP", 4)
-        assert example13_C().validate_generic() is None
+        assert load_arrangement("example13-C.json").validate_generic() is None
 
     def test_coincident_lines_violate(self):
         arr = Arrangement(2, [Hyperplane.make("H1", ["0", "1"], "1"),
@@ -261,7 +262,7 @@ class TestCompile:
             init(self, *args)
 
         monkeypatch.setattr(Matroid, "__init__", counted)
-        arr = example13_C()
+        arr = load_arrangement("example13-C.json")
         assert arr.validate_generic() is None
         om = arr.compile()
         assert len(built) == 1 and om.matroid() is built[0]
@@ -271,8 +272,16 @@ class TestCompile:
         assert len(om.feasible) == 3
         assert len(om.bounded_topes()) == 2
 
+    def test_lift_label_avoids_the_ground_set(self):
+        """Seven lines labelled a-g, one of them the default lift label."""
+        arr = Arrangement(2, [Hyperplane.make(label, ["1", str(t)], str(t * t))
+                              for t, label in enumerate("abcdefg", 1)])
+        om = arr.compile()
+        assert om.g not in om.ground
+        assert AffineOrientedMatroid.from_json(om.to_json()).to_json() == om.to_json()
+
     def test_interior_point_conforms_to_exactly_one_bounded_tope(self):
-        arr = example13_Cprime()
+        arr = load_arrangement("example13-Cprime.json")
         om = arr.compile()
         verts = vertices(arr)
         for t in om.bounded_topes():
@@ -284,8 +293,8 @@ class TestCompile:
 
     def test_translation_invariance_of_determinants(self):
         # same normals, different generic offsets: equal det S and det S_q
-        vs_c, vq_c = verify_built(example13_C().compile())
-        vs_p, vq_p = verify_built(example13_Cprime().compile())
+        vs_c, vq_c = verify_built(load_arrangement("example13-C.json").compile())
+        vs_p, vq_p = verify_built(load_arrangement("example13-Cprime.json").compile())
         assert vs_c.lhs == vs_p.lhs
         assert vq_c.lhs == vq_p.lhs
 
@@ -308,7 +317,7 @@ class TestCompile:
 
 class TestJson:
     def test_round_trip(self):
-        arr = example13_C()
+        arr = load_arrangement("example13-C.json")
         again = Arrangement.from_json(arr.to_json())
         assert again.to_json() == arr.to_json()
 

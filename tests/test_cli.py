@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 from chamberforms import cli
-from chamberforms.make_fixtures import FIXTURES
 from chamberforms.matroid import Matroid
 from chamberforms.polyring import IntPoly
-from conftest import FIXTURE_DIR, line_points, uniform_arrangement
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, line_points, uniform_arrangement
 
 
 def run_cli(args, module="chamberforms.cli", env=(), **kw):
@@ -267,7 +266,7 @@ class TestIdentityRoute:
         assert engine_batches
 
     def test_check_and_det_agree_on_method(self):
-        for name in FIXTURES:
+        for name in FIXTURE_NAMES:
             path = str(FIXTURE_DIR / name)
             _, check = run_main(["check", "--input", path])
             _, det = run_main(["det", "--input", path])
@@ -285,6 +284,77 @@ class TestErrors:
         assert cli.main(["check", "--input", str(p)]) == 1
         err = capsys.readouterr().err
         assert "line" in err
+
+    @pytest.mark.parametrize("extra_key", [False, True], ids=["array", "extra-key"])
+    def test_deeply_nested_json_exits_1(self, extra_key, tmp_path):
+        """100,000 nested arrays, alone or under an extra key of vamos.json."""
+        nested = "[" * 100000 + "]" * 100000
+        if extra_key:
+            text = (FIXTURE_DIR / "vamos.json").read_text()
+            nested = '{"extra": ' + nested + "," + text.lstrip()[1:]
+        p = tmp_path / "nested.json"
+        p.write_text(nested)
+        res = run_cli(["check", "--input", str(p)])
+        assert res.returncode == 1
+        assert res.stderr == f"error: {p}: not valid JSON (nested too deeply)\n"
+
+    @pytest.mark.parametrize("coordinate", ["1e1000000000", "1e-1000000000", "1e100000"])
+    @pytest.mark.parametrize("field", ["offset", "normal"])
+    def test_coordinate_beyond_the_digit_limit_exits_1(self, field, coordinate,
+                                                       tmp_path, capsys):
+        """Fraction expands 10**exponent in full, so the coordinate is
+        rejected before it is built."""
+        hyp = {"label": "H1", "normal": ["1"], "offset": "0"}
+        hyp[field] = coordinate if field == "offset" else [coordinate]
+        doc = {"dim": 1, "hyperplanes": [
+            hyp, {"label": "H2", "normal": ["1"], "offset": "1"}]}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        for command in ("check", "matrix", "det", "rhs", "invariants"):
+            start = time.perf_counter()
+            assert cli.main([command, "--input", str(p)]) == 1
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err == (
+                "error: malformed arrangement JSON: hyperplane 'H1' has a "
+                f"coordinate that needs more than {sys.get_int_max_str_digits()} "
+                "digits\n")
+
+    def test_coordinate_at_the_digit_limit_loads(self, tmp_path):
+        """10^(limit - 1) has limit digits and 10^-(limit - 1) a denominator
+        of limit digits: every command reads and writes them; one digit more
+        is rejected."""
+        limit = sys.get_int_max_str_digits()
+        doc = {"dim": 1, "hyperplanes": [
+            {"label": "H1", "normal": ["1"], "offset": f"1e{limit - 1}"},
+            {"label": "H2", "normal": ["1"], "offset": f"-1e-{limit - 1}"}]}
+        p = tmp_path / "limit.json"
+        p.write_text(json.dumps(doc))
+        for command in ("check", "matrix", "det", "rhs", "invariants"):
+            assert run_main([command, "--input", str(p)])[0] == 0, command
+        for offset in (f"1e{limit}", f"1e-{limit}"):
+            doc["hyperplanes"][1]["offset"] = offset
+            p.write_text(json.dumps(doc))
+            assert run_main(["check", "--input", str(p)])[0] == 1
+
+    def test_no_digit_limit_reads_every_exponent(self, tmp_path):
+        """With the int-string limit off, 10^5000 loads like any coordinate."""
+        doc = {"dim": 1, "hyperplanes": [
+            {"label": "H1", "normal": ["1"], "offset": "1e5000"},
+            {"label": "H2", "normal": ["1"], "offset": "0"}]}
+        p = tmp_path / "unlimited.json"
+        p.write_text(json.dumps(doc))
+        res = run_cli(["invariants", "--input", str(p), "--out", str(tmp_path / "r.json")],
+                      env={"PYTHONINTMAXSTRDIGITS": "0"})
+        assert res.returncode == 0, res.stderr
+
+    def test_lift_label_in_the_ground_set_exits_1(self, tmp_path, capsys):
+        doc = json.loads((FIXTURE_DIR / "vamos.json").read_text())
+        doc["lift"]["g"] = "8"
+        p = tmp_path / "vamos-g8.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["check", "--input", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: lift element must be distinct from the ground set\n")
 
     def test_wrong_schema(self, tmp_path, capsys):
         p = tmp_path / "odd.json"
@@ -591,6 +661,22 @@ class TestPartialCommands:
         y_entry = next(r for r in rep["invariants"]
                        if r["name"] == "det_y_unimodular")
         assert y_entry["det_y"] in (1, -1)
+
+    def test_hyperplane_labelled_g(self, tmp_path):
+        """The lift's label is internal: lines labelled a-g load, and each
+        report says what it says of the same lines labelled H1-H7."""
+        numbered = tangent_lines(tmp_path, 7)
+        doc = json.loads(numbered.read_text())
+        for h, label in zip(doc["hyperplanes"], "abcdefg"):
+            h["label"] = label
+        lettered = tmp_path / "lines-a-g.json"
+        lettered.write_text(json.dumps(doc))
+        for command in ("check", "matrix", "det", "rhs", "invariants"):
+            assert run_main([command, "--input", str(lettered)])[0] == 0, command
+        a, b = (run_main(["check", "--input", str(p)])[1]["verdict"]
+                for p in (lettered, numbered))
+        for key in ("n_topes", "det_S", "det_Sq", "method"):
+            assert a[key] == b[key], key
 
     def test_invariants_line_n50(self, tmp_path):
         p = tmp_path / "line50.json"

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberforms import cli, flagspace
-from chamberforms.arrangement import Arrangement
 from chamberforms.flagspace import (_peel, _peeled_det, boundary, build_y_matrix,
                                     check_basis_of_kernel, expansion_matches_y,
                                     pairing, phi, smith_divisors)
 from chamberforms.forms import build_S
-from chamberforms.make_fixtures import FIXTURES, cyclic_r3
 from chamberforms.oriented_matroid import separation
 from chamberforms.polyring import int_det, poly_eval
-from conftest import (FIXTURE_DIR, cocircuit_faces, conforms, example13_C,
-                      example13_Cprime, line_points, load_fixture, mask,
-                      random_arrangement, uniform_arrangement)
+from conftest import (FIXTURE_DIR, FIXTURE_NAMES, cocircuit_faces, conforms,
+                      cyclic_r3, line_points, load_arrangement, load_fixture,
+                      mask, random_arrangement, uniform_arrangement)
 
 
 def phis(om):
@@ -25,7 +23,7 @@ def phis(om):
 
 class TestPhi:
     def test_triangle_support_size(self):
-        om = example13_C().compile()
+        om = load_arrangement("example13-C.json").compile()
         for t in om.bounded_topes():
             assert len(phi(om, t)) == 3
 
@@ -36,7 +34,7 @@ class TestPhi:
         assert sorted(abs(c) for c in v.values()) == [1, 1]
 
     def test_self_pairing_is_vertex_count(self):
-        om = example13_Cprime().compile()
+        om = load_arrangement("example13-Cprime.json").compile()
         for t in om.bounded_topes():
             v = phi(om, t)
             assert pairing(v, v) == len(cocircuit_faces(om, t))
@@ -44,12 +42,12 @@ class TestPhi:
 
 class TestPairing:
     def test_example13(self):
-        om = example13_C().compile()
+        om = load_arrangement("example13-C.json").compile()
         a, b = om.bounded_topes()
         assert pairing(phi(om, a), phi(om, b)) == 1
 
     def test_translated_off_diagonal(self):
-        om = example13_Cprime().compile()
+        om = load_arrangement("example13-Cprime.json").compile()
         a, b = om.bounded_topes()
         assert pairing(phi(om, a), phi(om, b)) == -2
 
@@ -83,7 +81,7 @@ class TestBoundary:
         assert boundary({}) == {}
 
     def test_phi_in_kernel_on_fixtures(self, vamos_om):
-        for om in (example13_C().compile(),
+        for om in (load_arrangement("example13-C.json").compile(),
                    line_points(3).compile(), vamos_om):
             for t in om.bounded_topes():
                 assert boundary(phi(om, t)) == {}
@@ -128,7 +126,7 @@ def kernel_basis_holds(rep, n: int) -> bool:
 
 class TestKernelReport:
     def test_example13(self):
-        om = example13_C().compile()
+        om = load_arrangement("example13-C.json").compile()
         rep = check_basis_of_kernel(om, phis(om))
         assert kernel_basis_holds(rep, 2)
 
@@ -143,7 +141,7 @@ class TestKernelReport:
         assert kernel_basis_holds(rep, 30)
 
     def test_measures_a_wrong_vector(self):
-        om = example13_C().compile()
+        om = load_arrangement("example13-C.json").compile()
         a, b = phis(om)
         rep = check_basis_of_kernel(om, [a, a])
         assert rep.kernel_flags == (True, True) and len(rep.phi_divisors) == 1
@@ -179,28 +177,28 @@ class TestYMatrix:
         assert rep.det_y in (1, -1)
 
     def test_example13_five_bases(self):
-        rep = build_y_matrix(example13_C(), seed=5)
+        rep = build_y_matrix(load_arrangement("example13-C.json"), seed=5)
         assert len(rep.bases) == 5
         assert rep.det_y in (1, -1)
 
     def test_expansion_identity(self):
-        for arr, seed in ((example13_C(), 3), (line_points(4), 9)):
+        for arr, seed in ((load_arrangement("example13-C.json"), 3), (line_points(4), 9)):
             om = arr.compile()
             rep = build_y_matrix(arr, seed)
             assert expansion_matches_y(om, rep, phis(om)) == []
 
     def test_deterministic_for_seed(self):
-        a = build_y_matrix(example13_C(), seed=42)
-        b = build_y_matrix(example13_C(), seed=42)
+        a = build_y_matrix(load_arrangement("example13-C.json"), seed=42)
+        b = build_y_matrix(load_arrangement("example13-C.json"), seed=42)
         assert a.xi == b.xi and a.y == b.y
 
-    @pytest.mark.parametrize("name", [name for name in FIXTURES
+    @pytest.mark.parametrize("name", [name for name in FIXTURE_NAMES
                                       if "hyperplanes" in load_fixture(name)]
                              + ["uniform-r3-n8"])
     def test_rows_match_conformity(self, name):
         """y(t, b) is nonzero exactly where cocircuit b conforms to region t."""
         arr = (cyclic_r3(8) if name == "uniform-r3-n8"
-               else Arrangement.from_json(load_fixture(name)))
+               else load_arrangement(name))
         om = arr.compile()
         rep = build_y_matrix(arr, seed=1)
         assert rep.y == tuple(
@@ -274,7 +272,7 @@ class TestPeel:
     def test_fallback_when_peeling_fails(self, monkeypatch):
         """[[1, 1], [1, 2]] is unimodular but has no unit singleton column;
         check_basis_of_kernel then reads its divisors from smith_divisors."""
-        om = example13_C().compile()
+        om = load_arrangement("example13-C.json").compile()
         b0, b1 = om.central.bases()[:2]
         calls = []
         monkeypatch.setattr(flagspace, "smith_divisors",
@@ -294,7 +292,7 @@ SEEDED = {**{f"uniform-r{r}-n{n}": (uniform_arrangement, r, n)
              for r, n in ((2, 6), (3, 6), (3, 7), (4, 7))}}
 
 
-@pytest.mark.parametrize("name", list(FIXTURES) + sorted(SEEDED))
+@pytest.mark.parametrize("name", FIXTURE_NAMES + sorted(SEEDED))
 def test_invariants_certifies_without_elimination(name, monkeypatch, tmp_path):
     """On every fixture and seeded input the certificates hold: no Smith
     form, no Bareiss."""

@@ -9,8 +9,8 @@ from chamberforms.forms import (TheoremViolation, build_S, build_Sq, h_poly,
                                 rhs_classical, rhs_q)
 from chamberforms.polyring import (IntPoly, ONE, poly_det, poly_eval, poly_pow,
                                    q_integer)
-from conftest import (FIXTURE_DIR, cocircuit_faces, example13_C, example13_Cprime,
-                      forms_by_all_pairs, line_points, random_arrangement,
+from conftest import (FIXTURE_DIR, cocircuit_faces, forms_by_all_pairs,
+                      line_points, load_arrangement, random_arrangement,
                       uniform_lines, uniform_matroid, verify_built)
 
 
@@ -44,10 +44,10 @@ class TestHPoly:
 
 class TestBuildS:
     def test_example13(self):
-        assert ints(build_S(example13_C().compile())) == [[3, 1], [1, 3]]
+        assert ints(build_S(load_arrangement("example13-C.json").compile())) == [[3, 1], [1, 3]]
 
     def test_example13_translated(self):
-        assert ints(build_S(example13_Cprime().compile())) == [[3, -2], [-2, 4]]
+        assert ints(build_S(load_arrangement("example13-Cprime.json").compile())) == [[3, -2], [-2, 4]]
 
     def test_line_tridiagonal(self):
         n = 6
@@ -58,7 +58,7 @@ class TestBuildS:
                 assert s[i][j] == expect
 
     def test_diagonal_is_vertex_count(self):
-        om = example13_Cprime().compile()
+        om = load_arrangement("example13-Cprime.json").compile()
         s = build_S(om)
         for i, t in enumerate(s.topes):
             assert poly_eval(s.matrix[i][i], 1) == len(cocircuit_faces(om, t))
@@ -66,13 +66,13 @@ class TestBuildS:
 
 class TestBuildSq:
     def test_example17(self):
-        sq = build_Sq(example13_C().compile())
+        sq = build_Sq(load_arrangement("example13-C.json").compile())
         h = IntPoly([1, 0, 1, 0, 1])
         q2 = IntPoly([0, 0, 1])
         assert sq.matrix == ((h, q2), (q2, h))
 
     def test_example17_translated(self):
-        sq = build_Sq(example13_Cprime().compile())
+        sq = build_Sq(load_arrangement("example13-Cprime.json").compile())
         h1 = IntPoly([1, 0, 1, 0, 1])
         h2 = IntPoly([1, 0, 2, 0, 1])
         off = IntPoly([0, -1, 0, -1])
@@ -101,7 +101,7 @@ class TestBuildSq:
                 assert poly_eval(sq.matrix[i][j], 1) == poly_eval(s.matrix[i][j], 1)
 
     def test_lowest_term_and_diagonal_degree(self):
-        om = example13_Cprime().compile()
+        om = load_arrangement("example13-Cprime.json").compile()
         sq = build_Sq(om)
         from chamberforms.oriented_matroid import separation
         for i in range(sq.n):
@@ -131,7 +131,7 @@ class TestBuildSq:
 
 class TestRhs:
     def test_example13(self):
-        m = example13_C().compile().matroid()
+        m = load_arrangement("example13-C.json").compile().matroid()
         value, factors = rhs_classical(m)
         assert value == 8
         assert [(f.base, f.exponent) for f in factors] == [(4, 1), (2, 1)]
@@ -223,7 +223,7 @@ class TestVerify:
                               start=ONE)
 
     def test_example13_both_match(self):
-        vs, vq = verify_built(example13_C().compile())
+        vs, vq = verify_built(load_arrangement("example13-C.json").compile())
         assert vs.match and vq.match
         assert vq.lhs == q_integer(4) * q_integer(2)
 
@@ -248,7 +248,7 @@ class TestVerify:
             assert poly_eval(vs.lhs, 1) > 0
 
     def test_matrix_size_is_mu_plus_dual(self):
-        for om in (example13_C().compile(), line_points(4).compile()):
+        for om in (load_arrangement("example13-C.json").compile(), line_points(4).compile()):
             s = build_S(om)
             assert s.n == om.matroid().tutte(0, 1)
 
@@ -257,7 +257,7 @@ class TestVerify:
         monkeypatch.setattr(forms_mod, "rhs_classical",
                             lambda m: (999, []))
         with pytest.raises(TheoremViolation):
-            verify_built(example13_C().compile())
+            verify_built(load_arrangement("example13-C.json").compile())
 
     def test_conjecture_mismatch_is_reported_not_raised(self, monkeypatch):
         import chamberforms.forms as forms_mod
@@ -267,7 +267,7 @@ class TestVerify:
             value, factors = real(m)
             return value * q_integer(2), factors
         monkeypatch.setattr(forms_mod, "rhs_q", wrong)
-        vs, vq = verify_built(example13_C().compile())
+        vs, vq = verify_built(load_arrangement("example13-C.json").compile())
         assert vs.match and not vq.match
 
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from chamberforms.matroid import Flat, Matroid
 from chamberforms.oriented_matroid import AffineOrientedMatroid
-from conftest import (beta_sum, dual, example13_C, is_coloop, is_connected, mask,
-                      matroid_from_columns, matroid_on, mobius, mobius_plus,
-                      nbc_count, row_reduce, uniform_matroid)
+from conftest import (beta_sum, dual, is_coloop, is_connected, load_arrangement,
+                      load_fixture, mask, matroid_from_columns, matroid_on,
+                      mobius, mobius_plus, nbc_count, row_reduce,
+                      uniform_matroid)
 
 U23 = uniform_matroid(2, 3)
 U12 = uniform_matroid(1, 2)
@@ -17,12 +18,11 @@ U28 = uniform_matroid(2, 8)
 
 
 def example13_matroid() -> Matroid:
-    return example13_C().compile().matroid()
+    return load_arrangement("example13-C.json").compile().matroid()
 
 
 def vamos() -> Matroid:
-    from chamberforms.vamos import derive_chirotope
-    return derive_chirotope().to_matroid()
+    return AffineOrientedMatroid.from_json(load_fixture("vamos.json")).matroid()
 
 
 small_matrices = st.lists(

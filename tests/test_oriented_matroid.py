@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from chamberforms import oriented_matroid
 from chamberforms.arrangement import Arrangement, Hyperplane
-from chamberforms.make_fixtures import FIXTURES
 from chamberforms.oriented_matroid import (AffineOrientedMatroid, Chirotope,
                                            ClosureCapExceeded, SignVector,
                                            separation)
-from conftest import (affine_covectors, bounded_topes_by_closure, chirotope_sign,
-                      cocircuit_faces, cocircuits_from_chirotope, compose,
-                      conforms, example13_C, line_points, load_fixture, mask,
-                      meet_f_vector_by_rank, negate, random_arrangement)
+from conftest import (FIXTURE_NAMES, affine_covectors, bounded_topes_by_closure,
+                      chirotope_sign, cocircuit_faces, cocircuits_from_chirotope,
+                      compose, conforms, line_points, load_arrangement,
+                      load_fixture, mask, meet_f_vector_by_rank, negate,
+                      random_arrangement)
 
 
 def sv(text, ground=("1", "2", "3")):
@@ -168,7 +168,7 @@ class TestCocircuitsFromChirotope:
 
 
 def om_example13() -> AffineOrientedMatroid:
-    return example13_C().compile()
+    return load_arrangement("example13-C.json").compile()
 
 
 def fixture_om(name: str) -> AffineOrientedMatroid:
@@ -253,7 +253,7 @@ class TestVertexStars:
         assert om.bounded_topes() == topes
         assert {t.bits: om.face_mask(t) for t in topes} == masks
 
-    @pytest.mark.parametrize("name", list(FIXTURES))
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
         self.assert_matches_closure(fixture_om(name))
 
@@ -276,8 +276,7 @@ class TestCocircuitFaces:
         assert all(y.zero_set() in om.matroid().bases for y in faces)
 
     def test_square_chamber_has_four(self):
-        from conftest import example13_Cprime
-        om = example13_Cprime().compile()
+        om = load_arrangement("example13-Cprime.json").compile()
         counts = sorted(len(cocircuit_faces(om, t)) for t in om.bounded_topes())
         assert counts == [3, 4]
 
@@ -312,8 +311,7 @@ class TestMeetFaces:
         assert separation(a, b) == 2
 
     def test_shared_edge_in_translated_arrangement(self):
-        from conftest import example13_Cprime
-        om = example13_Cprime().compile()
+        om = load_arrangement("example13-Cprime.json").compile()
         a, b = om.bounded_topes()
         assert om.meet_faces(a, b) == (2, 1)
         assert separation(a, b) == 1
@@ -326,8 +324,7 @@ class TestMeetFaces:
     def test_vertex_mask_of_no_face_raises(self):
         # two opposite corners of the square chamber share no hyperplane,
         # so their mask cuts into two points, not into edges
-        from conftest import example13_Cprime
-        om = example13_Cprime().compile()
+        om = load_arrangement("example13-Cprime.json").compile()
         square = max((om.face_mask(t) for t in om.bounded_topes()), key=int.bit_count)
         corners = om.cocircuits_in(square)
         assert len(corners) == 4
@@ -361,7 +358,7 @@ class TestCountedDimensions:
                 assert om.meet_faces(a, b) == meet_f_vector_by_rank(om, a, b), \
                     (a.text(), b.text())
 
-    @pytest.mark.parametrize("name", list(FIXTURES))
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
         self.assert_every_pair_matches(fixture_om(name))
 

@@ -734,9 +734,8 @@ class TestSymmetricElimination:
         of S or S_q vanishes: no point is marked or eliminated plain."""
         from chamberforms.cli import load_instance
         from chamberforms.forms import build_S, build_Sq
-        from chamberforms.make_fixtures import FIXTURES
-        from conftest import FIXTURE_DIR
-        oms = [load_instance(str(FIXTURE_DIR / name)).om for name in FIXTURES]
+        from conftest import FIXTURE_DIR, FIXTURE_NAMES
+        oms = [load_instance(str(FIXTURE_DIR / name)).om for name in FIXTURE_NAMES]
         oms.append(uniform_arrangement(random.Random(1), 3, 9).compile())
         assert len(oms) == 7 and len(oms[-1].bounded_topes()) == comb(8, 3)
         for om in oms:
@@ -863,12 +862,11 @@ class TestCertificateElimination:
         """`check` on the six fixtures and a `dense`-shaped arrangement:
         no engine point and no certificate takes plain elimination."""
         from chamberforms import cli
-        from chamberforms.make_fixtures import FIXTURES
-        from conftest import FIXTURE_DIR
+        from conftest import FIXTURE_DIR, FIXTURE_NAMES
         dense = tmp_path / "dense-r3-n9.json"
         dense.write_text(json.dumps(
             uniform_arrangement(random.Random(1), 3, 9).to_json()))
-        paths = [FIXTURE_DIR / name for name in FIXTURES] + [dense]
+        paths = [FIXTURE_DIR / name for name in FIXTURE_NAMES] + [dense]
         assert len(paths) == 7
         calls = []
         eliminate = modular._eliminate_mod
@@ -939,9 +937,8 @@ class TestDistinctEntries:
     def test_on_the_fixtures_s_q(self):
         from chamberforms.cli import load_instance
         from chamberforms.forms import build_Sq
-        from chamberforms.make_fixtures import FIXTURES
-        from conftest import FIXTURE_DIR
-        for name in FIXTURES:
+        from conftest import FIXTURE_DIR, FIXTURE_NAMES
+        for name in FIXTURE_NAMES:
             rows = build_Sq(load_instance(str(FIXTURE_DIR / name)).om).matrix
             entries = nonzero_entries(rows)
             assert len({c for _, _, c in entries}) < len(entries)

@@ -19,13 +19,13 @@ import pytest
 
 from chamberforms import flagspace, modular, polyring
 from chamberforms.cli import main
-from chamberforms.make_fixtures import FIXTURES
+from conftest import FIXTURE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 COMMANDS = ("check", "matrix", "det", "rhs", "invariants")
 
-CASES = [f"{cmd} --input fixtures/{name}" for name in FIXTURES for cmd in COMMANDS]
+CASES = [f"{cmd} --input fixtures/{name}" for name in FIXTURE_NAMES for cmd in COMMANDS]
 CASES.append("random --dim 3 --n 7 --count 5 --seed 4")
 
 

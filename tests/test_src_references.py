@@ -6,7 +6,8 @@ class, and each module-level constant.  Every one, dunders apart, must be
 referenced by name (a load, an attribute or an import) somewhere in the
 package outside its own definition.  A name that other code also uses,
 such as a method called through another class, passes without being
-reached; the check is a floor, not a reach analysis.
+reached; the check is a floor, not a reach analysis.  The reach of whole
+modules is checked by running the commands: each module must be imported.
 """
 
 import ast
@@ -14,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import chamberforms
+from test_numpy_loading import probe
 
 SRC = Path(chamberforms.__file__).parent
 
@@ -54,3 +56,18 @@ def test_every_definition_is_referenced_in_src():
               if not (name.startswith("__") and name.endswith("__"))
               and used[name] - references(node)[name] <= 0]
     assert unused == []
+
+
+def test_every_module_is_imported_by_a_command(tmp_path):
+    """The five single-input commands on an oriented-matroid and an
+    arrangement fixture, and one random instance, import every module of
+    the package but __main__, so dev-only modules stay out of it."""
+    runs = [[command, "--input", f"fixtures/{name}"]
+            for name in ("vamos.json", "cyclic-r3-n7.json")
+            for command in ("check", "matrix", "det", "rhs", "invariants")]
+    runs.append(["random", "--dim", "2", "--n", "4", "--count", "1", "--seed", "0"])
+    codes, modules = probe(runs, tmp_path / "report.json")
+    assert codes.split() == ["0"] * len(runs) + ["True"]
+    expected = {"chamberforms" if p.stem == "__init__" else f"chamberforms.{p.stem}"
+                for p in SRC.glob("*.py") if p.stem != "__main__"}
+    assert set(modules.split()) == expected
