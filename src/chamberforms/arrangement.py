@@ -41,10 +41,13 @@ def _coordinate(label, x) -> Fraction:
     Fraction expands a string's exponent e as 10**e in full, which that limit
     does not bound, so a string with one is checked before Fraction builds
     it: |e| beyond the limit plus the mantissa's length puts the value above
-    10**limit or below 10**-limit.
+    10**limit or below 10**-limit.  Nor does the limit bound a decimal's
+    digits, which Fraction reads in two parts, so a string longer than the
+    limit is checked too; a shorter one without an exponent fits it.
     """
     limit = sys.get_int_max_str_digits()
-    if not (limit and isinstance(x, str) and ("e" in x or "E" in x)):
+    if not (limit and isinstance(x, str)
+            and ("e" in x or "E" in x or len(x) > limit)):
         return Fraction(x)
     mantissa, _, exp = x.lower().partition("e")
     try:

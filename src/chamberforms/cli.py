@@ -8,11 +8,13 @@ which _report wraps in one envelope; random writes one line per instance.
 The check, det and random reports say in method how each determinant was
 established: exact, or certified with an error bound that depends only on
 the matrix, never on the random point or prime of the certificate.
-check and random certify det S_q against the right-hand side where they
-can, and reconstruct it only when that does not succeed; det always
-reconstructs it.  So in check --timings, det_Sq_primes 0 with a nonzero
-det_Sq_prime_bound means det S_q was certified equal to the right-hand
-side, not reconstructed.
+check and random hand the right-hand side to the engine as its first
+candidate lift, which one certificate confirms before the first prime
+wherever the coefficient bound allows three primes or more; det S_q is
+reconstructed only where it allows fewer or the candidate fails.  det
+always reconstructs it.  So in check --timings, det_Sq_primes 0 with a
+nonzero det_Sq_prime_bound means det S_q was certified equal to the
+right-hand side, not reconstructed.
 
 check, det and random take determinants over Z[q], whose word-size engine
 (chamberforms.modular) is the one module that imports numpy; matrix, rhs
@@ -63,6 +65,7 @@ class Instance(NamedTuple):
     om: AffineOrientedMatroid
     arrangement: Optional[Arrangement]
     digest: str
+    nudged: bool = False  # --nudge changed the input's offsets
 
 
 def _digest(data: bytes) -> str:
@@ -82,13 +85,16 @@ def load_instance(path: str, nudge: Optional[int] = None) -> Instance:
     if "hyperplanes" in doc:
         arr = Arrangement.from_json(doc)
         violation = arr.validate_generic()
-        if violation is not None and nudge is not None:
+        nudged = violation is not None and nudge is not None
+        if nudged:
             arr = _nudge_offsets(arr, nudge)
-            violation = arr.validate_generic()
-        if violation is not None:
+        elif violation is not None:
             raise ValueError(f"{path}: {violation.describe()}")
-        return Instance("arrangement", arr.compile(), arr, _digest(raw))
+        return Instance("arrangement", arr.compile(), arr, _digest(raw), nudged)
     if "chirotope" in doc:
+        if nudge is not None:
+            raise ValueError(f"{path}: --nudge moves the offsets of an "
+                             f"arrangement, and an oriented matroid has none")
         return Instance("oriented_matroid", AffineOrientedMatroid.from_json(doc),
                         None, _digest(raw))
     raise ValueError(f"{path}: expected an arrangement ('hyperplanes') or an "
@@ -149,11 +155,15 @@ def _matrices_json(s: IntersectionForm, sq: IntersectionForm) -> dict:
 
 def _report(inst: Instance, fields: dict) -> dict:
     """The envelope of a single-input report: instance first, then fields,
-    then version and input digest, the key order its bytes are pinned in."""
+    then version and input digest, the key order its bytes are pinned in.
+    An instance that --nudge moved also lists the offsets it was run on."""
     om = inst.om
     instance = {"type": inst.kind, "n": len(om.ground), "r": om.central.rank,
                 "elements": list(om.ground),
                 "n_bounded_topes": len(om.bounded_topes())}
+    if inst.nudged:  # input_digest names the file, not the offsets used
+        instance["nudged_offsets"] = {h.label: str(h.offset)
+                                      for h in inst.arrangement.hyperplanes}
     return {"instance": instance, **fields,
             "version": __version__, "input_digest": inst.digest}
 
@@ -386,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True,
                            help="arrangement or oriented-matroid JSON file")
             p.add_argument("--nudge", type=int, default=None, metavar="SEED",
-                           help="re-randomize non-generic offsets from this seed")
+                           help="re-randomize the offsets of a non-generic "
+                                "arrangement from this seed")
         p.add_argument("--out", default=None, help="write the report here")
         if seed:
             p.add_argument("--seed", type=int, default=0)

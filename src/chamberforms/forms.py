@@ -151,11 +151,12 @@ def verify(om: AffineOrientedMatroid,
     a mismatch in the q-identity is reported as a finding, never an abort.
 
     The right-hand side of the q-identity comes first, and certify_det
-    puts det S_q = rhs_q to the certificate at a random point without
-    reconstructing det S_q.  Only when that does not succeed does
-    poly_det reconstruct det S_q, which then supplies the mismatch
-    witness.  On the certified route det S_q is rhs_q, so the q = 1 check
-    compares rhs_q(1) with det S.
+    takes det S_q with rhs_q as the engine's first candidate lift: one
+    certificate at a random point confirms det S_q = rhs_q without
+    reconstructing det S_q, and only when it does not is det S_q
+    reconstructed, which then supplies the mismatch witness.  On the
+    certified route det S_q is rhs_q, so the q = 1 check compares rhs_q(1)
+    with det S.
     """
     s, sq = forms
     m = om.matroid()
@@ -171,8 +172,6 @@ def verify(om: AffineOrientedMatroid,
 
     rhs_sq, factors_q = rhs_q(m)
     det_sq = certify_det(sq.matrix, rhs_sq)
-    if det_sq is None:
-        det_sq = poly_det(sq.matrix)
     verdict_sq = DeterminantVerdict(det_sq, rhs_sq, tuple(factors_q),
                                     det_sq == rhs_sq)
 

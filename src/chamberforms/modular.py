@@ -78,23 +78,26 @@ JACM 27, 1980).  eps depends only on the matrix, and the result's Method
 carries floor(-log2 eps).
 
 Given an expected determinant E, as forms.verify passes the right-hand side
-of the q-identity, det reconstructs nothing: it puts E to the certificate
-in place of a lift.  A gate comes first, before band order or grading: when
-the two largest primes below the ceiling for m = n have a product above 2H,
-the bound may allow fewer than three primes, the engine would run to its
+of the q-identity, det first applies a gate, before band order or grading:
+when the two largest primes below the ceiling for m = n have a product above
+2H, the bound may allow fewer than three primes, the engine would run to its
 bound and its result would be exact, and det returns None so that the
 caller takes that exact result.  It is not cheap: on such small grids the
-engine costs several times what det with E costs, certificate included,
-and perfbench's sweep workload sends 123 S_q a round through the gate.
-Otherwise det prepares the matrix once and returns None without a draw
-when E cannot be det M: its degree exceeds the engine's degree bound, a
-coefficient exceeds H, or M is graded and E has an odd exponent.  One
-certificate, on the same rows in the same band order with
-the same Q, then decides: a pass returns E with the Method of an early
-stop, with 0 primes used and the primes the bound allows, and a failure
-returns None, so the caller takes the engine, which supplies the witness.
-eps holds verbatim: D = det M - E has degree within the bound, and |D_j| <=
-|det_j| + |E_j| <= 2H, the two facts the argument above reads.
+engine costs several times what one certificate costs, and perfbench's sweep
+workload sends 123 S_q a round through the gate.  Otherwise det prepares
+the matrix once and hands E, graded like it, to the engine as its first
+candidate lift.  Where the engine may stop early, E goes to the certificate
+before the first prime, unless it cannot be det M: its degree exceeds the
+degree bound, a coefficient exceeds H, or M is graded and E has an odd
+exponent.  A pass returns E with the Method of an early stop, with 0 primes
+used and the primes the bound allows; eps holds verbatim, since D = det M -
+E has degree within the bound and |D_j| <= |det_j| + |E_j| <= 2H, the two
+facts the argument above reads.  A certificate never rejects the true
+determinant, so a failed draw proves det M != E and spends none of eps: the
+engine runs on, on the same preparation and certificate, and keeps its one
+early stop, whose result is the mismatch witness.  (Over a whole run, a
+wrong E and a wrong repeated lift could each pass a draw, with probability
+at most eps each.)
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ import secrets
 from functools import cache
 from itertools import islice
 from math import isqrt
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -499,46 +502,14 @@ class _Certificate:
         return 60 - (cases - 1).bit_length()
 
 
-class _Plan(NamedTuple):
-    """What the engine fixes before its first prime: the coefficient count
-    of g, the points per prime, H**2, and the primes the bound allows."""
-
-    n_coeffs: int
-    n_evals: int
-    bound_sq: int
-    primes: list[int]
-
-
 def _prime_ceiling(m: int) -> int:
     """The top of the primes for sums of m + 1 products of residues."""
     return isqrt(_INT64_MAX // (m + 1))
 
 
-def _plan(rows, shift: int, c: int | None, bound_sq: int) -> _Plan | None:
-    """The engine's plan for g(t) = det N(t) / t**shift, N given by rows
-    and H**2 = bound_sq, or None when g is 0 by its shape: N has a zero
-    row, or the degree bound of g is negative.  See _modular_det."""
-    degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
-    if min(degrees) < 0:
-        return None
-    n_coeffs = sum(degrees) - shift + 1 if c is None else c + 1
-    if n_coeffs <= 0:
-        return None
-    primes: list[int] = []
-    modulus = 1
-    for p in _primes_below(_prime_ceiling(max(len(rows), max(degrees) + 1))):
-        if modulus * modulus > 4 * bound_sq:
-            break
-        if 1 in _powers(2, n_coeffs, p)[1:]:
-            continue  # 2 has order below n_coeffs: the nodes repeat
-        primes.append(p)
-        modulus *= p
-    return _Plan(n_coeffs, n_coeffs if c is None else (c + 3) // 2, bound_sq,
-                 primes)
-
-
-def _modular_det(rows, shift: int, c: int | None,
-                 certificate: _Certificate) -> Determinant:
+def _modular_det(rows, shift: int, c: int | None, bound_sq: int,
+                 certificate: _Certificate,
+                 candidate: Sequence[int] | None) -> Determinant:
     """g(t) = det N(t) / t**shift over Z[t], N given by rows, and its Method.
 
     The nodes are powers of 2 at consecutive exponents.  When c is not
@@ -557,20 +528,40 @@ def _modular_det(rows, shift: int, c: int | None,
     point they mark, and every point of an N that is not symmetric, takes
     plain elimination of N evaluated there.
 
-    The coefficient bound allows the primes up to the first whose product
-    exceeds 2H.  Before the last of them, a lift equal to the previous
-    prime's is put to the certificate, and returned as certified if it
-    passes; after a failed certificate the engine runs to the bound.  The
-    lift at the bound is exact, and a certificate that fails there raises
-    CertificateError.  With K = 1 the engine always runs to the bound.
+    The coefficient bound H**2 = bound_sq allows the primes up to the first
+    whose product exceeds 2H.  Before the last of them, a lift equal to the
+    previous prime's is put to the certificate, and returned as certified
+    if it passes; after a failed certificate the engine runs to the bound.
+    The lift at the bound is exact, and a certificate that fails there
+    raises CertificateError.  With K = 1 the engine always runs to the
+    bound.  candidate, the coefficients of the g that det expects or None,
+    is the first lift: where the engine may stop early, it goes to the
+    certificate before the first prime unless its degree or a coefficient
+    is out of the bound, and a pass returns it with no prime used.  A
+    failed draw leaves the engine and its early stop as they were.
     """
-    plan = _plan(rows, shift, c, _coefficient_bound_sq(rows))
-    if plan is None:
+    degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
+    n_coeffs = sum(degrees) - shift + 1 if c is None else c + 1
+    if min(degrees) < 0 or n_coeffs <= 0:  # a zero row, or a negative degree
         return Determinant((), EXACT)
-    n_coeffs, n_evals, bound_sq, primes = plan
+    primes: list[int] = []
+    modulus = 1
+    for p in _primes_below(_prime_ceiling(max(len(rows), max(degrees) + 1))):
+        if modulus * modulus > 4 * bound_sq:
+            break
+        if 1 in _powers(2, n_coeffs, p)[1:]:
+            continue  # 2 has order below n_coeffs: the nodes repeat
+        primes.append(p)
+        modulus *= p
+    n_evals = n_coeffs if c is None else (c + 3) // 2
     # With one point per prime, a prime costs about what the certificate
     # costs, and stopping early cannot pay.
     early = n_evals > 1
+    if (early and candidate is not None and len(candidate) <= n_coeffs
+            and all(x * x <= bound_sq for x in candidate)
+            and certificate.passes(candidate)):
+        bits = certificate.error_bits(n_coeffs, bound_sq)
+        return Determinant(candidate, Method(bits, 0, len(primes)))
     evaluate = _Evaluator(rows, n_evals) if _is_symmetric(rows) else None
     residues: list[int] = [0] * n_coeffs
     lift: list[int] = []
@@ -682,39 +673,10 @@ def _few_primes(n: int, bound_sq: int) -> bool:
 
     The engine's primes lie below the ceiling of m >= n, so the two largest
     primes below the ceiling of n are at least its first two.  When their
-    product is at most 2H, the engine takes at least three primes.  When
-    it is not, det with an expected determinant defers to the engine,
-    whose result is then exact but costs several certificates.
+    product is at most 2H, the engine takes at least three primes.
     """
     p1, p2 = islice(_primes_below(_prime_ceiling(n)), 2)
     return (p1 * p2) ** 2 > 4 * bound_sq
-
-
-def _identity(expect: IntPoly, graded: bool, plan: _Plan | None,
-              certificate: _Certificate) -> Determinant | None:
-    """expect as the determinant of the certificate's rows, certified by one
-    certificate at a random point, or None.
-
-    None without a draw when the engine never stops early (plan None, or one
-    point per prime) or when expect cannot be the determinant: a graded grid
-    with an odd exponent in expect, a degree above the engine's bound, or a
-    coefficient above H.  Otherwise D = det - expect has degree within the
-    engine's bound and |D_j| <= 2H, as the difference with a lift has, so
-    the engine's eps and error_bits hold verbatim.
-    """
-    if plan is None or plan.n_evals == 1:
-        return None
-    g = expect.coeffs
-    if graded:
-        if any(g[1::2]):
-            return None
-        g = g[::2]
-    if len(g) > plan.n_coeffs or any(x * x > plan.bound_sq for x in g):
-        return None
-    if not certificate.passes(g):
-        return None
-    bits = certificate.error_bits(plan.n_coeffs, plan.bound_sq)
-    return Determinant(expect.coeffs, Method(bits, 0, len(plan.primes)))
 
 
 def det(rows: Sequence[Sequence[IntPoly]],
@@ -728,16 +690,16 @@ def det(rows: Sequence[Sequence[IntPoly]],
     passes a constant grid, which takes c = 0 and one point per prime, so
     its result is always exact.
 
-    Given expect, det reconstructs nothing: it returns expect, certified by
-    one certificate at a random point, or None when that does not succeed,
-    and the caller takes the engine.  The module docstring gives the gate
-    (_few_primes), the screen and the draw (_identity), and why eps holds.
+    Given expect, det returns None when the bound may allow fewer than three
+    primes (_few_primes), before any preparation, so that the caller takes
+    the engine's exact result.  Otherwise expect, graded like the matrix,
+    is the engine's first candidate lift; the module docstring says why
+    eps holds.
     """
     n = len(rows)
-    if expect is not None:
-        bound_sq = _coefficient_bound_sq(rows)
-        if _few_primes(n, bound_sq):
-            return None
+    bound_sq = _coefficient_bound_sq(rows)
+    if expect is not None and _few_primes(n, bound_sq):
+        return None
     if not n:
         return Determinant((1,), EXACT)  # the empty product, as int_det([]) is 1
     entries = [(i, j, e.coeffs) for i, row in enumerate(rows)
@@ -758,10 +720,11 @@ def det(rows: Sequence[Sequence[IntPoly]],
     c = None if weights is None else sum(weights) - 2 * shift
     certificate = _Certificate(rows, 1 if s is None else 2,
                                order if _is_symmetric(rows) else None)
-    if expect is not None:
-        return _identity(expect, s is not None,
-                         _plan(banded, shift, c, bound_sq), certificate)
-    g = _modular_det(banded, shift, c, certificate)
+    candidate = None if expect is None else expect.coeffs
+    if candidate is not None and s is not None:
+        # det M is a polynomial in q**2 there: an odd exponent cannot be it
+        candidate = None if any(candidate[1::2]) else candidate[::2]
+    g = _modular_det(banded, shift, c, bound_sq, certificate, candidate)
     # g is interpolated from det N(t) / t**shift, so it has no coefficient
     # below t**0 to check; the certificate catches any wrong value.
     if s is None:

@@ -396,17 +396,19 @@ def poly_det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
 
 
 def certify_det(rows: Sequence[Sequence[IntPoly]],
-                expect: IntPoly) -> Determinant | None:
-    """expect as the determinant of rows, certified without reconstructing
-    it, or None.
+                expect: IntPoly) -> Determinant:
+    """Determinant over Z[q] of rows, with expect as the engine's first
+    candidate lift.
 
-    modular.det puts expect to one certificate at a random point, where
-    the engine's early stop would put its CRT lift, and the result carries
-    the Method that stop would carry, with no prime used.  None when the
-    bound allows fewer than three primes (the engine's result is then
-    exact, at several times the cost of a certificate), when expect cannot
-    be the determinant by degree, size or parity, or when the certificate
-    fails; the caller then takes poly_det.
+    modular.det puts expect to one certificate at a random point before
+    its first prime, where the engine's early stop would put its CRT lift.
+    A pass returns expect with the Method that stop would carry, with no
+    prime used; a failure or an expect that cannot be the determinant by
+    degree, size or parity leaves the engine to reconstruct it.  When the
+    bound may allow fewer than three primes, the engine's result is exact
+    at about what a certificate costs, and certify_det takes it from
+    poly_det.
     """
     from .modular import det
-    return det(rows, expect)
+    certified = det(rows, expect)
+    return poly_det(rows) if certified is None else certified

@@ -168,9 +168,9 @@ class TestCheck:
 
 
 class TestIdentityRoute:
-    """check certifies det S_q = RHS at one random point, and takes the
-    engine only when the bound allows under three primes or the
-    certificate does not succeed."""
+    """check puts det S_q = RHS to one certificate at a random point before
+    the engine's first prime, and reconstructs det S_q only when the bound
+    allows under three primes or the certificate does not succeed."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -212,11 +212,13 @@ class TestIdentityRoute:
         assert rep["matrices"] is not None
         assert rep["verdict"]["det_Sq"] == det["det_Sq"]
         assert rep["verdict"]["method"] == det["method"]
-        # one draw against the RHS, in t = q^2, then the engine's own
+        # one draw against the RHS, in t = q^2, before the first prime, then
+        # the engine's own early stop, on the same preparation and certificate
         wrong = tuple(int(c) for c in rep["verdict"]["rhs_Sq"][::2])
-        identity = draws[0][0]
-        assert [g for c, g in draws if c is identity] == [wrong]
-        assert len({c for c, _ in draws}) == 2
+        right = IntPoly(int(c) for c in det["det_Sq"][::2])
+        assert [g for _, g in draws][0] == wrong and len(draws) == 2
+        assert IntPoly(draws[1][1]) == right
+        assert draws[0][0] is draws[1][0]
 
         draws.clear()
         out = tmp_path / "random.jsonl"
@@ -265,6 +267,35 @@ class TestIdentityRoute:
         assert rep["verdict"]["method"]["det_Sq"] == {"kind": "exact"}
         assert engine_batches
 
+    def test_no_prime_exactly_where_the_bound_allows_three(self, tmp_path):
+        reports = [run_main(["check", "--input", str(FIXTURE_DIR / name),
+                             "--timings"])[1] for name in FIXTURE_NAMES]
+        for dim in range(1, 5):
+            out = tmp_path / f"random-{dim}.jsonl"
+            assert cli.main(["random", "--dim", str(dim), "--n", "7", "--count",
+                             "3", "--timings", "--out", str(out)]) == 0
+            reports += map(json.loads, out.read_text().splitlines())
+        assert len(reports) == 6 + 4 * 3
+        for rep in reports:
+            timings = rep["timings"]
+            assert ((timings["det_Sq_primes"] == 0)
+                    == (timings["det_Sq_prime_bound"] >= 3)), rep["instance"]
+
+    def test_wrong_rhs_prepares_s_q_once(self, monkeypatch):
+        """The failed draw and the engine share one band order, grading and
+        bound: modular.det prepares S_q once (det S takes int_det)."""
+        from chamberforms import modular
+        calls = []
+        band_order = modular.band_order
+
+        def spy(n, pattern):
+            calls.append(n)
+            return band_order(n, pattern)
+        monkeypatch.setattr(modular, "band_order", spy)
+        patch_rhs_q(monkeypatch, lambda value: value + IntPoly((0, 0, 1)))
+        code, rep = run_main(["check", "--input", str(FIXTURE_DIR / "vamos.json")])
+        assert code == 2 and calls == [30]
+
     def test_check_and_det_agree_on_method(self):
         for name in FIXTURE_NAMES:
             path = str(FIXTURE_DIR / name)
@@ -298,12 +329,16 @@ class TestErrors:
         assert res.returncode == 1
         assert res.stderr == f"error: {p}: not valid JSON (nested too deeply)\n"
 
-    @pytest.mark.parametrize("coordinate", ["1e1000000000", "1e-1000000000", "1e100000"])
+    @pytest.mark.parametrize("coordinate", [
+        "1e1000000000", "1e-1000000000", "1e100000",
+        pytest.param("1" * 3000 + "." + "1" * 3000, id="decimal-6000-digits")])
     @pytest.mark.parametrize("field", ["offset", "normal"])
     def test_coordinate_beyond_the_digit_limit_exits_1(self, field, coordinate,
                                                        tmp_path, capsys):
         """Fraction expands 10**exponent in full, so the coordinate is
-        rejected before it is built."""
+        rejected before it is built.  A decimal has no exponent, and Fraction
+        reads each side of its point within the limit, but a numerator of
+        6,000 digits could not be written back."""
         hyp = {"label": "H1", "normal": ["1"], "offset": "0"}
         hyp[field] = coordinate if field == "offset" else [coordinate]
         doc = {"dim": 1, "hyperplanes": [
@@ -494,6 +529,28 @@ class TestErrors:
         code, rep = run_main(["check", "--input", str(p), "--nudge", "3"])
         assert code == 0
         assert rep["verdict"]["theorem_match"]
+        # the report names the offsets it ran on, and they reproduce it
+        offsets = rep["instance"]["nudged_offsets"]
+        assert list(offsets) == ["H1", "H2", "H3"] and offsets != {
+            h["label"]: h["offset"] for h in doc["hyperplanes"]}
+        for h in doc["hyperplanes"]:
+            h["offset"] = offsets[h["label"]]
+        p.write_text(json.dumps(doc))
+        code, again = run_main(["check", "--input", str(p)])
+        assert code == 0 and "nudged_offsets" not in again["instance"]
+        for key in ("det_S", "det_Sq", "method"):
+            assert again["verdict"][key] == rep["verdict"][key]
+        # a generic input needs no nudge, and its report keeps its bytes
+        path = str(FIXTURE_DIR / "line-n5.json")
+        assert run_main(["check", "--input", path, "--nudge", "3"]) == run_main(
+            ["check", "--input", path])
+
+    def test_nudge_on_an_oriented_matroid_exits_1(self, capsys):
+        path = FIXTURE_DIR / "vamos.json"
+        assert cli.main(["check", "--input", str(path), "--nudge", "3"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: --nudge moves the offsets of an arrangement, and "
+            "an oriented matroid has none\n")
 
     def test_closure_cap_is_an_error(self, monkeypatch, capsys):
         from chamberforms.oriented_matroid import (AffineOrientedMatroid,

@@ -381,10 +381,10 @@ def traced_det(rows):
     engine, batch = modular._modular_det, modular._batch_det_mod
     eliminate = modular._eliminate_mod
 
-    def spy_engine(rows, shift, c, certificate):
+    def spy_engine(rows, shift, c, *rest):
         if any(len(e.coeffs) > 1 for row in rows for e in row):
             cs.append(c)
-        return engine(rows, shift, c, certificate)
+        return engine(rows, shift, c, *rest)
 
     def spy_batch(a, p):
         det, marked = batch(a, p)
@@ -486,7 +486,8 @@ def first_prime(monkeypatch, n, width):
     with monkeypatch.context() as m:
         m.setattr(modular, "_primes_below", capture)
         with pytest.raises(Stop):
-            modular._modular_det(rows, 0, None, None)
+            modular._modular_det(rows, 0, None,
+                                 modular._coefficient_bound_sq(rows), None, None)
     return next(modular._primes_below(tops[0]))
 
 
@@ -1083,8 +1084,10 @@ class TestEarlyStop:
 
     def test_identity_carries_the_early_stop_method(self, monkeypatch):
         """certify_det of S_q against its determinant: the Method of the
-        engine's early stop with no prime used, and no engine point.  Where
-        the bound allows under three primes it returns None unprepared."""
+        engine's early stop with no prime used, and no engine point.  Against
+        a wrong polynomial it returns poly_det's determinant and Method.
+        Where the bound allows under three primes modular.det returns None
+        unprepared, and certify_det takes poly_det's exact result."""
         from chamberforms.cli import load_instance
         from chamberforms.forms import build_Sq
         from conftest import FIXTURE_DIR
@@ -1096,11 +1099,16 @@ class TestEarlyStop:
                 certified = polyring.certify_det(sq, det)
             assert certified == det
             assert certified.method == det.method._replace(primes=0)
-            assert polyring.certify_det(sq, det + ONE) is None
+            witness = polyring.certify_det(sq, det + ONE)
+            assert witness == det and witness.method == det.method
         sq = build_Sq(load_instance(str(FIXTURE_DIR / "line-n5.json")).om).matrix
         det = poly_det(sq)
-        monkeypatch.setattr(modular, "band_order", None)
-        assert polyring.certify_det(sq, det) is None
+        with monkeypatch.context() as m:
+            m.setattr(modular, "band_order", None)
+            assert modular.det(sq, det) is None
+        exact = polyring.certify_det(sq, det)
+        assert exact == det and exact.method == det.method
+        assert exact.method.error_bits is None
 
     def test_constant_grid_runs_to_the_bound(self):
         big = 2 ** 60  # det = big, against a bound of about 2 big**2
