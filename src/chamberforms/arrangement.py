@@ -11,7 +11,9 @@ with_offsets.
 
 from __future__ import annotations
 
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
@@ -38,14 +40,21 @@ def _coordinate(label, x) -> Fraction:
     """x as a Fraction whose numerator and denominator fit the interpreter's
     int-string limit.
 
+    A Decimal, as cli.load_instance reads a JSON number with a fraction or
+    an exponent, is read through its string, so that a JSON number and the
+    same text written as a string give the same value and the same checks.
     Fraction expands a string's exponent e as 10**e in full, which that limit
     does not bound, so a string with one is checked before Fraction builds
     it: |e| beyond the limit plus the mantissa's length puts the value above
     10**limit or below 10**-limit.  Nor does the limit bound a decimal's
     digits, which Fraction reads in two parts, so a string longer than the
-    limit is checked too; a shorter one without an exponent fits it.
+    limit is checked too; a shorter one without an exponent fits it.  A run
+    of more than limit digits, even of leading zeros, is one that Fraction
+    could not read, and is rejected like a value too large.
     """
     limit = sys.get_int_max_str_digits()
+    if isinstance(x, Decimal):
+        x = str(x)
     if not (limit and isinstance(x, str)
             and ("e" in x or "E" in x or len(x) > limit)):
         return Fraction(x)
@@ -54,7 +63,8 @@ def _coordinate(label, x) -> Fraction:
         e = int(exp)
     except ValueError:
         e = 0  # not an exponent: Fraction names the literal it rejects
-    if abs(e) <= limit + len(mantissa):
+    if (abs(e) <= limit + len(mantissa)
+            and not re.search(fr"\d{{{limit + 1}}}", x)):
         v = Fraction(x)
         if max(abs(v.numerator), v.denominator) < 10 ** limit:
             return v
@@ -144,7 +154,7 @@ class Arrangement:
             raise ValueError(f"malformed arrangement JSON: missing {exc}") from None
         except ZeroDivisionError as exc:
             raise ValueError(f"malformed arrangement JSON: zero denominator in {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:  # 1e999 reads as inf
+        except (TypeError, ValueError, OverflowError) as exc:  # Infinity reads as inf
             raise ValueError(f"malformed arrangement JSON: {exc}") from None
         return cls(dim, hyps)
 

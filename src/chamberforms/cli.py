@@ -8,13 +8,14 @@ which _report wraps in one envelope; random writes one line per instance.
 The check, det and random reports say in method how each determinant was
 established: exact, or certified with an error bound that depends only on
 the matrix, never on the random point or prime of the certificate.
-check and random hand the right-hand side to the engine as its first
-candidate lift, which one certificate confirms before the first prime
-wherever the coefficient bound allows three primes or more; det S_q is
-reconstructed only where it allows fewer or the candidate fails.  det
-always reconstructs it.  So in check --timings, det_Sq_primes 0 with a
-nonzero det_Sq_prime_bound means det S_q was certified equal to the
-right-hand side, not reconstructed.
+check, det and random take both determinants through forms.verify, which
+hands the right-hand side to the engine as its candidate: one certificate
+confirms it before the first prime wherever the coefficient bound allows
+three primes or more, and det S_q is reconstructed, exactly, only where the
+bound allows fewer or the candidate fails.  det reports the determinants
+without the verdict.  So in check --timings, det_Sq_primes is 0, det S_q
+certified equal to the right-hand side, or det_Sq_prime_bound, det S_q
+reconstructed.
 
 check, det and random take determinants over Z[q], whose word-size engine
 (chamberforms.modular) is the one module that imports numpy; matrix, rhs
@@ -39,6 +40,7 @@ import json
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -52,8 +54,7 @@ from .forms import (IntersectionForm, TheoremViolation, build_S, build_Sq,
                     rhs_classical, rhs_q, verify)
 from .oriented_matroid import (AffineOrientedMatroid, ClosureCapExceeded,
                                separation)
-from .polyring import (CertificateError, ExactDivisionError, IntPoly, poly_det,
-                       poly_eval)
+from .polyring import CertificateError, ExactDivisionError, IntPoly, poly_eval
 
 MATRIX_REPORT_LIMIT = 40
 NUDGE_ATTEMPTS = 64  # offset draws per --nudge before giving up
@@ -72,14 +73,28 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class _JSONDecimal(Decimal):
+    """A JSON number with a fraction or an exponent, read by its decimal
+    text rather than as the nearest binary double.  Its repr is that text,
+    so a message that quotes one where an integer belongs reads as a
+    float's would."""
+
+    __repr__ = Decimal.__str__
+
+
 def load_instance(path: str, nudge: Optional[int] = None) -> Instance:
     raw = Path(path).read_bytes()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_float=_JSONDecimal)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
     except RecursionError:
         raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
+    except ValueError as exc:  # an integer past the int-string limit, or not text
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except ArithmeticError:  # decimal.InvalidOperation
+        raise ValueError(f"{path}: not valid JSON (a number's exponent is "
+                         f"out of range)") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level JSON must be an object")
     if "hyperplanes" in doc:
@@ -208,11 +223,10 @@ def run_matrix(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def run_det(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:
-    det_s = poly_det(build_S(inst.om).matrix)
-    det_sq = poly_det(build_Sq(inst.om).matrix)
-    return _report(inst, {"det_S": str(poly_eval(det_s, 1)),
-                          "det_Sq": det_sq.coeff_strings(),
-                          "method": _method_json(det_s, det_sq)}), 0
+    vs, vq = verify(inst.om, forms=(build_S(inst.om), build_Sq(inst.om)))
+    return _report(inst, {"det_S": str(poly_eval(vs.lhs, 1)),
+                          "det_Sq": vq.lhs.coeff_strings(),
+                          "method": _method_json(vs.lhs, vq.lhs)}), 0
 
 
 def run_rhs(inst: Instance, args: argparse.Namespace) -> tuple[dict, int]:

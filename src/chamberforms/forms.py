@@ -151,12 +151,11 @@ def verify(om: AffineOrientedMatroid,
     a mismatch in the q-identity is reported as a finding, never an abort.
 
     The right-hand side of the q-identity comes first, and certify_det
-    takes det S_q with rhs_q as the engine's first candidate lift: one
-    certificate at a random point confirms det S_q = rhs_q without
-    reconstructing det S_q, and only when it does not is det S_q
-    reconstructed, which then supplies the mismatch witness.  On the
-    certified route det S_q is rhs_q, so the q = 1 check compares rhs_q(1)
-    with det S.
+    takes det S_q with rhs_q as the engine's candidate: one certificate at
+    a random point confirms det S_q = rhs_q without reconstructing det S_q,
+    and only when it does not is det S_q reconstructed, exactly, which then
+    supplies the mismatch witness.  On the certified route det S_q is rhs_q,
+    so the q = 1 check compares rhs_q(1) with det S.
     """
     s, sq = forms
     m = om.matroid()

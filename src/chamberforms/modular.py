@@ -6,9 +6,9 @@ det inside poly_det, int_det and certify_det, and the cli imports the
 module when it dispatches a command that takes a determinant over Z[q], so
 a process that takes none never loads numpy.
 
-Determinants over Z[q] come from one modular engine (Abbott, Bronstein and
-Mulders, ISSAC 1999), preceded by two exact transforms that keep the
-determinant and two passes that read its symmetries:
+Determinants over Z[q] come from one modular engine, preceded by two exact
+transforms that keep the determinant and two passes that read its
+symmetries:
 
 - Band order: rows and columns are permuted alike by reverse Cuthill-McKee
   on the symmetrised nonzero pattern (polyring.band_order).  A symmetric
@@ -49,55 +49,46 @@ geometric nodes recovers g mod p.  A prime where 2 has order below the
 coefficient count would repeat a node and is skipped.
 The primes are taken in a fixed order, and the coefficient bound H =
 prod_i sqrt(sum_j ||M_ij||_1^2) (Hadamard on the unit circle with Cauchy's
-estimate) allows as many as it takes for their product P to exceed 2H; the
-symmetric CRT lift is then the exact g.  The engine stops sooner when it can
-(the early termination of Abbott, Bronstein and Mulders): from the second
-prime on it compares the lift with the previous prime's, and when the two
-agree it runs the certificate, the determinant of the untransformed matrix
-at a random point x modulo a random 61-bit prime Q, against the lift's
-value at x.  The certificate evaluates each distinct entry at x once and
-eliminates on Python ints: a symmetric matrix with diagonal pivots in the
-band order, where each step updates only the pairs of its nonzero
-columns, and any other matrix, or one whose pivot vanishes at x, by plain
-elimination of the same values.  Q is drawn once per process,
-at the first certificate.  If the certificate passes, the lift is returned,
-labelled certified.  If it fails, the engine runs to the bound, where the
-certificate runs again and a failure raises CertificateError; so only one
-certificate can stop the engine early.  When g needs one point per prime,
-as a constant grid does, a prime costs about what the certificate costs,
-and the engine always runs to the bound.
-
-A certified result is wrong with probability at most
-eps = deg / 2**60 + ceil(log2(2H) / 60) / 2**54, deg the degree bound of
-det M in q.  Let D = det M - lift.  If D != 0, some coefficient D_j is
-nonzero, and |D_j| <= 2H, since the engine stopped before P > 2H.  A wrong
-lift passes only when Q divides D_j, which at most ceil(log2(2H) / 60) of
-the more than 2**54 primes in [2**60, 2**61) do (Rosser and Schoenfeld), or
-when x is a root of D mod Q, with probability at most deg / 2**60 (Schwartz,
-JACM 27, 1980).  eps depends only on the matrix, and the result's Method
-carries floor(-log2 eps).
+estimate) allows as many as it takes for their product P to exceed 2H.  The
+engine takes them all and lifts once, after the last; the symmetric CRT lift
+is then the exact g.  A certificate still checks it: the determinant of the
+untransformed matrix at a random point x modulo a random 61-bit prime Q,
+against the lift's value at x, and a failure raises CertificateError.  The
+certificate evaluates each distinct entry at x once and eliminates on Python
+ints: a symmetric matrix with diagonal pivots in the band order, where each
+step updates only the pairs of its nonzero columns, and any other matrix, or
+one whose pivot vanishes at x, by plain elimination of the same values.  Q
+is drawn once per process, at the first certificate.
 
 Given an expected determinant E, as forms.verify passes the right-hand side
 of the q-identity, det first applies a gate, before band order or grading:
 when the two largest primes below the ceiling for m = n have a product above
-2H, the bound may allow fewer than three primes, the engine would run to its
-bound and its result would be exact, and det returns None so that the
-caller takes that exact result.  It is not cheap: on such small grids the
-engine costs several times what one certificate costs, and perfbench's sweep
-workload sends 123 S_q a round through the gate.  Otherwise det prepares
-the matrix once and hands E, graded like it, to the engine as its first
-candidate lift.  Where the engine may stop early, E goes to the certificate
-before the first prime, unless it cannot be det M: its degree exceeds the
-degree bound, a coefficient exceeds H, or M is graded and E has an odd
-exponent.  A pass returns E with the Method of an early stop, with 0 primes
-used and the primes the bound allows; eps holds verbatim, since D = det M -
-E has degree within the bound and |D_j| <= |det_j| + |E_j| <= 2H, the two
-facts the argument above reads.  A certificate never rejects the true
-determinant, so a failed draw proves det M != E and spends none of eps: the
-engine runs on, on the same preparation and certificate, and keeps its one
-early stop, whose result is the mismatch witness.  (Over a whole run, a
-wrong E and a wrong repeated lift could each pass a draw, with probability
-at most eps each.)
+2H, the bound may allow fewer than three primes, and det returns None so
+that the caller takes the engine's exact result.  It is not cheap: on such
+small grids the engine costs several times what one certificate costs, and
+perfbench's sweep workload sends 123 S_q a round through the gate.
+Otherwise det prepares the matrix once and hands E, graded like it, to the
+engine as its candidate, the engine's one early stop: E goes to one
+certificate before the first prime, and a pass returns E, certified, with 0
+primes used and the primes the bound allows.  E is refused without a draw
+when it cannot be det M (its degree exceeds the degree bound, a coefficient
+exceeds H, or M is graded and E has an odd exponent) and when g needs one
+point per prime, as a constant grid does, since a prime then costs about
+what the certificate costs.  A certificate never rejects the true
+determinant, so a failed draw proves det M != E; after it, or a refusal,
+the engine runs to the bound on the same preparation and certificate, and
+its exact result is the mismatch witness.
+
+A certified E is wrong with probability at most
+eps = deg / 2**60 + ceil(log2(2H) / 60) / 2**54, deg the degree bound of
+det M in q.  Let D = det M - E.  If D != 0, some coefficient D_j is
+nonzero.  D has degree within the bound, and |D_j| <= |det_j| + |E_j| <=
+2H, since H bounds the coefficients of det M and the screen those of E.
+The one draw passes a wrong E only when Q divides D_j, which at most
+ceil(log2(2H) / 60) of the more than 2**54 primes in [2**60, 2**61) do
+(Rosser and Schoenfeld), or when x is a root of D mod Q, with probability
+at most deg / 2**60 (Schwartz, JACM 27, 1980).  eps depends only on the
+matrix, and the result's Method carries floor(-log2 eps).
 """
 
 from __future__ import annotations
@@ -529,16 +520,13 @@ def _modular_det(rows, shift: int, c: int | None, bound_sq: int,
     plain elimination of N evaluated there.
 
     The coefficient bound H**2 = bound_sq allows the primes up to the first
-    whose product exceeds 2H.  Before the last of them, a lift equal to the
-    previous prime's is put to the certificate, and returned as certified
-    if it passes; after a failed certificate the engine runs to the bound.
-    The lift at the bound is exact, and a certificate that fails there
-    raises CertificateError.  With K = 1 the engine always runs to the
-    bound.  candidate, the coefficients of the g that det expects or None,
-    is the first lift: where the engine may stop early, it goes to the
-    certificate before the first prime unless its degree or a coefficient
-    is out of the bound, and a pass returns it with no prime used.  A
-    failed draw leaves the engine and its early stop as they were.
+    whose product exceeds 2H, and the engine takes them all: the lift after
+    the last is exact, and a certificate that fails on it raises
+    CertificateError.  candidate, the coefficients of the g that det
+    expects or None, is the one early stop: when N needs more than one
+    point per prime and the candidate is within the degree and coefficient
+    bounds, it goes to the certificate before the first prime, and a pass
+    returns it with no prime used.
     """
     degrees = [max((len(e.coeffs) - 1 for e in row), default=-1) for row in rows]
     n_coeffs = sum(degrees) - shift + 1 if c is None else c + 1
@@ -556,17 +544,15 @@ def _modular_det(rows, shift: int, c: int | None, bound_sq: int,
     n_evals = n_coeffs if c is None else (c + 3) // 2
     # With one point per prime, a prime costs about what the certificate
     # costs, and stopping early cannot pay.
-    early = n_evals > 1
-    if (early and candidate is not None and len(candidate) <= n_coeffs
+    if (n_evals > 1 and candidate is not None and len(candidate) <= n_coeffs
             and all(x * x <= bound_sq for x in candidate)
             and certificate.passes(candidate)):
         bits = certificate.error_bits(n_coeffs, bound_sq)
         return Determinant(candidate, Method(bits, 0, len(primes)))
     evaluate = _Evaluator(rows, n_evals) if _is_symmetric(rows) else None
     residues: list[int] = [0] * n_coeffs
-    lift: list[int] = []
     modulus = 1
-    for used, p in enumerate(primes, 1):
+    for p in primes:
         inv2 = (p + 1) // 2
         det = np.zeros(n_evals, dtype=np.int64)
         plain = np.ones(n_evals, dtype=bool)
@@ -590,14 +576,8 @@ def _modular_det(rows, shift: int, c: int | None, bound_sq: int,
             z = residues[k]
             residues[k] = z + modulus * ((r - z) * inv % p)
         modulus *= p
-        half = modulus // 2
-        previous, lift = lift, [z - modulus if z > half else z for z in residues]
-        if early and lift == previous and used < len(primes):
-            if certificate.passes(lift):
-                method = Method(certificate.error_bits(n_coeffs, bound_sq),
-                                used, len(primes))
-                return Determinant(lift, method)
-            early = False  # eps bounds the one certificate that may stop early
+    half = modulus // 2
+    lift = [z - modulus if z > half else z for z in residues]
     if not certificate.passes(lift):
         raise CertificateError(f"determinant certificate failed after all "
                                f"{len(primes)} primes of the coefficient bound")
@@ -690,11 +670,12 @@ def det(rows: Sequence[Sequence[IntPoly]],
     passes a constant grid, which takes c = 0 and one point per prime, so
     its result is always exact.
 
-    Given expect, det returns None when the bound may allow fewer than three
-    primes (_few_primes), before any preparation, so that the caller takes
-    the engine's exact result.  Otherwise expect, graded like the matrix,
-    is the engine's first candidate lift; the module docstring says why
-    eps holds.
+    Without expect the result is exact.  Given expect, det returns None
+    when the bound may allow fewer than three primes (_few_primes), before
+    any preparation, so that the caller takes the engine's exact result.
+    Otherwise expect, graded like the matrix, is the engine's candidate:
+    the result is expect, certified, or the exact determinant.  The module
+    docstring says why eps holds.
     """
     n = len(rows)
     bound_sq = _coefficient_bound_sq(rows)

@@ -22,10 +22,10 @@ matrix over Z[q] with the polynomial its determinant should be.  Each
 imports det only when it calls it, so a process that takes no such
 determinant never loads numpy.
 
-poly_det returns a Determinant: the polynomial together with its Method,
-which says whether the result is exact or certified, and with what error
-bound.  The engine stops adding primes once its lift repeats and a
-certificate at a random point confirms it; see chamberforms.modular.
+poly_det and int_det are exact.  certify_det returns a Determinant, the
+polynomial together with its Method: the expected polynomial, certified
+with an error bound by one certificate at a random point, or the exact
+determinant; see chamberforms.modular.
 """
 
 from __future__ import annotations
@@ -158,10 +158,11 @@ class Method(NamedTuple):
     error_bits is None for an exact result.  A certified result is wrong
     with probability at most 2**-error_bits, a bound that depends only on
     the matrix.  primes counts the primes the modular engine used, and
-    bound the primes its coefficient bound allows; both are 0 for a result
-    that took no prime.  A result certified against an expected polynomial
-    (certify_det) reconstructed nothing: primes is 0, and bound is the
-    count the engine would have been allowed.
+    bound the primes its coefficient bound allows.  The engine uses every
+    prime the bound allows or none: an exact result from it has primes ==
+    bound, a result off the engine has both 0, and a certified result,
+    an expected polynomial confirmed by certify_det, has primes 0 and the
+    bound the engine would have been allowed.
     """
 
     error_bits: Optional[int]
@@ -370,16 +371,13 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def poly_det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
-    """Determinant over Z[q], exact or certified, with its Method.
+    """Exact determinant over Z[q], with its Method.
 
-    rows is a square grid of IntPoly.  A constant grid goes to int_det and
-    is exact.  Any other goes to modular.det, the engine's one entry point,
-    which stops adding primes once its CRT lift repeats and a certificate
-    confirms it: the grid exactly as passed in, evaluated at a random point
-    modulo a random 61-bit prime, must have the lift's value there.  Such a
-    result is certified, wrong with probability at most 2**-error_bits of
-    its Method; a result that took every prime the coefficient bound allows
-    is exact, and the certificate still checks it.
+    rows is a square grid of IntPoly.  A constant grid goes to int_det.
+    Any other goes to modular.det, the engine's one entry point, which
+    takes every prime the coefficient bound allows; a certificate still
+    checks the lift: the grid exactly as passed in, evaluated at a random
+    point modulo a random 61-bit prime, must have the lift's value there.
 
     Raises ValueError on a matrix that is not square, and CertificateError
     (or ExactDivisionError from int_det) on an internal arithmetic bug.
@@ -397,17 +395,17 @@ def poly_det(rows: Sequence[Sequence[IntPoly]]) -> Determinant:
 
 def certify_det(rows: Sequence[Sequence[IntPoly]],
                 expect: IntPoly) -> Determinant:
-    """Determinant over Z[q] of rows, with expect as the engine's first
-    candidate lift.
+    """Determinant over Z[q] of rows, with expect as the engine's
+    candidate.
 
     modular.det puts expect to one certificate at a random point before
-    its first prime, where the engine's early stop would put its CRT lift.
-    A pass returns expect with the Method that stop would carry, with no
-    prime used; a failure or an expect that cannot be the determinant by
-    degree, size or parity leaves the engine to reconstruct it.  When the
-    bound may allow fewer than three primes, the engine's result is exact
-    at about what a certificate costs, and certify_det takes it from
-    poly_det.
+    its first prime.  A pass returns expect, certified, with Method
+    (error_bits, 0, bound); a failure, or an expect that cannot be the
+    determinant by degree, size or parity, leaves the engine to run to the
+    bound, and its exact result, Method (None, bound, bound), is the
+    mismatch witness.  When the bound may allow fewer than three primes,
+    the engine's exact result costs about what a certificate costs, and
+    certify_det takes it from poly_det.
     """
     from .modular import det
     certified = det(rows, expect)

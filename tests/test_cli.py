@@ -11,7 +11,7 @@ import pytest
 
 from chamberforms import cli
 from chamberforms.matroid import Matroid
-from chamberforms.polyring import IntPoly
+from chamberforms.polyring import IntPoly, Method, poly_det
 from conftest import FIXTURE_DIR, FIXTURE_NAMES, line_points, uniform_arrangement
 
 
@@ -201,24 +201,34 @@ class TestIdentityRoute:
     def test_plausible_wrong_rhs_gets_the_engine_witness(self, monkeypatch,
                                                          draws, tmp_path):
         """An even RHS within H and of the right degree fails the one
-        identity certificate; the engine then supplies the witness."""
+        identity certificate; the engine then runs to the bound and supplies
+        the exact witness, poly_det's, under check and det alike."""
+        from chamberforms.forms import build_Sq
         vamos = str(FIXTURE_DIR / "vamos.json")
-        _, det = run_main(["det", "--input", vamos])
-        draws.clear()
+        exact = poly_det(build_Sq(cli.load_instance(vamos).om).matrix)
+        assert exact.method == Method(None, 5, 5)
         patch_rhs_q(monkeypatch, lambda value: value + IntPoly((0, 0, 1)))
+        draws.clear()
         code, rep = run_main(["check", "--input", vamos, "--timings"])
         assert code == 2 and rep["verdict"]["conjecture_match"] is False
-        assert rep["timings"]["det_Sq_primes"] > 0
+        assert rep["timings"]["det_Sq_primes"] == 5
+        assert rep["timings"]["det_Sq_prime_bound"] == 5
         assert rep["matrices"] is not None
-        assert rep["verdict"]["det_Sq"] == det["det_Sq"]
-        assert rep["verdict"]["method"] == det["method"]
+        assert rep["verdict"]["det_Sq"] == exact.coeff_strings()
+        assert rep["verdict"]["method"]["det_Sq"] == {"kind": "exact"}
         # one draw against the RHS, in t = q^2, before the first prime, then
-        # the engine's own early stop, on the same preparation and certificate
+        # the certificate of the lift at the bound, on the same preparation
         wrong = tuple(int(c) for c in rep["verdict"]["rhs_Sq"][::2])
-        right = IntPoly(int(c) for c in det["det_Sq"][::2])
         assert [g for _, g in draws][0] == wrong and len(draws) == 2
-        assert IntPoly(draws[1][1]) == right
+        assert IntPoly(draws[1][1]) == IntPoly(exact.coeffs[::2])
         assert draws[0][0] is draws[1][0]
+
+        # det reads the same right-hand side as check, and so the same witness
+        draws.clear()
+        code, rep = run_main(["det", "--input", vamos])
+        assert code == 0 and rep["det_Sq"] == exact.coeff_strings()
+        assert rep["method"]["det_Sq"] == {"kind": "exact"}
+        assert [g for _, g in draws][0] == wrong and len(draws) == 2
 
         draws.clear()
         out = tmp_path / "random.jsonl"
@@ -267,9 +277,22 @@ class TestIdentityRoute:
         assert rep["verdict"]["method"]["det_Sq"] == {"kind": "exact"}
         assert engine_batches
 
-    def test_no_prime_exactly_where_the_bound_allows_three(self, tmp_path):
+    def test_no_prime_exactly_where_the_bound_allows_three(self, monkeypatch,
+                                                           tmp_path):
+        """Besides, each Determinant of check, det and random used 0 primes,
+        when a certificate confirmed the RHS, or every prime of the bound."""
+        from chamberforms import polyring
+        methods = []
+        init = polyring.Determinant.__init__
+
+        def spy(det, coeffs, method):
+            methods.append(method)
+            init(det, coeffs, method)
+        monkeypatch.setattr(polyring.Determinant, "__init__", spy)
         reports = [run_main(["check", "--input", str(FIXTURE_DIR / name),
                              "--timings"])[1] for name in FIXTURE_NAMES]
+        for name in FIXTURE_NAMES:
+            assert run_main(["det", "--input", str(FIXTURE_DIR / name)])[0] == 0
         for dim in range(1, 5):
             out = tmp_path / f"random-{dim}.jsonl"
             assert cli.main(["random", "--dim", str(dim), "--n", "7", "--count",
@@ -280,6 +303,9 @@ class TestIdentityRoute:
             timings = rep["timings"]
             assert ((timings["det_Sq_primes"] == 0)
                     == (timings["det_Sq_prime_bound"] >= 3)), rep["instance"]
+        assert all(m.primes in (0, m.bound) for m in methods), methods
+        assert any(m.primes == 0 < m.bound for m in methods)
+        assert any(0 < m.primes == m.bound for m in methods)
 
     def test_wrong_rhs_prepares_s_q_once(self, monkeypatch):
         """The failed draw and the engine share one band order, grading and
@@ -353,6 +379,63 @@ class TestErrors:
                 "error: malformed arrangement JSON: hyperplane 'H1' has a "
                 f"coordinate that needs more than {sys.get_int_max_str_digits()} "
                 "digits\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ('"%s1"' % ("0" * 5000), "coordinate"),
+        ('"%s"' % ("1" * 5000), "coordinate"),
+        ("1" * 5000, "offset"),
+        ("1" * 5000, "rank"),
+        ("1e99999999999999999999", "offset")],
+        ids=["zeros", "ones", "bare-offset", "bare-rank", "bare-exponent"])
+    def test_digits_past_the_int_string_limit_exit_1(self, text, message,
+                                                     tmp_path, capsys):
+        """A coordinate string with a run of more digits than the limit is
+        rejected in the project's words; a bare JSON integer that long, or
+        a number whose exponent Decimal cannot hold, is not valid JSON, and
+        the message names the file."""
+        limit = sys.get_int_max_str_digits()
+        assert 0 < limit < 5000
+        if message == "rank":
+            doc = (FIXTURE_DIR / "vamos.json").read_text()
+            assert doc.count('"rank": 4') == 1
+            doc = doc.replace('"rank": 4', '"rank": ' + text)
+        else:
+            doc = ('{"dim": 1, "hyperplanes": [{"label": "H1", "normal": ["1"], '
+                   '"offset": %s}, {"label": "H2", "normal": ["1"], "offset": "1"}]}'
+                   % text)
+        p = tmp_path / "long.json"
+        p.write_text(doc)
+        for command in ("check", "matrix", "det", "rhs", "invariants"):
+            assert cli.main([command, "--input", str(p)]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if message == "coordinate":
+                assert err == ("error: malformed arrangement JSON: hyperplane 'H1' "
+                               f"has a coordinate that needs more than {limit} "
+                               "digits\n")
+            else:
+                assert err.startswith(f"error: {p}: not valid JSON (")
+
+    def test_json_numbers_read_as_their_decimal_text(self, tmp_path, capsys):
+        """x = 0.1, y = 0.2 and x + y = 0.3 share a point.  Written as JSON
+        numbers they are read by their decimal text, not as binary doubles,
+        whose sum misses: the input is rejected as its string twin is."""
+        lines = [("H1", [1, 0], "0.1"), ("H2", [0, 1], "0.2"),
+                 ("H3", [1, 1], "0.3"), ("H4", [1, -1], "5")]
+        errors = []
+        for quoted in (True, False):
+            hyps = ", ".join(
+                '{"label": "%s", "normal": %s, "offset": %s}'
+                % (label, json.dumps([str(x) for x in normal] if quoted else normal),
+                   json.dumps(offset) if quoted else offset)
+                for label, normal, offset in lines)
+            p = tmp_path / f"quoted-{quoted}.json"
+            p.write_text('{"dim": 2, "hyperplanes": [%s]}' % hyps)
+            assert cli.main(["check", "--input", str(p)]) == 1
+            errors.append(capsys.readouterr().err.replace(str(p), "<input>"))
+        assert errors[0] == errors[1] == (
+            "error: <input>: hyperplanes ['H1', 'H2', 'H3'] are dependent but "
+            "share a point (coefficient rank 2, augmented rank 2)\n")
 
     def test_coordinate_at_the_digit_limit_loads(self, tmp_path):
         """10^(limit - 1) has limit digits and 10^-(limit - 1) a denominator
@@ -605,8 +688,10 @@ class TestErrors:
             coeffs = interpolate(e0, y, p)
             return [(coeffs[0] + 1) % p] + coeffs[1:]
         monkeypatch.setattr(modular, "_interpolate_mod", off_by_one)
-        # check reconstructs det S_q only where the bound allows under three
-        # primes, as on example13-C; on vamos it certifies the right-hand side
+        # check and det reconstruct det S_q only where the bound allows under
+        # three primes, as on example13-C, or where the right-hand side fails
+        # its certificate, as this wrong one does on vamos
+        patch_rhs_q(monkeypatch, lambda value: value + IntPoly((0, 0, 1)))
         for command, name, primes in (("check", "example13-C.json", 1),
                                       ("det", "vamos.json", 5)):
             assert cli.main([command, "--input", str(FIXTURE_DIR / name)]) == 1

@@ -219,14 +219,14 @@ def wrong_interpolation(monkeypatch):
 
 def assert_raises_at_the_bound(monkeypatch, mat):
     """A wrong lift fails the certificate after every prime the bound allows,
-    also where the true lift stops early."""
-    early = poly_det(mat).method
+    as many as the true, exact lift takes."""
+    exact = poly_det(mat).method
     with monkeypatch.context() as m:
         primes = wrong_interpolation(m)
-        with pytest.raises(CertificateError, match=f"all {early.bound} primes"):
+        with pytest.raises(CertificateError, match=f"all {exact.bound} primes"):
             poly_det(mat)
-    assert len(primes) == early.bound
-    return early
+    assert len(primes) == exact.bound
+    return exact
 
 
 class TestModularEngine:
@@ -273,9 +273,9 @@ class TestModularEngine:
         q = IntPoly([0, 1])
         big = 2 ** 60  # det = big (1 + q) + q: 61 bits against a 121-bit bound
         assert_raises_at_the_bound(monkeypatch, [[q, ONE], [ONE, q]])
-        early = assert_raises_at_the_bound(
+        exact = assert_raises_at_the_bound(
             monkeypatch, [[const(big) + q, const(big)], [const(big), const(big + 1)]])
-        assert early.error_bits is not None and early.primes < early.bound
+        assert exact.error_bits is None and exact.primes == exact.bound > 3
 
     def test_certificate_failure_raises_on_graded_path(self, monkeypatch):
         q, q2 = IntPoly([0, 1]), IntPoly([0, 0, 1])
@@ -1054,8 +1054,9 @@ class TestDetMod:
 
 
 class TestEarlyStop:
-    """The engine stops once its CRT lift repeats and the certificate at a
-    random point confirms it; otherwise it runs to the coefficient bound."""
+    """The engine's one early stop is a candidate that the certificate at a
+    random point confirms before the first prime; otherwise it runs to the
+    coefficient bound, and its result is exact."""
 
     def test_stable_wrong_lift_runs_to_the_bound(self, monkeypatch):
         # [[a + q]] with a = p1 p2 + 5: modulo p1 and then p1 p2 the lift is
@@ -1070,35 +1071,32 @@ class TestEarlyStop:
         assert det.method == polyring.Method(None, 3, 3)
         assert cs == [None] and points == {2}
 
-    def test_fixtures_stop_early(self):
+    def test_fixtures_run_to_the_bound(self):
         from chamberforms.cli import load_instance
         from chamberforms.forms import build_Sq
         from conftest import FIXTURE_DIR
-        for name, primes, bound in (("vamos.json", 3, 5),
-                                    ("cyclic-r3-n7.json", 2, 3)):
+        for name, bound in (("vamos.json", 5), ("cyclic-r3-n7.json", 3)):
             om = load_instance(str(FIXTURE_DIR / name)).om
-            first, second = (poly_det(build_Sq(om).matrix) for _ in range(2))
-            assert first == second and first.method == second.method
-            assert first.method.primes == primes and first.method.bound == bound
-            assert 45 <= first.method.error_bits < 60
+            det = poly_det(build_Sq(om).matrix)
+            assert det.method == polyring.Method(None, bound, bound)
 
     def test_identity_carries_the_early_stop_method(self, monkeypatch):
-        """certify_det of S_q against its determinant: the Method of the
-        engine's early stop with no prime used, and no engine point.  Against
-        a wrong polynomial it returns poly_det's determinant and Method.
+        """certify_det of S_q against its determinant: certified, with no
+        prime used of the bound's count, and no engine point.  Against a
+        wrong polynomial it returns poly_det's exact determinant and Method.
         Where the bound allows under three primes modular.det returns None
         unprepared, and certify_det takes poly_det's exact result."""
         from chamberforms.cli import load_instance
         from chamberforms.forms import build_Sq
         from conftest import FIXTURE_DIR
-        for name in ("vamos.json", "cyclic-r3-n7.json"):
+        for name, bits in (("vamos.json", 51), ("cyclic-r3-n7.json", 52)):
             sq = build_Sq(load_instance(str(FIXTURE_DIR / name)).om).matrix
             det = poly_det(sq)
             with monkeypatch.context() as m:
                 m.setattr(modular, "_batch_det_mod", None)
                 certified = polyring.certify_det(sq, det)
             assert certified == det
-            assert certified.method == det.method._replace(primes=0)
+            assert certified.method == polyring.Method(bits, 0, det.method.bound)
             witness = polyring.certify_det(sq, det + ONE)
             assert witness == det and witness.method == det.method
         sq = build_Sq(load_instance(str(FIXTURE_DIR / "line-n5.json")).om).matrix

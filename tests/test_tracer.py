@@ -2,11 +2,13 @@
 
 perfbench/tracing.py wraps named functions of chamberforms in place; a
 renamed or removed function would leave its metric at zero.  This runs one
-traced `invariants`, `check` and `det` and checks that the tracer saw the
-oracle, the tope enumeration, the Matroid methods and the right-hand side,
-the Z[q] engine under `det` (`check` certifies det S_q against the
-right-hand side without it), one meet per nonzero upper entry of S under
-`check`, and put every original back.
+traced `invariants` and `check` on cyclic-r3-n7.json and one `det` on
+line-n10.json, and checks that the tracer saw the oracle, the tope
+enumeration, the Matroid methods and the right-hand side, the Z[q] engine
+under `det` (both commands certify det S_q against the right-hand side
+without it where the coefficient bound allows three primes or more, as on
+cyclic-r3-n7.json, and line-n10.json's allows one), one meet per nonzero
+upper entry of S under `check`, and put every original back.
 """
 
 import importlib.util
@@ -45,20 +47,23 @@ def test_tracer_sees_the_oracle_and_the_engine_and_restores(tmp_path):
     tracer = load_tracing().Tracer()
     before = bindings()
     fixture = str(FIXTURE_DIR / "cyclic-r3-n7.json")
+    # each command's input and its number of bounded topes
+    inputs = {"invariants": (fixture, 20), "check": (fixture, 20),
+              "det": (str(FIXTURE_DIR / "line-n10.json"), 10)}
     runs = {}
     tracer.install()
     try:
-        for command in ("invariants", "check", "det"):
+        for command, (path, _) in inputs.items():
             tracer.reset()
-            assert cli.main([command, "--input", fixture,
+            assert cli.main([command, "--input", path,
                              "--out", str(tmp_path / command)]) == 0
             runs[command] = tracer.snapshot()
     finally:
         tracer.uninstall()
     assert runs["invariants"]["flagspace.phi_s"] > 0
-    for totals in runs.values():
+    for command, totals in runs.items():
         assert totals["oriented_matroid.topes_s"] > 0
-        assert totals["oriented_matroid.topes"] == 20  # bounded topes
+        assert totals["oriented_matroid.topes"] == inputs[command][1]
     assert runs["det"]["polyring.det_Sq_calls"] > 0
     check = runs["check"]
     # the Matroid methods and the RHS each keep a nonzero metric
